@@ -20,7 +20,7 @@ verdict is Inconclusive, never Singular.  The chart oracle always decides.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -395,6 +395,10 @@ def analyze_center(scene: Scene, center: Center) -> CenterAnalysis:
     phi = leading_form(scene.f, center, k)
     section = section_smoothness(center, phi)
     base = base_locus_check(center, phi, scene.nvars) if k == 1 else None
+    if base is not None and base.verdict.witness is not None:
+        # the witness lives in the tangent ring, like the equations
+        names = tuple(scene.names[i] for i in center.tangent(scene.nvars))
+        base = replace(base, verdict=replace(base.verdict, witness_names=names))
     d = center.codimension
     discrepancy = d - k - 1
     return CenterAnalysis(
@@ -684,6 +688,7 @@ def analyze(scene: Scene) -> Analysis:
                     Status.INCONCLUSIVE,
                     detail="hypothesis fails: " + bad.base_locus.verdict.detail,
                     witness=bad.base_locus.verdict.witness,
+                    witness_names=bad.base_locus.verdict.witness_names,
                 )
 
     oracle = chart_oracle(scene, containment, chart_map)

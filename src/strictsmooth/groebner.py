@@ -6,6 +6,13 @@ Weispfenning, p. 230).  It works on plain exponent tuples internally and
 converts back to :class:`Polynomial` at the boundary.  Tie-breaking is
 lexicographic on internal indices everywhere, so results are reproducible
 bit for bit.
+
+Within one kernel call each derived monomial quantity is computed once:
+order keys go through a memo that lives for that call only, each basis
+element keeps its leading monomial, and each critical pair keeps its lcm
+and that lcm's key.  These are caches of pure functions of the exponent
+tuples, so the basis, the pair order and every result are the same with
+or without them.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
+from operator import add, le, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -83,20 +91,40 @@ class Ideal:
 # --------------------------------------------------------------------------
 # tuple-level kernel
 
+
+class _KeyMemo(dict):
+    """Order keys of exponent tuples, each computed on first use.
+
+    One memo lives for one kernel call and is dropped when it returns, so
+    nothing accumulates across calls.  Use `_KeyMemo(order).__getitem__`
+    as the sort key: a hit is a plain dict lookup.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self._raw = order.tuple_key
+
+    def __missing__(self, exps):
+        key = self[exps] = self._raw(exps)
+        return key
+
+
 def _mul_t(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _quo_t(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _divides_t(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm_t(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _check_degree(poly_dict, limit):
@@ -107,12 +135,14 @@ def _check_degree(poly_dict, limit):
             )
 
 
-def _monic(d, keyf):
-    lc = d[max(d, key=keyf)]
+def _lead_monic(d, keyf):
+    """(leading monomial, d scaled to leading coefficient one)."""
+    lm = max(d, key=keyf)
+    lc = d[lm]
     one = lc / lc
     if lc == one:
-        return d
-    return {m: c / lc for m, c in d.items()}
+        return lm, d
+    return lm, {m: c / lc for m, c in d.items()}
 
 
 def _reduce(target, basis, keyf):
@@ -160,54 +190,48 @@ def _spoly_t(p, q, lmp, lmq):
     return out
 
 
-def _update(G, B, ih, lms):
+def _update(G, B, ih, lms, keyf):
     # critical-pair maintenance with the coprime and chain criteria,
-    # following Becker-Weispfenning p. 230
+    # following Becker-Weispfenning p. 230.  A critical pair is the tuple
+    # (order key of its lcm, i, j, lcm), so min(B) is the normal strategy
+    # with ties broken on (i, j).
     mh = lms[ih]
     C = sorted(G)
-    D = []
-    while C:
-        ig = C.pop(0)
-        lcm_hg = _lcm_t(mh, lms[ig])
-        if _mul_t(mh, lms[ig]) == lcm_hg:
-            D.append((ih, ig))
-        elif not any(
-            _divides_t(_lcm_t(mh, lms[ip]), lcm_hg) for ip in C
-        ) and not any(_divides_t(_lcm_t(mh, lms[jp]), lcm_hg) for _, jp in D):
-            D.append((ih, ig))
-    E = [
-        (a, b)
-        for a, b in D
-        if _mul_t(mh, lms[b]) != _lcm_t(mh, lms[b])
-    ]
+    lcms = [_lcm_t(mh, lms[ig]) for ig in C]
+    D = []  # (ig, lcm, coprime) for the pairs (ih, ig) that survive
+    for t, ig in enumerate(C):
+        lcm_hg = lcms[t]
+        coprime = _mul_t(mh, lms[ig]) == lcm_hg
+        if coprime or not (
+            any(_divides_t(l, lcm_hg) for l in lcms[t + 1:])
+            or any(_divides_t(l, lcm_hg) for _, l, _ in D)
+        ):
+            D.append((ig, lcm_hg, coprime))
     B_new = set()
-    for i, j in B:
-        lcm_ij = _lcm_t(lms[i], lms[j])
+    for pair in B:
+        _, i, j, lcm_ij = pair
         if (
             not _divides_t(mh, lcm_ij)
             or _lcm_t(lms[i], mh) == lcm_ij
             or _lcm_t(lms[j], mh) == lcm_ij
         ):
-            B_new.add((i, j))
-    B_new.update(E)
+            B_new.add(pair)
+    B_new.update((keyf(l), ih, ig, l) for ig, l, coprime in D if not coprime)
     G_new = {g for g in G if not _divides_t(mh, lms[g])}
     G_new.add(ih)
     return G_new, B_new
 
 
 def _interreduce_seed(gens, keyf):
-    f1 = [_monic(dict(g), keyf) for g in gens if g]
+    """Monic (lm, dict) pairs, each reduced against the ones before it."""
+    f1 = [_lead_monic(g, keyf) for g in gens if g]
     while True:
         f = f1
         f1 = []
-        for i, p in enumerate(f):
-            if f[:i]:
-                basis = [(max(q, key=keyf), q) for q in f[:i]]
-                r = _reduce(p, basis, keyf)
-            else:
-                r = p
+        for i, (_, p) in enumerate(f):
+            r = _reduce(p, f[:i], keyf) if i else p
             if r:
-                f1.append(_monic(r, keyf))
+                f1.append(_lead_monic(r, keyf))
         if f == f1:
             return f
 
@@ -216,61 +240,66 @@ def _unit_basis(nvars, one):
     return [{(0,) * nvars: one}]
 
 
+def _reducers(G, lms, polys, keyf):
+    """The (lm, dict) pairs of G, ascending in the order, ties on index."""
+    return [(lms[g], polys[g]) for g in sorted(G, key=lambda g: (keyf(lms[g]), g))]
+
+
 def _buchberger(gens, keyf, nvars, one, limit):
     f = _interreduce_seed(gens, keyf)
     if not f:
         return []
-    for p in f:
+    for lm, p in f:
         _check_degree(p, limit)
-        if not any(max(p, key=keyf)):
+        if not any(lm):
             return _unit_basis(nvars, one)
 
-    polys = list(f)
-    lms = [max(p, key=keyf) for p in polys]
+    lms = [lm for lm, _ in f]
+    polys = [p for _, p in f]
     G: set = set()
     CP: set = set()
-    pending = set(range(len(polys)))
-    while pending:
-        ih = min(pending, key=lambda i: (keyf(lms[i]), i))
-        pending.remove(ih)
-        G, CP = _update(G, CP, ih, lms)
+    for ih in sorted(range(len(polys)), key=lambda i: (keyf(lms[i]), i)):
+        G, CP = _update(G, CP, ih, lms, keyf)
+    reducers = _reducers(G, lms, polys, keyf)
 
     while CP:
-        i, j = min(CP, key=lambda pr: (keyf(_lcm_t(lms[pr[0]], lms[pr[1]])), pr))
-        CP.remove((i, j))
+        pair = min(CP)
+        CP.remove(pair)
+        _, i, j, _ = pair
         s = _spoly_t(polys[i], polys[j], lms[i], lms[j])
         if not s:
             continue
-        ordered = sorted(G, key=lambda g: (keyf(lms[g]), g))
-        r = _reduce(s, [(lms[g], polys[g]) for g in ordered], keyf)
+        r = _reduce(s, reducers, keyf)
         if not r:
             continue
         _check_degree(r, limit)
-        r = _monic(r, keyf)
-        lm_r = max(r, key=keyf)
+        lm_r, r = _lead_monic(r, keyf)
         if not any(lm_r):
             return _unit_basis(nvars, one)
         polys.append(r)
         lms.append(lm_r)
-        G, CP = _update(G, CP, len(polys) - 1, lms)
+        G, CP = _update(G, CP, len(polys) - 1, lms, keyf)
+        reducers = _reducers(G, lms, polys, keyf)
 
-    active = sorted(G, key=lambda g: (keyf(lms[g]), g))
     out = []
-    for g in active:
-        others = [(lms[h], polys[h]) for h in active if h != g]
-        r = _reduce(polys[g], others, keyf)
+    for t, (_, p) in enumerate(reducers):
+        r = _reduce(p, reducers[:t] + reducers[t + 1:], keyf)
         if r:
-            out.append(_monic(r, keyf))
+            out.append(_lead_monic(r, keyf)[1])
     out.sort(key=lambda p: keyf(max(p, key=keyf)), reverse=True)
     return out
 
 
 def _monomial_basis(gens, keyf, one):
     monos = sorted({next(iter(g)) for g in gens}, key=keyf)
-    keep = []
+    kept = {}  # degree -> the minimal generators of that degree found so far
     for m in monos:
-        if not any(_divides_t(k, m) for k in keep):
-            keep.append(m)
+        dm = sum(m)
+        # a divisor sorts first, and distinct monomials of one degree never
+        # divide each other, so only lower-degree survivors need testing
+        if not any(_divides_t(k, m) for d, ks in kept.items() if d < dm for k in ks):
+            kept.setdefault(dm, []).append(m)
+    keep = [m for ks in kept.values() for m in ks]
     return [{m: one} for m in sorted(keep, key=keyf, reverse=True)]
 
 
@@ -312,7 +341,7 @@ class GroebnerBasis:
         every S-polynomial of a basis pair reduces to zero, and that every
         generator of the source ideal reduces to zero.
         """
-        keyf = self.order.tuple_key
+        keyf = _KeyMemo(self.order).__getitem__
         dicts = [_to_dict(g) for g in self.basis]
         lms = [max(d, key=keyf) for d in dicts]
         one = self.source.field.one
@@ -345,7 +374,7 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     reduced basis itself is mathematically unique for the given order.
     """
     limit = _degree_limit_var.get()
-    keyf = ideal.order.tuple_key
+    keyf = _KeyMemo(ideal.order).__getitem__
     gens = [_to_dict(g) for g in ideal.generators]
     for g in gens:
         _check_degree(g, limit)
@@ -370,7 +399,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise StructuralError("polynomial does not live in the basis ring")
     if p.field != gb.source.field:
         raise StructuralError("polynomial over a different field than the basis")
-    keyf = gb.order.tuple_key
+    keyf = _KeyMemo(gb.order).__getitem__
     pairs = []
     for g in gb.basis:
         d = _to_dict(g)
@@ -383,8 +412,9 @@ def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) ->
     if p.is_zero or q.is_zero:
         raise StructuralError("S-polynomial of a zero polynomial")
     keyf = order.tuple_key
-    dp, dq = _monic(_to_dict(p), keyf), _monic(_to_dict(q), keyf)
-    s = _spoly_t(dp, dq, max(dp, key=keyf), max(dq, key=keyf))
+    lmp, dp = _lead_monic(_to_dict(p), keyf)
+    lmq, dq = _lead_monic(_to_dict(q), keyf)
+    s = _spoly_t(dp, dq, lmp, lmq)
     return _from_dict(s, p.nvars, p.field)
 
 
@@ -440,23 +470,42 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
 def krull_dimension(ideal: Ideal) -> Optional[int]:
     """Dimension of the vanishing locus over the closure; None when empty.
 
-    Computed as the largest size of a variable subset that is independent
-    modulo the leading-term ideal of a Groebner basis.
+    The dimension is the largest size of a variable set that is independent
+    modulo the leading-term ideal of a Groebner basis: a set none of whose
+    subsets is the support of a leading monomial.  The maximum is found by
+    the depth-first search for maximal independent sets of Kredel and
+    Weispfenning ("Computing dimension and independent sets for polynomial
+    ideals", J. Symbolic Comput. 6, 1988): decide the variables in index
+    order, take a variable only while the set stays independent, and drop
+    a branch once the variables chosen plus the variables left cannot beat
+    the best set found so far.
     """
     gb = groebner(ideal)
     if gb.is_unit:
         return None
-    keyf = ideal.order.tuple_key
-    supports = []
-    for g in gb.basis:
-        lm = g.leading_monomial(ideal.order)
-        supports.append(frozenset(i for i, e in enumerate(lm.exps) if e))
-    for size in range(ideal.nvars, -1, -1):
-        for subset in itertools.combinations(range(ideal.nvars), size):
-            chosen = frozenset(subset)
-            if not any(s <= chosen for s in supports):
-                return size
-    raise InternalCheckError("dimension search fell through")  # pragma: no cover
+    n = ideal.nvars
+    supports = {
+        sum(1 << i for i, e in enumerate(g.leading_monomial(ideal.order).exps) if e)
+        for g in gb.basis
+    }
+    # the supports to test when variable v joins the chosen set
+    touching = [[s for s in supports if s >> v & 1] for v in range(n)]
+    best = -1
+
+    def search(v: int, chosen: int, size: int) -> None:
+        nonlocal best
+        if size + n - v <= best:
+            return
+        if v == n:
+            best = size
+            return
+        grown = chosen | 1 << v
+        if all(s & grown != s for s in touching[v]):
+            search(v + 1, grown, size + 1)
+        search(v + 1, chosen, size)
+
+    search(0, 0, 0)
+    return best
 
 
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:

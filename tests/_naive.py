@@ -97,3 +97,24 @@ def naive_member(p, basis, order=GREVLEX, permutation_cap=720):
 
 def naive_is_empty(basis) -> bool:
     return any((not g.is_zero) and g.is_constant for g in basis)
+
+
+def naive_krull_dimension(generators, nvars, order=GREVLEX):
+    """Dimension of the vanishing locus by exhaustive subset search.
+
+    None when the locus is empty.  Otherwise the largest variable subset
+    that contains the support of no leading monomial of a Groebner basis,
+    found by trying every subset from the largest size down (2^n subsets).
+    """
+    basis = naive_groebner(list(generators), order)
+    if naive_is_empty(basis):
+        return None
+    supports = [
+        frozenset(i for i, e in enumerate(_lead(g, order).exps) if e) for g in basis
+    ]
+    for size in range(nvars, -1, -1):
+        for subset in itertools.combinations(range(nvars), size):
+            chosen = frozenset(subset)
+            if not any(s <= chosen for s in supports):
+                return size
+    raise AssertionError("every variable set contains a leading support")

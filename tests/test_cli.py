@@ -278,3 +278,58 @@ def test_singular_verdict_still_exits_zero(capsys, tmp_path):
     assert report["verdicts"]["chart_oracle"]["status"] == "singular"
     assert report["verdicts"]["section_criterion"]["status"] == "inconclusive"
     assert report["verdicts"]["consistent"] is True
+
+
+REDUCIBLE_PAIR_SCENE = """\
+schema: strictsmooth-scene/1
+variables: [x1, x2, y1, y2]
+hypersurface: "x1*y1 + x1*y2"
+centers:
+  - name: C
+    vanishing: [y1, y2]
+"""
+
+# k = 1, the singular locus lies in the center, and the base locus has the
+# wrong dimension: the base-locus criterion itself carries the witness
+BASE_LOCUS_WITNESS_SCENE = """\
+schema: strictsmooth-scene/1
+variables: [v1, v2, v3, v4]
+hypersurface: "-v1^2 + v1*v2 + 3*v2*v3 - v1*v4"
+centers:
+  - name: C
+    vanishing: [v1, v2, v4]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["analyze", "--format", "plain"], ["sod"]],
+    ids=["analyze", "analyze-plain", "sod"],
+)
+def test_base_locus_witness_reports_exit_zero(capsys, tmp_path, argv):
+    scene = tmp_path / "reducible-pair.yaml"
+    scene.write_text(REDUCIBLE_PAIR_SCENE)
+    code, out, err = run(capsys, argv[:1] + [str(scene)] + argv[1:])
+    assert code == 0, err
+    if "plain" in argv:
+        assert "base locus: singular" in out
+        return
+    report = json.loads(out)
+    jsonschema.validate(report, report_schema())
+    base = report["centers"][0]["base_locus"]
+    assert base["tangent_variables"] == ["x1", "x2"]
+    assert base["verdict"]["witness"]["variables"] == ["x1", "x2"]
+
+
+def test_base_locus_criterion_witness_uses_tangent_names(capsys, tmp_path):
+    scene = tmp_path / "witness.yaml"
+    scene.write_text(BASE_LOCUS_WITNESS_SCENE)
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert code == 0, err
+    report = json.loads(out)
+    jsonschema.validate(report, report_schema())
+    criterion = report["verdicts"]["base_locus_criterion"]
+    assert criterion["status"] == "inconclusive"
+    assert criterion["witness"] == {"variables": ["v3"], "generators": ["3*v3"]}
+    per_center = report["centers"][0]["base_locus"]["verdict"]
+    assert per_center["witness"] == criterion["witness"]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,9 +20,15 @@ from strictsmooth.groebner import (
     radical_membership,
 )
 from strictsmooth.poly import BlockOrder, Monomial, Polynomial
-from strictsmooth.scalars import QQ
+from strictsmooth.scalars import QQ, ModularInt, PrimeField
 
-from _naive import divide, naive_groebner, naive_is_empty, naive_member
+from _naive import (
+    divide,
+    naive_groebner,
+    naive_is_empty,
+    naive_krull_dimension,
+    naive_member,
+)
 
 
 def variables(nvars):
@@ -237,6 +244,72 @@ def test_dimension_empty_and_zero():
     assert krull_dimension(Ideal((x, y), 2)) == 0
 
 
+def test_dimension_of_many_coordinate_hyperplanes_is_fast():
+    # the exhaustive search would try 2^24 subsets here
+    gens = tuple(Polynomial.variable(i, 24) for i in range(24))
+    assert krull_dimension(Ideal(gens, 24)) == 0
+
+
+DIMENSION_FIELDS = (QQ, PrimeField(32003), PrimeField(7))
+
+
+def field_poly(rng, nvars, fld, max_degree, max_terms):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(nvars)] += 1
+        terms[Monomial(exps)] = fld.from_int(rng.randint(-3, 3))
+    return Polynomial(nvars, fld, terms)
+
+
+def dimension_case(rng):
+    """A small ideal over QQ or GF(p): random, monomial, zero-dimensional or unit."""
+    fld = rng.choice(DIMENSION_FIELDS)
+    nvars = rng.randint(1, 7)
+    kind = rng.choice(("random", "monomial", "zero-dim", "unit"))
+    gens = []
+    if kind == "monomial":
+        for _ in range(rng.randint(1, 5)):
+            exps = [0] * nvars
+            for _ in range(rng.randint(1, 3)):
+                exps[rng.randrange(nvars)] += 1
+            gens.append(Polynomial(nvars, fld, {Monomial(exps): fld.from_int(rng.randint(1, 3))}))
+    elif kind == "zero-dim":
+        # a pure power leads each generator: dimension 0, or empty once the
+        # extra generator is adjoined
+        for i in range(nvars):
+            power = Polynomial.variable(i, nvars, fld) ** rng.randint(1, 3)
+            gens.append(power + field_poly(rng, nvars, fld, 0, 1))
+        if rng.random() < 0.3:
+            gens.append(field_poly(rng, nvars, fld, 2, 3))
+    else:
+        for _ in range(rng.randint(1, 3)):
+            gens.append(field_poly(rng, nvars, fld, 2, 3))
+        if kind == "unit":
+            g = field_poly(rng, nvars, fld, 2, 3)
+            gens += [g, g + Polynomial.constant(fld.from_int(rng.randint(1, 3)), nvars, fld)]
+    gens = tuple(g for g in gens if not g.is_zero)
+    return Ideal(gens, nvars, fld)
+
+
+def test_dimension_search_matches_exhaustive_search():
+    rng = random.Random(19880601)
+    seen = {"empty": 0, "zero": 0, "positive": 0, "prime field": 0}
+    checked = 0
+    while checked < 240:
+        ideal = dimension_case(rng)
+        try:
+            want = naive_krull_dimension(ideal.generators, ideal.nvars)
+        except RuntimeError:
+            continue  # the naive Buchberger ran out of steps
+        assert krull_dimension(ideal) == want, ideal.generators
+        seen["empty" if want is None else "zero" if want == 0 else "positive"] += 1
+        seen["prime field"] += ideal.field != QQ
+        checked += 1
+    assert min(seen.values()) >= 20, seen
+
+
 # ----- minors ------------------------------------------------------------------
 
 
@@ -316,6 +389,63 @@ def test_membership_and_emptiness_agree_with_naive_oracle():
         for p in (combo, probe):
             assert gb.contains(p) == naive_member(p, naive)
         checked += 1
+
+
+# ----- agreement with sympy --------------------------------------------------------
+
+
+def _coefficient_value(c):
+    return c.value if isinstance(c, ModularInt) else c
+
+
+@pytest.mark.parametrize("modulus", [None, 32003], ids=["QQ", "GF32003"])
+def test_reduced_basis_matches_sympy(modulus):
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fld = QQ if modulus is None else PrimeField(modulus)
+
+    def generators(nvars):
+        term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), st.integers(-3, 3))
+        poly = st.lists(term, min_size=1, max_size=3)
+        return st.lists(poly, min_size=1, max_size=3).map(lambda gens: (nvars, gens))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 3).flatmap(generators))
+    def check(spec):
+        nvars, raw = spec
+        polys = []
+        for terms in raw:
+            p = Polynomial.zero(nvars, fld)
+            for exps, c in terms:
+                p = p + Polynomial(nvars, fld, {Monomial(exps): fld.from_int(c)})
+            if not p.is_zero:
+                polys.append(p)
+        hypothesis.assume(polys)
+        gb = groebner(Ideal(tuple(polys), nvars, fld))
+        ours = {
+            frozenset((m.exps, _coefficient_value(c)) for m, c in g.terms())
+            for g in gb.basis
+        }
+
+        xs = sympy.symbols(f"x0:{nvars}")
+        exprs = [
+            sum(c * sympy.prod(x**e for x, e in zip(xs, exps)) for exps, c in terms)
+            for terms in raw
+        ]
+        exprs = [e for e in exprs if e != 0]
+        if modulus is None:
+            ref = sympy.groebner(exprs, *xs, order="grevlex", domain=sympy.QQ)
+            convert = lambda c: Fraction(int(c.p), int(c.q))
+        else:
+            ref = sympy.groebner(exprs, *xs, order="grevlex", modulus=modulus)
+            convert = lambda c: int(c) % modulus
+        theirs = {
+            frozenset((tuple(m), convert(c)) for m, c in g.terms()) for g in ref.polys
+        }
+        assert ours == theirs
+
+    check()
 
 
 # ----- guardrail and audit hook ---------------------------------------------------
