@@ -53,7 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="D",
-        help="abort Groebner runs that exceed this total degree (exit 2)",
+        help=(
+            "abort when a product or power in the hypersurface expression, or "
+            "a polynomial of a Groebner run, exceeds this total degree (exit 2)"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -74,9 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_scene_command(args) -> int:
-    scene = load_scene(args.scene)
     with degree_limit(args.max_degree):
-        analysis = analyze(scene)
+        analysis = analyze(load_scene(args.scene))
     report = build_report(analysis, command=args.command)
     if args.format == "structured":
         sys.stdout.write(render_structured(report))

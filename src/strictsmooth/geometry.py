@@ -34,7 +34,7 @@ from .groebner import (
     minors_ideal,
     radical_membership,
 )
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 
 class Status(str, Enum):
@@ -326,16 +326,10 @@ def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusRe
         raise StructuralError("base locus check requires a leading form of degree 1")
     tangent = center.tangent(nvars)
     tdim = len(tangent)
-    position = {v: i for i, v in enumerate(tangent)}
     rows = {l: {} for l in center.vanishing}
     for mono, coeff in phi.terms():
-        normal_part = [(i, e) for i, e in enumerate(mono.exps) if e and i in rows]
-        (l, _), = normal_part
-        texps = [0] * tdim
-        for i, e in enumerate(mono.exps):
-            if e and i not in rows:
-                texps[position[i]] = e
-        rows[l][Monomial(texps)] = coeff
+        l = next(i for i in center.vanishing if mono[i])
+        rows[l][tuple(mono[i] for i in tangent)] = coeff
     equations = tuple(
         Polynomial(tdim, fld, rows[l]) for l in center.vanishing
     )
@@ -492,17 +486,14 @@ def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
         pullback = scene.f.substitute(substitution)
         if pullback.is_zero:
             raise InternalCheckError("chart pullback of a nonzero hypersurface is zero")
-        valuation = min(m.exps[j] for m in pullback.monomials())
+        valuation = min(m[j] for m in pullback.monomials())
         if valuation < k:
             raise InternalCheckError(
                 f"chart valuation {valuation} below the vanishing order {k}"
             )
-        stripped = {}
-        for m, c in pullback.terms():
-            exps = list(m.exps)
-            exps[j] -= valuation
-            stripped[Monomial(exps)] = c
-        strict = Polynomial(n, fld, stripped)
+        strict = Polynomial(n, fld, {
+            m[:j] + (m[j] - valuation,) + m[j + 1:]: c for m, c in pullback.terms()
+        })
         out.append(
             BlowupChart(
                 center=center,
@@ -640,6 +631,23 @@ def adjunction_ledger(scene: Scene, analyses) -> AdjunctionLedger:
 # full pipeline
 
 
+def _route(containment: Verdict, verdicts) -> Verdict:
+    """Verdict of one hypothesis route: the containment check plus one
+    verdict per center.  Smooth when all hold, otherwise Inconclusive with
+    the detail and witness of the first that fails."""
+    failed = next(
+        (v for v in (containment, *verdicts) if v.status is not Status.SMOOTH), None
+    )
+    if failed is None:
+        return Verdict(Status.SMOOTH)
+    return Verdict(
+        Status.INCONCLUSIVE,
+        detail="hypothesis fails: " + failed.detail,
+        witness=failed.witness,
+        witness_names=failed.witness_names,
+    )
+
+
 def analyze(scene: Scene) -> Analysis:
     """Run the hypothesis routes and the chart oracle and reconcile them."""
     scene.validate()
@@ -649,47 +657,10 @@ def analyze(scene: Scene) -> Analysis:
         a.center.name: charts(scene, a.center, a.multiplicity) for a in analyses
     }
 
-    if containment.status is not Status.SMOOTH:
-        section_route = Verdict(
-            Status.INCONCLUSIVE,
-            detail="hypothesis fails: " + containment.detail,
-            witness=containment.witness,
-        )
-    else:
-        bad = next(
-            (a for a in analyses if a.section_verdict.status is not Status.SMOOTH), None
-        )
-        if bad is None:
-            section_route = Verdict(Status.SMOOTH)
-        else:
-            section_route = Verdict(
-                Status.INCONCLUSIVE,
-                detail="hypothesis fails: " + bad.section_verdict.detail,
-                witness=bad.section_verdict.witness,
-            )
-
+    section_route = _route(containment, [a.section_verdict for a in analyses])
     base_route = None
     if analyses and all(a.multiplicity == 1 for a in analyses):
-        if containment.status is not Status.SMOOTH:
-            base_route = Verdict(
-                Status.INCONCLUSIVE,
-                detail="hypothesis fails: " + containment.detail,
-                witness=containment.witness,
-            )
-        else:
-            bad = next(
-                (a for a in analyses if a.base_locus.verdict.status is not Status.SMOOTH),
-                None,
-            )
-            if bad is None:
-                base_route = Verdict(Status.SMOOTH)
-            else:
-                base_route = Verdict(
-                    Status.INCONCLUSIVE,
-                    detail="hypothesis fails: " + bad.base_locus.verdict.detail,
-                    witness=bad.base_locus.verdict.witness,
-                    witness_names=bad.base_locus.verdict.witness_names,
-                )
+        base_route = _route(containment, [a.base_locus.verdict for a in analyses])
 
     oracle = chart_oracle(scene, containment, chart_map)
 

@@ -2,8 +2,10 @@
 
 The kernel is a Buchberger loop with the normal pair-selection strategy and
 the coprime / chain criteria (critical-pair bookkeeping after Becker &
-Weispfenning, p. 230).  It works on plain exponent tuples internally and
-converts back to :class:`Polynomial` at the boundary.  Tie-breaking is
+Weispfenning, p. 230).  It works on term maps keyed by exponent tuples:
+it reads the term map of each input :class:`Polynomial` in place, never
+writes into it, and hands the term maps it builds to the Polynomial
+constructor, so nothing is converted at the boundary.  Tie-breaking is
 lexicographic on internal indices everywhere, so results are reproducible
 bit for bit.
 
@@ -25,7 +27,7 @@ from operator import add, le, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
-from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial
+from .poly import GREVLEX, MonomialOrder, Polynomial
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
@@ -33,12 +35,21 @@ _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=N
 
 @contextmanager
 def degree_limit(bound: Optional[int]):
-    """Abort any Groebner run that produces a polynomial above `bound` degree."""
+    """Abort any Groebner run that produces a polynomial above `bound` degree.
+
+    The expression parser reads the same bound (`active_degree_limit`) and
+    stops before it builds a product or power above it.
+    """
     token = _degree_limit_var.set(bound)
     try:
         yield
     finally:
         _degree_limit_var.reset(token)
+
+
+def active_degree_limit() -> Optional[int]:
+    """The bound set by the innermost `degree_limit`, or None."""
+    return _degree_limit_var.get()
 
 
 @contextmanager
@@ -104,7 +115,7 @@ class _KeyMemo(dict):
 
     def __init__(self, order: MonomialOrder):
         super().__init__()
-        self._raw = order.tuple_key
+        self._raw = order.key
 
     def __missing__(self, exps):
         key = self[exps] = self._raw(exps)
@@ -303,14 +314,6 @@ def _monomial_basis(gens, keyf, one):
     return [{m: one} for m in sorted(keep, key=keyf, reverse=True)]
 
 
-def _to_dict(p: Polynomial):
-    return {m.exps: c for m, c in p.terms()}
-
-
-def _from_dict(d, nvars, fld) -> Polynomial:
-    return Polynomial(nvars, fld, {Monomial(m): c for m, c in d.items()})
-
-
 # --------------------------------------------------------------------------
 # public surface
 
@@ -342,7 +345,7 @@ class GroebnerBasis:
         generator of the source ideal reduces to zero.
         """
         keyf = _KeyMemo(self.order).__getitem__
-        dicts = [_to_dict(g) for g in self.basis]
+        dicts = [g._terms for g in self.basis]
         lms = [max(d, key=keyf) for d in dicts]
         one = self.source.field.one
         for d, lm in zip(dicts, lms):
@@ -363,7 +366,7 @@ class GroebnerBasis:
                         "an S-polynomial does not reduce to zero against the basis"
                     )
         for g in self.source.generators:
-            if _reduce(_to_dict(g), pairs, keyf):
+            if _reduce(g._terms, pairs, keyf):
                 raise InternalCheckError("a source generator does not reduce to zero")
 
 
@@ -375,14 +378,14 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     """
     limit = _degree_limit_var.get()
     keyf = _KeyMemo(ideal.order).__getitem__
-    gens = [_to_dict(g) for g in ideal.generators]
+    gens = [g._terms for g in ideal.generators]
     for g in gens:
         _check_degree(g, limit)
     if gens and all(len(g) == 1 for g in gens):
         basis = _monomial_basis(gens, keyf, ideal.field.one)
     else:
         basis = _buchberger(gens, keyf, ideal.nvars, ideal.field.one, limit)
-    polys = tuple(_from_dict(d, ideal.nvars, ideal.field) for d in basis)
+    polys = tuple(Polynomial(ideal.nvars, ideal.field, d) for d in basis)
     gb = GroebnerBasis(polys, ideal.order, ideal)
     hook = _audit_var.get()
     if hook is not None:
@@ -400,22 +403,16 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.field != gb.source.field:
         raise StructuralError("polynomial over a different field than the basis")
     keyf = _KeyMemo(gb.order).__getitem__
-    pairs = []
-    for g in gb.basis:
-        d = _to_dict(g)
-        pairs.append((max(d, key=keyf), d))
-    r = _reduce(_to_dict(p), pairs, keyf)
-    return _from_dict(r, p.nvars, p.field)
+    pairs = [(max(g._terms, key=keyf), g._terms) for g in gb.basis]
+    return Polynomial(p.nvars, p.field, _reduce(p._terms, pairs, keyf))
 
 
 def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     if p.is_zero or q.is_zero:
         raise StructuralError("S-polynomial of a zero polynomial")
-    keyf = order.tuple_key
-    lmp, dp = _lead_monic(_to_dict(p), keyf)
-    lmq, dq = _lead_monic(_to_dict(q), keyf)
-    s = _spoly_t(dp, dq, lmp, lmq)
-    return _from_dict(s, p.nvars, p.field)
+    lmp, dp = _lead_monic(p._terms, order.key)
+    lmq, dq = _lead_monic(q._terms, order.key)
+    return Polynomial(p.nvars, p.field, _spoly_t(dp, dq, lmp, lmq))
 
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:
@@ -485,7 +482,7 @@ def krull_dimension(ideal: Ideal) -> Optional[int]:
         return None
     n = ideal.nvars
     supports = {
-        sum(1 << i for i, e in enumerate(g.leading_monomial(ideal.order).exps) if e)
+        sum(1 << i for i, e in enumerate(g.leading_monomial(ideal.order)) if e)
         for g in gb.basis
     }
     # the supports to test when variable v joins the chosen set

@@ -11,11 +11,16 @@ Grammar (whitespace insensitive, no implicit multiplication):
 Exponents are nonnegative integer literals.  A '/' is only legal between
 two integer literals, where it forms an exact coefficient.  Errors carry
 line and column numbers.
+
+Inside a `degree_limit` block, a product or power whose degree exceeds the
+bound raises DegreeLimitError before it is expanded.  Over a field the
+degree of a product is the sum of the degrees, so the check is exact.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import DegreeLimitError, ParseError
+from .groebner import active_degree_limit
 from .poly import Polynomial
 
 
@@ -76,6 +81,7 @@ class _Parser:
         self.index = {name: i for i, name in enumerate(names)}
         self.nvars = nvars
         self.field = field
+        self.limit = active_degree_limit()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -88,6 +94,13 @@ class _Parser:
     def error(self, message, token=None):
         token = token or self.peek()
         raise ParseError(message, token[2], token[3])
+
+    def check_degree(self, degree, token):
+        if self.limit is not None and degree > self.limit:
+            raise DegreeLimitError(
+                f"expression degree {degree} exceeds the degree guardrail "
+                f"({self.limit}) (line {token[2]}, column {token[3]})"
+            )
 
     def expect(self, kind, message):
         tok = self.peek()
@@ -113,8 +126,10 @@ class _Parser:
     def term(self) -> Polynomial:
         value = self.factor()
         while self.peek()[0] == "STAR":
-            self.advance()
-            value = value * self.factor()
+            star = self.advance()
+            rhs = self.factor()
+            self.check_degree(value.total_degree() + rhs.total_degree(), star)
+            value = value * rhs
         return value
 
     def factor(self) -> Polynomial:
@@ -133,7 +148,9 @@ class _Parser:
                     "exponent must be a nonnegative integer literal", tok
                 )
             self.advance()
-            return base ** int(tok[1])
+            exponent = int(tok[1])
+            self.check_degree(base.total_degree() * exponent, caret)
+            return base ** exponent
         return base
 
     def atom(self) -> Polynomial:

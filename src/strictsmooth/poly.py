@@ -2,64 +2,71 @@
 
 A polynomial is an immutable map from exponent vectors to nonzero
 coefficients.  All ring operations are exact; there is no floating point
-anywhere.  Terms are stored in descending graded-reverse-lexicographic
-order so that iteration, rendering and serialization are deterministic.
+anywhere.  The term map is keyed by Monomials, which are exponent
+tuples, and is the same map the Groebner kernel reads.  Terms are stored
+in no particular order; rendering and `sorted_terms` sort them by a
+monomial order, so the text form is deterministic.
 """
 
 from __future__ import annotations
 
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from .errors import StructuralError
 from .scalars import QQ, coefficient_sign_magnitude
 
+_new = tuple.__new__
 
-class Monomial:
-    """Exponent vector of fixed length, with the total degree cached."""
 
-    __slots__ = ("exps", "degree")
+class Monomial(tuple):
+    """Exponent vector of fixed length.
 
-    def __init__(self, exps: Iterable[int]):
-        exps = tuple(exps)
-        for e in exps:
+    A Monomial is its tuple of exponents: it hashes and compares as that
+    plain tuple, so a term map keyed by Monomials is also read with plain
+    tuple keys, and the Groebner kernel works on it without conversion.
+    Calling the class validates the exponents; results of monomial
+    arithmetic skip that check, since they are valid by construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, exps: Iterable[int]):
+        mono = _new(cls, exps)
+        for e in mono:
             if not isinstance(e, int) or e < 0:
-                raise StructuralError(f"exponents must be nonnegative integers: {exps}")
-        self.exps = exps
-        self.degree = sum(exps)
+                raise StructuralError(f"exponents must be nonnegative integers: {tuple(mono)}")
+        return mono
+
+    @property
+    def exps(self) -> "Monomial":
+        return self
+
+    @property
+    def degree(self) -> int:
+        return sum(self)
 
     @classmethod
     def unit(cls, nvars: int) -> "Monomial":
-        return cls((0,) * nvars)
+        return _new(cls, (0,) * nvars)
 
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "Monomial":
-        if not 0 <= index < nvars:
-            raise StructuralError(f"variable index {index} out of range for {nvars} variables")
-        return cls(tuple(1 if i == index else 0 for i in range(nvars)))
+    def mul(self, other) -> "Monomial":
+        return _new(Monomial, map(add, self, other))
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+    def divides(self, other) -> bool:
+        return all(map(le, self, other))
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+    def quotient(self, other) -> "Monomial":
+        return Monomial(map(sub, self, other))
 
-    def quotient(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+    def lcm(self, other) -> "Monomial":
+        return _new(Monomial, map(max, self, other))
 
     def degree_in(self, indices: Iterable[int]) -> int:
-        return sum(self.exps[i] for i in indices)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
+        return sum(self[i] for i in indices)
 
     def __repr__(self):
-        return f"Monomial{self.exps}"
+        return f"Monomial{tuple(self)}"
 
 
 def _grevlex_key(exps):
@@ -71,11 +78,8 @@ class MonomialOrder:
 
     name = "order"
 
-    def tuple_key(self, exps):
+    def key(self, exps):
         raise NotImplementedError
-
-    def key(self, monomial: Monomial):
-        return self.tuple_key(monomial.exps)
 
     def __repr__(self):
         return f"<{self.name}>"
@@ -84,7 +88,7 @@ class MonomialOrder:
 class GrevlexOrder(MonomialOrder):
     name = "grevlex"
 
-    def tuple_key(self, exps):
+    def key(self, exps):
         return _grevlex_key(exps)
 
     def __eq__(self, other):
@@ -97,7 +101,7 @@ class GrevlexOrder(MonomialOrder):
 class LexOrder(MonomialOrder):
     name = "lex"
 
-    def tuple_key(self, exps):
+    def key(self, exps):
         return exps
 
     def __eq__(self, other):
@@ -120,7 +124,7 @@ class BlockOrder(MonomialOrder):
         self.split = split
         self.name = f"block[{split}]"
 
-    def tuple_key(self, exps):
+    def key(self, exps):
         return _grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split:])
 
     def __eq__(self, other):
@@ -149,26 +153,18 @@ class Polynomial:
         self.field = field
         cleaned = {}
         if terms:
+            coerce = field.coerce
             for mono, coeff in terms.items():
-                if not isinstance(mono, Monomial):
+                if type(mono) is not Monomial:
                     mono = Monomial(mono)
-                if len(mono.exps) != nvars:
+                if len(mono) != nvars:
                     raise StructuralError(
-                        f"monomial {mono!r} has {len(mono.exps)} exponents, expected {nvars}"
+                        f"monomial {mono!r} has {len(mono)} exponents, expected {nvars}"
                     )
-                coeff = field.coerce(coeff)
+                coeff = coerce(coeff)
                 if coeff:
-                    prev = cleaned.get(mono)
-                    if prev is not None:
-                        coeff = prev + coeff
-                        if not coeff:
-                            del cleaned[mono]
-                            continue
                     cleaned[mono] = coeff
-        # canonical descending term order for deterministic iteration
-        self._terms = dict(
-            sorted(cleaned.items(), key=lambda kv: _grevlex_key(kv[0].exps), reverse=True)
-        )
+        self._terms = cleaned
         self._hash = None
 
     # ----- constructors -------------------------------------------------
@@ -183,7 +179,11 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int, nvars: int, field=QQ) -> "Polynomial":
-        return cls(nvars, field, {Monomial.variable(index, nvars): field.one})
+        if not 0 <= index < nvars:
+            raise StructuralError(f"variable index {index} out of range for {nvars} variables")
+        exps = [0] * nvars
+        exps[index] = 1
+        return cls(nvars, field, {Monomial(exps): field.one})
 
     # ----- basic queries -------------------------------------------------
 
@@ -223,7 +223,7 @@ class Polynomial:
     def sorted_terms(self, order: MonomialOrder = GREVLEX):
         return sorted(self._terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
 
-    def coefficient(self, mono: Monomial):
+    def coefficient(self, mono):
         return self._terms.get(mono, self.field.zero)
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
@@ -336,15 +336,12 @@ class Polynomial:
             raise StructuralError(f"variable index {index} out of range")
         acc = {}
         for m, c in self._terms.items():
-            e = m.exps[index]
+            e = m[index]
             if not e:
                 continue
             coeff = c * e
-            if not coeff:
-                continue
-            exps = list(m.exps)
-            exps[index] = e - 1
-            acc[Monomial(exps)] = coeff
+            if coeff:
+                acc[_new(Monomial, m[:index] + (e - 1,) + m[index + 1:])] = coeff
         return Polynomial(self.nvars, self.field, acc)
 
     def substitute(
@@ -392,7 +389,7 @@ class Polynomial:
         acc = Polynomial.zero(target, self.field)
         for m, c in self._terms.items():
             term = Polynomial.constant(c, target, self.field)
-            for i, e in enumerate(m.exps):
+            for i, e in enumerate(m):
                 if e:
                     term = term * power(i, e)
             acc = acc + term
@@ -406,7 +403,7 @@ class Polynomial:
             return self
         pad = (0,) * (nvars - self.nvars)
         return Polynomial(
-            nvars, self.field, {Monomial(m.exps + pad): c for m, c in self._terms.items()}
+            nvars, self.field, {_new(Monomial, m + pad): c for m, c in self._terms.items()}
         )
 
     def graded_part(self, indices, k: int) -> "Polynomial":
@@ -428,7 +425,7 @@ class Polynomial:
             negative, magnitude = coefficient_sign_magnitude(c)
             factors = [
                 f"{names[i]}^{e}" if e > 1 else names[i]
-                for i, e in enumerate(m.exps)
+                for i, e in enumerate(m)
                 if e
             ]
             if not factors:

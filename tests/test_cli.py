@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -182,6 +183,20 @@ def test_missing_file_exit_two(capsys):
 def test_max_degree_guardrail_exit_two(capsys, pairing_file):
     code, _, err = run(capsys, ["analyze", pairing_file, "--max-degree", "1"])
     assert code == 2
+    assert "guardrail" in err
+
+
+def test_max_degree_bounds_parsing(capsys, tmp_path):
+    # expanding this power takes minutes; the guard must stop the parser first
+    scene = tmp_path / "power.yaml"
+    scene.write_text(
+        "schema: strictsmooth-scene/1\nvariables: [a, b, c, d, e]\n"
+        'hypersurface: "(a+b+c+d+e)^30"\ncenters: []\n'
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", str(scene), "--max-degree", "10"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
     assert "guardrail" in err
 
 

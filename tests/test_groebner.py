@@ -18,6 +18,7 @@ from strictsmooth.groebner import (
     normal_form,
     power_ideal,
     radical_membership,
+    spolynomial,
 )
 from strictsmooth.poly import BlockOrder, Monomial, Polynomial
 from strictsmooth.scalars import QQ, ModularInt, PrimeField
@@ -71,6 +72,33 @@ def test_hand_buchberger_example():
         assert divide(g, naive).is_zero
     for g in naive:
         assert normal_form(g, gb).is_zero
+
+
+def test_basis_terms_are_monomials():
+    # the perfbench digest reads m.exps from the terms of every basis
+    x, y, z = variables(3)
+    gb = groebner(Ideal((x**2 - y * z, x * y - z**2, y**2 - x * z), 3))
+    for g in gb.basis:
+        for m, _ in g.terms():
+            assert type(m) is Monomial and m.exps == tuple(m)
+
+
+def test_kernel_leaves_its_inputs_unchanged():
+    rng = random.Random(8)
+    for _ in range(30):
+        ideal = random_ideal(rng, 3)
+        p = random_poly(rng, 3)
+        polys = list(ideal.generators) + [p]
+        before = [dict(q.terms()) for q in polys]
+        gb = groebner(ideal)
+        polys += gb.basis
+        before += [dict(q.terms()) for q in gb.basis]
+        normal_form(p, gb)
+        gb.verify()
+        f, g = ideal.generators[0], ideal.generators[-1]
+        spolynomial(f, g)
+        groebner(Ideal((f, g, p), 3) if not p.is_zero else ideal)
+        assert [dict(q.terms()) for q in polys] == before
 
 
 def test_principal_ideal():

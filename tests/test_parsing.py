@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from strictsmooth.errors import ParseError
+from strictsmooth.errors import DegreeLimitError, ParseError
+from strictsmooth.groebner import degree_limit
 from strictsmooth.parsing import parse_expression, tokenize
 from strictsmooth.poly import Monomial, Polynomial
 from strictsmooth.scalars import QQ, PrimeField
@@ -83,6 +84,16 @@ def test_parentheses_and_power_of_sum():
     p = parse("(x1 + y1)^2")
     x, y = Polynomial.variable(0, 4), Polynomial.variable(2, 4)
     assert p == x**2 + 2 * x * y + y**2
+
+
+def test_degree_limit_stops_products_and_powers():
+    with degree_limit(4):
+        assert parse("(x1 + y1)^2 * (x2 + y2)^2").total_degree() == 4
+        assert parse("0 * x1^4 * y1").is_zero  # the zero polynomial has degree -1
+        for text, column in (("(x1 + y1)^5", 10), ("x1^2 * y1 * y2^2", 11)):
+            with pytest.raises(DegreeLimitError, match=f"guardrail .*column {column}"):
+                parse(text)
+    assert parse("x1^5").total_degree() == 5  # no bound outside the block
 
 
 def test_tokenizer_positions():

@@ -96,6 +96,37 @@ def test_monomial_cached_degree():
         Monomial((1, -1))
 
 
+def test_monomial_is_its_exponent_tuple():
+    m = Monomial((2, 0, 1))
+    assert isinstance(m, tuple) and m.exps is m
+    assert m == (2, 0, 1) and hash(m) == hash((2, 0, 1))
+    p = Polynomial(2, QQ, {(1, 0): 3, (0, 0): -1})
+    assert all(type(k) is Monomial for k in p.monomials())
+    assert p.coefficient((1, 0)) == 3 == p.coefficient(Monomial((1, 0)))
+    assert p.coefficient((0, 1)) == 0
+
+
+def test_term_order_of_the_input_does_not_matter():
+    rng = random.Random(11)
+    names = ("x", "y", "z")
+    for _ in range(30):
+        p = random_poly(rng, 3, max_terms=8)
+        items = [(tuple(m), c) for m, c in p.terms()]
+        rng.shuffle(items)
+        q = Polynomial(3, QQ, dict(items))
+        assert q.render(names) == p.render(names)
+        assert q == p and hash(q) == hash(p)
+
+
+@pytest.mark.parametrize(
+    "key", [(1, -1), (1, 0.5), (1, 0, 0), (1,), Monomial((1, 0, 0))],
+    ids=["negative", "non-int", "too-long", "too-short", "monomial-too-long"],
+)
+def test_constructor_rejects_bad_keys(key):
+    with pytest.raises(StructuralError):
+        Polynomial(2, QQ, {key: 1})
+
+
 def test_orders_are_total_and_respect_multiplication():
     rng = random.Random(99)
     for order in (GREVLEX, LEX, BlockOrder(2)):
