@@ -19,7 +19,6 @@ verdict is Inconclusive, never Singular.  The chart oracle always decides.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -112,7 +111,7 @@ class Scene:
             if center.name in seen:
                 raise SceneError(f"duplicate center name {center.name!r}")
             seen.add(center.name)
-            if center.vanishing[-1] >= self.nvars:
+            if center.vanishing[0] < 0 or center.vanishing[-1] >= self.nvars:
                 raise SceneError(
                     f"center {center.name!r} names a variable outside the ambient space"
                 )
@@ -121,12 +120,11 @@ class Scene:
                 raise SceneError(
                     f"center {center.name!r} is not contained in the hypersurface"
                 )
-        for a, b in itertools.combinations(self.centers, 2):
-            joined = a.ideal(self.nvars, self.field).join(b.ideal(self.nvars, self.field))
-            if not is_empty_affine(joined):
-                raise SceneError(
-                    f"centers {a.name!r} and {b.name!r} are not disjoint"
-                )
+        # Coordinate subspaces all contain the origin, so no two centers are
+        # disjoint: a valid scene has at most one center.
+        if len(self.centers) > 1:
+            a, b = self.centers[:2]
+            raise SceneError(f"centers {a.name!r} and {b.name!r} are not disjoint")
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,12 @@ class BlowupChart:
 
     In the chart of the vanishing variable with index `variable`, that
     variable becomes the exceptional coordinate t and every other vanishing
-    variable y_l becomes t*u_l; tangent variables are untouched.  The pulled
-    back hypersurface is exactly t^exponent times the strict transform and
-    the strict transform is not divisible by t.
+    variable y_l becomes t*u_l; tangent variables are untouched.  On
+    exponents, x^m pulls back to the monomial whose `variable` exponent is
+    the normal degree of m, all others unchanged.  The pulled back
+    hypersurface is exactly t^exponent times the strict transform and the
+    strict transform is not divisible by t.  `substitution` records the
+    coordinate change for the report.
     """
 
     center: Center
@@ -415,8 +416,8 @@ def singular_locus_in_centers(scene: Scene) -> Verdict:
     """Whether the singular locus of the hypersurface sits inside the centers.
 
     With no centers this is emptiness of the singular locus.  Otherwise the
-    containment V(jacobian) in the union of the centers is equivalent to
-    radical membership of every product of one generator per center ideal.
+    scene has one center (see Scene.validate), and the containment of
+    V(jacobian) in it is radical membership of each of its normal variables.
     """
     f = scene.f
     gens = [f]
@@ -433,15 +434,10 @@ def singular_locus_in_centers(scene: Scene) -> Verdict:
             detail="the hypersurface is singular and there are no centers",
             witness=jac,
         )
-    generator_lists = [
-        [Polynomial.variable(i, scene.nvars, scene.field) for i in c.vanishing]
-        for c in scene.centers
-    ]
-    for combo in itertools.product(*generator_lists):
-        product = combo[0]
-        for g in combo[1:]:
-            product = product * g
-        if not radical_membership(product, jac):
+    (center,) = scene.centers
+    for l in center.vanishing:
+        y_l = Polynomial.variable(l, scene.nvars, scene.field)
+        if not radical_membership(y_l, jac):
             return Verdict(
                 Status.SINGULAR,
                 detail="the hypersurface is singular away from the centers",
@@ -471,28 +467,32 @@ def chart_names(scene_names, center: Center, variable: int) -> tuple:
 def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
     """All affine blow-up charts of one center, with strict transforms.
 
-    The pullback of f in every chart is divisible by t^k; the quotient by
-    the full t-valuation is the strict transform.
+    Each chart is a monomial change of coordinates, so the pullback is
+    rewritten term by term: in the chart of y_j the monomial x^m goes to the
+    monomial whose j-th exponent is the normal degree sum_{l in V} m_l, with
+    every other exponent unchanged.  That map is injective, so no two terms
+    merge, over QQ and GF(p) alike.  The t-valuation of the pullback is the
+    least normal degree of a term of f, the same in every chart; it is at
+    least k, and the strict transform is the pullback divided by t^valuation.
     """
     if k is None:
         k = multiplicity(scene.f, center)
+    normal = center.vanishing
+    terms = [(m, m.degree_in(normal), c) for m, c in scene.f.terms()]
+    valuation = min(d for _, d, _ in terms)
+    if valuation < k:
+        raise InternalCheckError(
+            f"chart valuation {valuation} below the vanishing order {k}"
+        )
     n, fld = scene.nvars, scene.field
     out = []
-    for j in center.vanishing:
+    for j in normal:
         t = Polynomial.variable(j, n, fld)
-        substitution = {}
-        for l in center.vanishing:
-            substitution[l] = t if l == j else t * Polynomial.variable(l, n, fld)
-        pullback = scene.f.substitute(substitution)
-        if pullback.is_zero:
-            raise InternalCheckError("chart pullback of a nonzero hypersurface is zero")
-        valuation = min(m[j] for m in pullback.monomials())
-        if valuation < k:
-            raise InternalCheckError(
-                f"chart valuation {valuation} below the vanishing order {k}"
-            )
+        substitution = {
+            l: t if l == j else t * Polynomial.variable(l, n, fld) for l in normal
+        }
         strict = Polynomial(n, fld, {
-            m[:j] + (m[j] - valuation,) + m[j + 1:]: c for m, c in pullback.terms()
+            m[:j] + (d - valuation,) + m[j + 1:]: c for m, d, c in terms
         })
         out.append(
             BlowupChart(

@@ -324,7 +324,7 @@ class Polynomial:
             )
         return self._hash
 
-    # ----- calculus and substitution ---------------------------------------
+    # ----- calculus -------------------------------------------------------
 
     def partial(self, index: int) -> "Polynomial":
         """Formal partial derivative.
@@ -343,57 +343,6 @@ class Polynomial:
             if coeff:
                 acc[_new(Monomial, m[:index] + (e - 1,) + m[index + 1:])] = coeff
         return Polynomial(self.nvars, self.field, acc)
-
-    def substitute(
-        self, images: Mapping[int, "Polynomial"], nvars: int | None = None
-    ) -> "Polynomial":
-        """Substitute polynomials for variables (exact composition).
-
-        Unmapped variables are sent to the variable with the same index in
-        the target ring.  All images must share one variable count, which
-        becomes the variable count of the result.
-        """
-        if images:
-            target = None
-            for img in images.values():
-                if target is None:
-                    target = img.nvars
-                elif img.nvars != target:
-                    raise StructuralError("substitution images disagree on variable count")
-                if img.field != self.field:
-                    raise StructuralError("substitution images over a different field")
-            if nvars is not None and nvars != target:
-                raise StructuralError("explicit variable count disagrees with images")
-        else:
-            target = self.nvars if nvars is None else nvars
-            if target == self.nvars:
-                return self
-        base = {}
-        for i in range(self.nvars):
-            if i in images:
-                base[i] = images[i]
-            else:
-                if i >= target:
-                    raise StructuralError(
-                        f"variable {i} has no image and does not exist in the target ring"
-                    )
-                base[i] = Polynomial.variable(i, target, self.field)
-        powers: dict = {i: [Polynomial.constant(self.field.one, target, self.field), base[i]] for i in base}
-
-        def power(i, e):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * base[i])
-            return cache[e]
-
-        acc = Polynomial.zero(target, self.field)
-        for m, c in self._terms.items():
-            term = Polynomial.constant(c, target, self.field)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
 
     def extended(self, nvars: int) -> "Polynomial":
         """The same polynomial viewed in a larger ring (zero-padded exponents)."""

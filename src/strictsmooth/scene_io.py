@@ -39,7 +39,12 @@ def scene_schema() -> dict:
 
 
 def scene_from_document(doc) -> Scene:
-    """Build and fully validate a Scene from a parsed scene document."""
+    """Build a Scene from a parsed scene document.
+
+    The document is checked against the scene schema and its expression is
+    parsed; the scene invariants are left to `Scene.validate`, which
+    `analyze` runs first.
+    """
     try:
         jsonschema.validate(doc, _SCENE_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -73,9 +78,7 @@ def scene_from_document(doc) -> Scene:
             Center(entry["name"], tuple(index[v] for v in entry["vanishing"]))
         )
 
-    scene = Scene(len(names), names, f, tuple(centers))
-    scene.validate()
-    return scene
+    return Scene(len(names), names, f, tuple(centers))
 
 
 def load_scene(path) -> Scene:

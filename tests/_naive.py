@@ -1,4 +1,4 @@
-"""Independent naive oracle for the Groebner kernel tests.
+"""Independent naive oracles for the Groebner kernel and chart tests.
 
 Deliberately dumb: textbook Buchberger with a FIFO pair queue and no
 criteria, no interreduction of the result, and membership decided by
@@ -118,3 +118,19 @@ def naive_krull_dimension(generators, nvars, order=GREVLEX):
             if not any(s <= chosen for s in supports):
                 return size
     raise AssertionError("every variable set contains a leading support")
+
+
+def naive_substitute(p, images):
+    """Compose p with polynomial images of its variables: sum c * prod image_i^e_i.
+
+    Variables without an image stay themselves.  Only ring operations, so the
+    chart tests check the exponent rewrite of `geometry.charts` against it.
+    """
+    result = Polynomial.zero(p.nvars, p.field)
+    for mono, coeff in p.terms():
+        term = Polynomial.constant(coeff, p.nvars, p.field)
+        for i, e in enumerate(mono):
+            image = images.get(i, Polynomial.variable(i, p.nvars, p.field))
+            term = term * image**e
+        result = result + term
+    return result

@@ -279,6 +279,23 @@ def test_internal_invariant_violation_exits_three(capsys, pairing_file, monkeypa
     assert code == 3 and "synthetic failure" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sod", "charts", "oracle"])
+def test_scene_command_validates_once(capsys, pairing_file, monkeypatch, command):
+    from strictsmooth.geometry import Scene
+
+    calls = []
+    validate = Scene.validate
+
+    def counting(scene):
+        calls.append(scene)
+        return validate(scene)
+
+    monkeypatch.setattr(Scene, "validate", counting)
+    code, _, _ = run(capsys, [command, pairing_file])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_singular_verdict_still_exits_zero(capsys, tmp_path):
     scene = tmp_path / "node.yaml"
     scene.write_text(

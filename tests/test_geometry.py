@@ -30,6 +30,8 @@ from strictsmooth.selftest import (
     route_agreement_suite,
 )
 
+from _naive import naive_substitute
+
 
 def variables(nvars, field=QQ):
     return [Polynomial.variable(i, nvars, field) for i in range(nvars)]
@@ -41,6 +43,11 @@ def scene2(f_text_or_poly, names, vanishing_names, center_name="C"):
     f = f_text_or_poly
     center = Center(center_name, tuple(index[v] for v in vanishing_names))
     return Scene(len(names), names, f, (center,))
+
+
+def _pairing_with_centers(*centers):
+    x1, x2, y1, y2 = variables(4)
+    return Scene(4, ("x1", "x2", "y1", "y2"), x1 * y1 + x2 * y2, centers)
 
 
 # ----- multiplicity ----------------------------------------------------------
@@ -210,6 +217,12 @@ def test_node_without_centers_fails():
     assert verdict.status is Status.SINGULAR and verdict.witness is not None
 
 
+def test_containment_refuses_an_unvalidated_two_center_scene():
+    scene = _pairing_with_centers(Center("A", (2, 3)), Center("B", (0, 1)))
+    with pytest.raises(ValueError):
+        singular_locus_in_centers(scene)
+
+
 def test_smooth_hypersurface_without_centers_passes():
     x, y = variables(2)
     scene = Scene(2, ("x", "y"), x, ())
@@ -243,26 +256,43 @@ def test_chart_strict_transforms():
     assert by_var[2].strict_transform == Polynomial.constant(1, 4)
 
 
+def _assert_chart_invariants(scene):
+    center = scene.centers[0]
+    k = multiplicity(scene.f, center)
+    chart_list = charts(scene, center, k)
+    assert len(chart_list) == center.codimension
+    hit_exact = False
+    for ch in chart_list:
+        pullback = naive_substitute(scene.f, ch.substitution)
+        assert ch.exceptional_exponent >= k
+        t = Polynomial.variable(ch.variable, scene.nvars, scene.field)
+        assert pullback == (t ** ch.exceptional_exponent) * ch.strict_transform
+        assert min(
+            m.exps[ch.variable] for m in ch.strict_transform.monomials()
+        ) == 0
+        if ch.exceptional_exponent == k:
+            hit_exact = True
+    assert hit_exact
+
+
+def test_chart_valuation_invariants_on_fixtures():
+    for fixture in FIXTURES:
+        scene = fixture.build()
+        if scene.centers:
+            _assert_chart_invariants(scene)
+
+
 def test_chart_valuation_invariants_on_random_scenes():
-    rng = random.Random(321)
-    for _ in range(20):
-        scene = random_scene(rng)
-        center = scene.centers[0]
-        k = multiplicity(scene.f, center)
-        chart_list = charts(scene, center, k)
-        assert len(chart_list) == center.codimension
-        hit_exact = False
-        for ch in chart_list:
-            pullback = scene.f.substitute(ch.substitution)
-            assert ch.exceptional_exponent >= k
-            t = Polynomial.variable(ch.variable, scene.nvars)
-            assert pullback == (t ** ch.exceptional_exponent) * ch.strict_transform
-            assert min(
-                m.exps[ch.variable] for m in ch.strict_transform.monomials()
-            ) == 0
-            if ch.exceptional_exponent == k:
-                hit_exact = True
-        assert hit_exact
+    """random_scene draws with their integer coefficients read in each field."""
+    for seed, field in ((321, QQ), (322, PrimeField(7)), (323, PrimeField(32003))):
+        rng = random.Random(seed)
+        for _ in range(20):
+            scene = random_scene(rng)
+            f = Polynomial(scene.nvars, field, {
+                m: field.from_int(c.numerator) for m, c in scene.f.terms()
+            })
+            if not f.is_zero:
+                _assert_chart_invariants(Scene(scene.nvars, scene.names, f, scene.centers))
 
 
 # ----- chart oracle -----------------------------------------------------------------
@@ -309,6 +339,36 @@ def test_scene_rejects_overlapping_centers():
         (Center("A", (2, 3)), Center("B", (0, 2, 3))),
     )
     with pytest.raises(SceneError, match="'A'.*'B'|'B'.*'A'"):
+        scene.validate()
+
+
+def test_scene_rejects_three_centers_naming_the_first_two():
+    scene = _pairing_with_centers(
+        Center("A", (2, 3)), Center("B", (0, 2, 3)), Center("C", (1, 2, 3))
+    )
+    with pytest.raises(SceneError, match=r"^centers 'A' and 'B' are not disjoint$"):
+        scene.validate()
+
+
+def test_scene_duplicate_center_name_wins_over_overlap():
+    scene = _pairing_with_centers(Center("A", (2, 3)), Center("A", (0, 2, 3)))
+    with pytest.raises(SceneError, match=r"^duplicate center name 'A'$"):
+        scene.validate()
+
+
+def test_scene_second_center_containment_wins_over_overlap():
+    scene = _pairing_with_centers(Center("A", (2, 3)), Center("B", (3,)))
+    with pytest.raises(
+        SceneError, match=r"^center 'B' is not contained in the hypersurface$"
+    ):
+        scene.validate()
+
+
+@pytest.mark.parametrize("vanishing", [(-1,), (-1, 0), (2,), (0, 5)])
+def test_scene_rejects_center_index_outside_ambient_space(vanishing):
+    x, y = variables(2)
+    scene = Scene(2, ("x", "y"), x * y, (Center("C", vanishing),))
+    with pytest.raises(SceneError, match="names a variable outside the ambient space"):
         scene.validate()
 
 

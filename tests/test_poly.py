@@ -190,30 +190,6 @@ def test_leibniz_rule_on_random_pairs():
         assert lhs == rhs
 
 
-# ----- substitution ---------------------------------------------------------
-
-
-def test_substitute_hand_expansion():
-    x1, y1 = variables(2)
-    t = Polynomial.variable(0, 2)
-    u = Polynomial.variable(1, 2)
-    image = (x1 * y1).substitute({0: t, 1: t * u})
-    assert image == t * t * u
-
-
-def test_identity_substitution():
-    rng = random.Random(11)
-    p = random_poly(rng, 3)
-    assert p.substitute({}) == p
-    assert p.substitute({i: Polynomial.variable(i, 3) for i in range(3)}) == p
-
-
-def test_substitute_kill_variable():
-    x, y = variables(2)
-    p = x + y
-    assert p.substitute({1: Polynomial.zero(2)}) == x
-
-
 def test_extended_ring():
     x = Polynomial.variable(0, 1)
     lifted = x.extended(3)
