@@ -5,9 +5,9 @@ Commands: analyze (full pipeline), charts (blow-up chart dump), sod
 (fixture corpus plus seeded property suites).  The report goes to stdout,
 a short human summary to stderr unless --quiet.
 
-Exit codes: 0 analysis completed (whatever the verdict), 2 input or
-validation error (including the --max-degree guardrail), 3 internal
-invariant violation.
+Exit codes: 0 analysis completed (whatever the verdict), 3 internal
+invariant violation (InternalCheckError), 2 any other StrictSmoothError:
+input or validation errors, including the --max-degree guardrail.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    DegreeLimitError,
-    InternalCheckError,
-    ParseError,
-    SceneError,
-    StrictSmoothError,
-)
+from .errors import InternalCheckError, StrictSmoothError
 from .geometry import analyze
 from .groebner import degree_limit
 from .report import build_report, render_plain, render_structured, summary_line
@@ -104,9 +98,6 @@ def main(argv=None) -> int:
                 sys.stderr.write(f"selftest: {passed} passed, {failed} failed\n")
             return 0 if failed == 0 else 3
         return _run_scene_command(args)
-    except (SceneError, ParseError, DegreeLimitError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except InternalCheckError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return 3

@@ -148,8 +148,7 @@ class BaseLocusResult:
 class CenterAnalysis:
     center: Center
     multiplicity: int
-    leading_form: Polynomial
-    section: Polynomial            # the same polynomial, read on the projective bundle
+    leading_form: Polynomial       # also the exceptional section, read on the bundle
     section_verdict: Verdict
     base_locus: Optional[BaseLocusResult]
     discrepancy: int
@@ -243,6 +242,20 @@ def exceptional_label(center: Center) -> str:
 # per-center computations
 
 
+def _jacobian(h: Polynomial, *extra: Polynomial) -> Ideal:
+    """The ideal (h, the nonzero partials of h in index order, *extra)."""
+    partials = (h.partial(i) for i in range(h.nvars))
+    return Ideal((h, *(dp for dp in partials if not dp.is_zero), *extra), h.nvars, h.field)
+
+
+def _inside(jac: Ideal, center: Center) -> bool:
+    """Whether V(jac) lies in the center: each normal variable is in the radical."""
+    return all(
+        radical_membership(Polynomial.variable(l, jac.nvars, jac.field), jac)
+        for l in center.vanishing
+    )
+
+
 def multiplicity(f: Polynomial, center: Center) -> int:
     """Largest k such that f lies in the k-th power of the center ideal."""
     ideal = center.ideal(f.nvars, f.field)
@@ -289,25 +302,17 @@ def section_smoothness(center: Center, phi: Polynomial) -> Verdict:
         raise SceneError(
             f"the exceptional section at center {center.name!r} is zero: not a divisor"
         )
-    nvars, fld = phi.nvars, phi.field
-    gens = [phi]
-    for i in range(nvars):
-        dp = phi.partial(i)
-        if not dp.is_zero:
-            gens.append(dp)
-    jac = Ideal(tuple(gens), nvars, fld)
-    for l in center.vanishing:
-        y_l = Polynomial.variable(l, nvars, fld)
-        if not radical_membership(y_l, jac):
-            return Verdict(
-                Status.SINGULAR,
-                detail=(
-                    f"the zero locus of the exceptional section at center "
-                    f"{center.name!r} is singular away from the irrelevant locus"
-                ),
-                witness=jac,
-            )
-    return Verdict(Status.SMOOTH)
+    jac = _jacobian(phi)
+    if _inside(jac, center):
+        return Verdict(Status.SMOOTH)
+    return Verdict(
+        Status.SINGULAR,
+        detail=(
+            f"the zero locus of the exceptional section at center "
+            f"{center.name!r} is singular away from the irrelevant locus"
+        ),
+        witness=jac,
+    )
 
 
 def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusResult:
@@ -400,7 +405,6 @@ def analyze_center(scene: Scene, center: Center) -> CenterAnalysis:
         center=center,
         multiplicity=k,
         leading_form=phi,
-        section=phi,
         section_verdict=section,
         base_locus=base,
         discrepancy=discrepancy,
@@ -419,13 +423,7 @@ def singular_locus_in_centers(scene: Scene) -> Verdict:
     scene has one center (see Scene.validate), and the containment of
     V(jacobian) in it is radical membership of each of its normal variables.
     """
-    f = scene.f
-    gens = [f]
-    for i in range(scene.nvars):
-        dp = f.partial(i)
-        if not dp.is_zero:
-            gens.append(dp)
-    jac = Ideal(tuple(gens), scene.nvars, scene.field)
+    jac = _jacobian(scene.f)
     if not scene.centers:
         if is_empty_affine(jac):
             return Verdict(Status.SMOOTH)
@@ -435,33 +433,34 @@ def singular_locus_in_centers(scene: Scene) -> Verdict:
             witness=jac,
         )
     (center,) = scene.centers
-    for l in center.vanishing:
-        y_l = Polynomial.variable(l, scene.nvars, scene.field)
-        if not radical_membership(y_l, jac):
-            return Verdict(
-                Status.SINGULAR,
-                detail="the hypersurface is singular away from the centers",
-                witness=jac,
-            )
-    return Verdict(Status.SMOOTH)
+    if _inside(jac, center):
+        return Verdict(Status.SMOOTH)
+    return Verdict(
+        Status.SINGULAR,
+        detail="the hypersurface is singular away from the centers",
+        witness=jac,
+    )
 
 
-def chart_names(scene_names, center: Center, variable: int) -> tuple:
+def fresh_names(scene_names, center: Center, bases) -> tuple:
+    """The scene's names with each normal variable renamed, in order, to its
+    base in `bases` (parallel to `center.vanishing`).  While a base clashes
+    with a tangent name or an earlier new name an underscore is prepended,
+    so the names are pairwise distinct."""
     names = list(scene_names)
-    taken = set(names)
-    for l in center.vanishing:
-        taken.discard(names[l])
-
-    def fresh(base):
-        candidate = base
+    taken = set(names) - {names[l] for l in center.vanishing}
+    for l, candidate in zip(center.vanishing, bases):
         while candidate in taken:
             candidate = "_" + candidate
         taken.add(candidate)
-        return candidate
-
-    for l in center.vanishing:
-        names[l] = fresh("t") if l == variable else fresh(f"u_{scene_names[l]}")
+        names[l] = candidate
     return tuple(names)
+
+
+def chart_names(scene_names, center: Center, variable: int) -> tuple:
+    """Chart coordinates: t for the chart variable, u_<name> for the others."""
+    bases = ("t" if l == variable else f"u_{scene_names[l]}" for l in center.vanishing)
+    return fresh_names(scene_names, center, bases)
 
 
 def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
@@ -507,52 +506,41 @@ def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
     return tuple(out)
 
 
-def _chart_exceptional_singularities(chart: BlowupChart, fld) -> Ideal:
-    """Ideal cutting out the singular points of the strict transform on t = 0."""
-    strict = chart.strict_transform
-    n = strict.nvars
-    gens = [strict]
-    for i in range(n):
-        dp = strict.partial(i)
-        if not dp.is_zero:
-            gens.append(dp)
-    gens.append(Polynomial.variable(chart.variable, n, fld))
-    return Ideal(tuple(gens), n, fld)
-
-
 def chart_oracle(
     scene: Scene,
     containment: Optional[Verdict] = None,
-    chart_map: Optional[dict] = None,
+    center_charts: Optional[tuple] = None,
 ) -> Verdict:
     """Direct smoothness decision for the strict transform, chart by chart.
 
     Singular points away from every exceptional locus correspond one to one
     to singular points of the hypersurface away from the centers, so they
     are covered by the containment check; each chart then only needs the
-    Jacobian criterion on the exceptional locus t = 0.  The verdict is never
-    Inconclusive.
+    Jacobian criterion on the exceptional locus t = 0.  `center_charts`
+    holds the `charts` of each center, parallel to `scene.centers` (the
+    shape of `Analysis.charts`); both optional arguments are computed when
+    omitted.  The verdict is never Inconclusive.
     """
     if containment is None:
         containment = singular_locus_in_centers(scene)
-    if chart_map is None:
-        chart_map = {
-            center.name: charts(scene, center) for center in scene.centers
-        }
-    for center in scene.centers:
-        for chart in chart_map[center.name]:
-            locus = _chart_exceptional_singularities(chart, scene.field)
+    if center_charts is None:
+        center_charts = tuple(charts(scene, center) for center in scene.centers)
+    for chart_list in center_charts:
+        for chart in chart_list:
+            strict = chart.strict_transform
+            t = Polynomial.variable(chart.variable, strict.nvars, strict.field)
+            locus = _jacobian(strict, t)
             if not is_empty_affine(locus):
                 return Verdict(
                     Status.SINGULAR,
                     detail=(
                         f"strict transform is singular on the exceptional locus "
                         f"in the {scene.names[chart.variable]!r}-chart of center "
-                        f"{center.name!r}"
+                        f"{chart.center.name!r}"
                     ),
                     witness=locus,
                     witness_names=chart.names,
-                    chart=(center.name, chart.variable),
+                    chart=(chart.center.name, chart.variable),
                 )
     if containment.status is not Status.SMOOTH:
         return Verdict(
@@ -653,16 +641,14 @@ def analyze(scene: Scene) -> Analysis:
     scene.validate()
     analyses = tuple(analyze_center(scene, c) for c in scene.centers)
     containment = singular_locus_in_centers(scene)
-    chart_map = {
-        a.center.name: charts(scene, a.center, a.multiplicity) for a in analyses
-    }
+    center_charts = tuple(charts(scene, a.center, a.multiplicity) for a in analyses)
 
     section_route = _route(containment, [a.section_verdict for a in analyses])
     base_route = None
     if analyses and all(a.multiplicity == 1 for a in analyses):
         base_route = _route(containment, [a.base_locus.verdict for a in analyses])
 
-    oracle = chart_oracle(scene, containment, chart_map)
+    oracle = chart_oracle(scene, containment, center_charts)
 
     consistent = not (
         section_route.status is Status.SMOOTH and oracle.status is not Status.SMOOTH
@@ -708,6 +694,6 @@ def analyze(scene: Scene) -> Analysis:
         consistent=consistent,
         notes=tuple(notes),
         warnings=tuple(warnings),
-        charts=tuple(chart_map[a.center.name] for a in analyses),
+        charts=center_charts,
         ledger=ledger,
     )

@@ -330,9 +330,6 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant
 
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, self)
-
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero
 

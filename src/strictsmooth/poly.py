@@ -195,13 +195,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m.degree == 0 for m in self._terms)
 
-    def constant_value(self):
-        if not self.is_constant:
-            raise StructuralError("polynomial is not constant")
-        for c in self._terms.values():
-            return c
-        return self.field.zero
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
@@ -230,9 +223,6 @@ class Polynomial:
         if not self._terms:
             raise StructuralError("the zero polynomial has no leading monomial")
         return max(self._terms, key=order.key)
-
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX):
-        return self._terms[self.leading_monomial(order)]
 
     # ----- ring operations ------------------------------------------------
 

@@ -4,8 +4,9 @@ Reports are plain dictionaries shaped by the committed report schema,
 serialized either as canonical JSON (sorted keys, fixed separators, so
 identical inputs give byte-identical output) or as a human-readable text
 block.  Normal variables of each center are rendered capitalized inside the
-projectivized section string to signal their projective-coordinate role;
-this is a display convention only.
+projectivized section string to signal their projective-coordinate role
+(underscores prepended where that would clash, see `fresh_names`); this is
+a display convention only.
 """
 
 from __future__ import annotations
@@ -13,22 +14,17 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .geometry import Analysis, Scene, Verdict
+from .geometry import Analysis, Scene, Verdict, fresh_names
 from .scene_io import echo_input
 from .sod import CenterShape, SodApplicabilityError, lefschetz, serre_vanishing_record, sod
 
 REPORT_SCHEMA_ID = "strictsmooth-report/1"
 
 
-def _capitalized(name: str) -> str:
-    return name[0].upper() + name[1:] if name else name
-
-
 def _section_names(scene: Scene, center) -> tuple:
-    names = list(scene.names)
-    for i in center.vanishing:
-        names[i] = _capitalized(names[i])
-    return tuple(names)
+    """Normal variables capitalized, made distinct by `fresh_names`."""
+    capitalized = (scene.names[i][:1].upper() + scene.names[i][1:] for i in center.vanishing)
+    return fresh_names(scene.names, center, capitalized)
 
 
 def _verdict_doc(v: Verdict, scene: Scene) -> dict:
@@ -114,7 +110,7 @@ def _center_section(analysis: Analysis) -> list:
             "codimension": a.center.codimension,
             "multiplicity": a.multiplicity,
             "leading_form": a.leading_form.render(scene.names),
-            "section": a.section.render(_section_names(scene, a.center)),
+            "section": a.leading_form.render(_section_names(scene, a.center)),
             "section_smooth": _verdict_doc(a.section_verdict, scene),
             "discrepancy": a.discrepancy,
             "lefschetz_applicable": a.lefschetz_applicable,

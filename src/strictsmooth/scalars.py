@@ -11,18 +11,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is not below {PRIME_BOUND}, the bound of the primality test")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

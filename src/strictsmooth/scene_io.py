@@ -18,8 +18,6 @@ from .geometry import Center, Scene
 from .parsing import parse_expression
 from .scalars import QQ, PrimeField
 
-SCENE_SCHEMA_ID = "strictsmooth-scene/1"
-
 
 def _load_schema(name: str) -> dict:
     text = resources.files("strictsmooth").joinpath(f"schemas/{name}").read_text()

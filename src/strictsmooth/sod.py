@@ -27,6 +27,8 @@ class CenterShape:
 
 @dataclass(frozen=True)
 class LefschetzBlock:
+    """One block of the Lefschetz chain (twist l) or its dual (twist -l)."""
+
     center: str
     index: int
     kind: str        # "pullback" or "orthogonal-complement"
@@ -34,16 +36,7 @@ class LefschetzBlock:
 
 
 @dataclass(frozen=True)
-class DualLefschetzBlock:
-    center: str
-    index: int
-    kind: str
-    twist: int
-
-
-@dataclass(frozen=True)
 class LefschetzResult:
-    shape: CenterShape
     applicable: bool
     reason: str
     blocks: tuple
@@ -96,7 +89,6 @@ def lefschetz(shape: CenterShape) -> LefschetzResult:
     d, k = shape.codimension, shape.multiplicity
     if k >= d:
         return LefschetzResult(
-            shape=shape,
             applicable=False,
             reason=(
                 f"vanishing order k={k} is not strictly below the codimension d={d}"
@@ -104,26 +96,12 @@ def lefschetz(shape: CenterShape) -> LefschetzResult:
             blocks=(),
             dual_blocks=(),
         )
-    count = d - k
-    blocks = tuple(
-        LefschetzBlock(
-            center=shape.name,
-            index=l,
-            kind="orthogonal-complement" if l == 0 else "pullback",
-            twist=l,
-        )
-        for l in range(count)
+    kinds = ["orthogonal-complement"] + ["pullback"] * (d - k - 1)
+    blocks, duals = (
+        tuple(LefschetzBlock(shape.name, l, kind, sign * l) for l, kind in enumerate(kinds))
+        for sign in (1, -1)
     )
-    duals = tuple(
-        DualLefschetzBlock(
-            center=shape.name,
-            index=l,
-            kind="orthogonal-complement" if l == 0 else "pullback",
-            twist=-l,
-        )
-        for l in range(count)
-    )
-    return LefschetzResult(shape, True, "", blocks, duals)
+    return LefschetzResult(True, "", blocks, duals)
 
 
 def sod(shapes: Sequence[CenterShape]) -> tuple:

@@ -5,6 +5,10 @@ import jsonschema
 import pytest
 
 from strictsmooth.cli import main
+from strictsmooth.geometry import analyze
+from strictsmooth.parsing import parse_expression
+from strictsmooth.report import _section_names, build_report
+from strictsmooth.scalars import PRIME_BOUND
 from strictsmooth.scene_io import load_scene, report_schema, scene_schema
 
 PAIRING_SCENE = """\
@@ -173,6 +177,26 @@ def test_nonprime_p_exit_two(capsys, tmp_path):
     )
     code, _, err = run(capsys, ["analyze", str(scene)])
     assert code == 2 and "prime" in err
+
+
+def _prime_scene(tmp_path, p):
+    scene = tmp_path / "prime.yaml"
+    scene.write_text(PAIRING_SCENE.replace("{kind: rational}", f"{{kind: prime, p: {p}}}"))
+    return str(scene)
+
+
+def test_large_prime_p_loads_quickly(capsys, tmp_path):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", _prime_scene(tmp_path, 2**61 - 1), "--quiet"])
+    assert time.perf_counter() - start < 2
+    assert code == 0, err
+    assert json.loads(out)["input"]["field"] == {"kind": "prime", "p": 2**61 - 1}
+
+
+def test_p_at_the_primality_bound_exit_two(capsys, tmp_path):
+    code, out, err = run(capsys, ["analyze", _prime_scene(tmp_path, PRIME_BOUND)])
+    assert code == 2 and out == ""
+    assert str(PRIME_BOUND) in err
 
 
 def test_missing_file_exit_two(capsys):
@@ -365,3 +389,26 @@ def test_base_locus_criterion_witness_uses_tangent_names(capsys, tmp_path):
     assert criterion["witness"] == {"variables": ["v3"], "generators": ["3*v3"]}
     per_center = report["centers"][0]["base_locus"]["verdict"]
     assert per_center["witness"] == criterion["witness"]
+
+
+SECTION_CLASH_SCENE = """\
+schema: strictsmooth-scene/1
+variables: [x, X, y]
+hypersurface: "x*X + y^2"
+centers:
+  - name: O
+    vanishing: [x, y]
+"""
+
+
+def test_section_names_are_distinct_and_parse_back(tmp_path):
+    # capitalizing the normal variable x would clash with the tangent X
+    path = tmp_path / "clash.yaml"
+    path.write_text(SECTION_CLASH_SCENE)
+    analysis = analyze(load_scene(str(path)))
+    (entry,) = build_report(analysis)["centers"]
+    (center,) = analysis.centers
+    names = _section_names(analysis.scene, center.center)
+    assert names == ("_X", "X", "Y")
+    assert entry["section"] == "_X*X"
+    assert parse_expression(entry["section"], names, analysis.scene.field) == center.leading_form

@@ -1,9 +1,12 @@
-"""Golden reports: `analyze` output, byte for byte, in both formats.
+"""Golden reports: the output of every scene command, byte for byte, in
+both formats.
 
 The corpus is every committed `scenes/*.yaml` file (run through the CLI)
-and every built-in fixture (analyzed in process; fixtures have no file).
-A change that alters a single byte of any report fails here.  After an
-intended change of the report, regenerate the files with
+and every built-in fixture (analyzed in process; fixtures have no file),
+under `analyze`, `charts`, `oracle` and `sod`.  An `analyze` report is
+`<input>.<ext>`, the others `<input>.<command>.<ext>`.  A change that
+alters a single byte of any report fails here.  After an intended change
+of the report, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -28,29 +31,32 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENES = sorted((ROOT / "scenes").glob("*.yaml"))
 FORMATS = {"structured": "json", "plain": "txt"}
+COMMANDS = ("analyze", "charts", "oracle", "sod")
 
 
-def _scene_output(path: Path, fmt: str) -> str:
+def _scene_output(path: Path, command: str, fmt: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["analyze", str(path), "--format", fmt, "--quiet"])
+        code = main([command, str(path), "--format", fmt, "--quiet"])
     if code != 0:
-        raise RuntimeError(f"analyze {path.name} exited {code}")
+        raise RuntimeError(f"{command} {path.name} exited {code}")
     return out.getvalue()
 
 
-def _fixture_output(fixture, fmt: str) -> str:
-    report = build_report(analyze(fixture.build()), command="analyze")
+def _fixture_output(fixture, command: str, fmt: str) -> str:
+    report = build_report(analyze(fixture.build()), command=command)
     return render_structured(report) if fmt == "structured" else render_plain(report)
 
 
 def _cases():
-    for path in SCENES:
-        for fmt, ext in FORMATS.items():
-            yield f"scene-{path.stem}.{ext}", lambda p=path, f=fmt: _scene_output(p, f)
-    for fixture in FIXTURES:
-        for fmt, ext in FORMATS.items():
-            yield f"fixture-{fixture.name}.{ext}", lambda x=fixture, f=fmt: _fixture_output(x, f)
+    inputs = [(f"scene-{p.stem}", p, _scene_output) for p in SCENES] + [
+        (f"fixture-{x.name}", x, _fixture_output) for x in FIXTURES
+    ]
+    for stem, source, output in inputs:
+        for command in COMMANDS:
+            infix = "" if command == "analyze" else f".{command}"
+            for fmt, ext in FORMATS.items():
+                yield f"{stem}{infix}.{ext}", lambda s=source, c=command, f=fmt, o=output: o(s, c, f)
 
 
 CASES = dict(_cases())

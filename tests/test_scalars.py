@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
-from strictsmooth.scalars import QQ, PrimeField, is_prime
+from strictsmooth.scalars import PRIME_BOUND, QQ, PrimeField, is_prime
 
 
 def test_rational_canonical_form():
@@ -51,3 +53,38 @@ def test_modular_arithmetic():
         a / F5.zero
     with pytest.raises(ZeroDivisionError):
         F5.from_rational(1, 5)
+
+
+def test_is_prime_matches_a_sieve_below_200000():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_matches_sympy_on_a_seeded_sample():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20170)
+    sample = [rng.randrange(2, PRIME_BOUND) for _ in range(300)]
+    sample += [sympy.nextprime(rng.randrange(2, PRIME_BOUND // 2)) for _ in range(100)]
+    small = [sympy.nextprime(rng.randrange(2, 10**12)) for _ in range(101)]
+    sample += [p * q for p, q in zip(small, small[1:])]  # semiprimes
+    sample += [2**31 - 1, 2**61 - 1, 2**64 + 1, 321197185]  # the last is a Carmichael number
+    for n in sample:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_prime_field_rejects_p_at_the_bound():
+    assert is_prime(PRIME_BOUND - 2) is False  # answered just below the bound
+    for p in (PRIME_BOUND, PRIME_BOUND + 2):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            PrimeField(p)
