@@ -50,15 +50,7 @@ from .geometry import (
     section_smoothness,
     singular_locus_in_centers,
 )
-from .sod import (
-    CenterShape,
-    LefschetzBlock,
-    SodApplicabilityError,
-    SodBlock,
-    lefschetz,
-    serre_vanishing_record,
-    sod,
-)
+from .sod import lefschetz, serre_vanishing_record, sod
 from .parsing import parse_expression
 from .scene_io import load_scene, scene_from_document
 from .report import build_report, render_plain, render_structured

@@ -34,12 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format",
-        choices=("structured", "plain"),
-        default="structured",
-        help="report format on stdout (default: structured JSON)",
-    )
-    common.add_argument(
         "--quiet", action="store_true", help="suppress the summary on stderr"
     )
     common.add_argument(
@@ -61,6 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         cmd.add_argument("scene", help="scene file (YAML)")
+        cmd.add_argument(
+            "--format",
+            choices=("structured", "plain"),
+            default="structured",
+            help="report format on stdout (default: structured JSON)",
+        )
     selftest = sub.add_parser(
         "selftest", parents=[common], help="run the built-in fixture corpus"
     )

@@ -10,7 +10,10 @@ Grammar (whitespace insensitive, no implicit multiplication):
 
 Exponents are nonnegative integer literals.  A '/' is only legal between
 two integer literals, where it forms an exact coefficient.  Errors carry
-line and column numbers.
+line and column numbers where a token is at fault.  Integer literals and
+parsed coefficients are limited to the digits Python converts between int
+and str (`sys.get_int_max_str_digits`), so every accepted expression can
+be rendered back.
 
 Inside a `degree_limit` block, a product or power whose degree exceeds the
 bound raises DegreeLimitError before it is expanded.  Over a field the
@@ -18,6 +21,8 @@ degree of a product is the sum of the degrees, so the check is exact.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import DegreeLimitError, ParseError
 from .groebner import active_degree_limit
@@ -35,7 +40,13 @@ _SINGLE = {
 }
 
 
+def _max_digits() -> int:
+    """Python's int/str conversion limit in digits; 0 means unlimited."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def tokenize(text: str):
+    limit = _max_digits()
     tokens = []
     line, col = 1, 1
     i = 0
@@ -59,6 +70,8 @@ def tokenize(text: str):
             start = i
             while i < len(text) and text[i].isdigit():
                 i += 1
+            if limit and i - start > limit:
+                raise ParseError(f"integer literal has more than {limit} digits", line, col)
             tokens.append(("INT", text[start:i], line, col))
             col += i - start
             continue
@@ -93,7 +106,7 @@ class _Parser:
 
     def error(self, message, token=None):
         token = token or self.peek()
-        raise ParseError(message, token[2], token[3])
+        raise ParseError(message, token[2], token[3]) from None
 
     def check_degree(self, degree, token):
         if self.limit is not None and degree > self.limit:
@@ -193,5 +206,16 @@ class _Parser:
 def parse_expression(text: str, names, field) -> Polynomial:
     """Parse `text` into an exact polynomial in the given named variables."""
     names = tuple(names)
-    tokens = tokenize(text)
-    return _Parser(tokens, names, len(names), field).parse()
+    parser = _Parser(tokenize(text), names, len(names), field)
+    try:
+        value = parser.parse()
+    except RecursionError:
+        parser.error("expression nested too deeply")
+    limit = _max_digits()
+    if limit and not field.characteristic:
+        for _, c in value.terms():
+            for n in (abs(c.numerator), c.denominator):
+                # below 2^(3*limit) < 10^limit the slow comparison is not needed
+                if n.bit_length() > 3 * limit and n >= 10 ** limit:
+                    raise ParseError(f"a coefficient has more than {limit} digits")
+    return value

@@ -16,7 +16,7 @@ import json
 from . import __version__
 from .geometry import Analysis, Scene, Verdict, fresh_names
 from .scene_io import echo_input
-from .sod import CenterShape, SodApplicabilityError, lefschetz, serre_vanishing_record, sod
+from .sod import lefschetz, serre_vanishing_record, sod
 
 REPORT_SCHEMA_ID = "strictsmooth-report/1"
 
@@ -45,59 +45,14 @@ def _verdict_doc(v: Verdict, scene: Scene) -> dict:
     return doc
 
 
-def _shapes(analysis: Analysis) -> list:
-    return [
-        CenterShape(a.center.name, a.center.codimension, a.multiplicity)
-        for a in analysis.centers
-    ]
-
-
-def _lefschetz_section(analysis: Analysis) -> list:
-    out = []
-    for shape in _shapes(analysis):
-        result = lefschetz(shape)
-        entry = {"center": shape.name, "applicable": result.applicable}
-        if result.applicable:
-            entry["blocks"] = [
-                {"index": b.index, "kind": b.kind, "twist": b.twist}
-                for b in result.blocks
-            ]
-            entry["dual_blocks"] = [
-                {"index": b.index, "kind": b.kind, "twist": b.twist}
-                for b in result.dual_blocks
-            ]
-        else:
-            entry["reason"] = result.reason
-        out.append(entry)
-    return out
-
-
-def _sod_section(analysis: Analysis) -> dict:
-    try:
-        blocks = sod(_shapes(analysis))
-    except SodApplicabilityError as exc:
-        return {"applicable": False, "reason": str(exc)}
-    rendered = []
-    for b in blocks:
-        if b.residual:
-            rendered.append({"residual": True, "weakly_crepant": True})
-        else:
-            rendered.append({"center": b.center, "twist": b.twist})
-    return {"applicable": True, "twist_order": "ascending", "blocks": rendered}
-
-
-def _serre_section(analysis: Analysis) -> list:
-    out = []
-    for shape in _shapes(analysis):
-        record = serre_vanishing_record(shape)
-        out.append(
-            {
-                "center": record.center,
-                "open_range": [record.lower, record.upper],
-                "twists": list(record.twists),
-            }
-        )
-    return out
+def _ledger_sections(analysis: Analysis) -> dict:
+    """The `lefschetz`, `sod` and `serre_vanishing` sections of the report."""
+    shapes = [(a.center.name, a.center.codimension, a.multiplicity) for a in analysis.centers]
+    return {
+        "lefschetz": [lefschetz(*shape) for shape in shapes],
+        "sod": sod(shapes),
+        "serre_vanishing": [serre_vanishing_record(name, d) for name, d, _ in shapes],
+    }
 
 
 def _center_section(analysis: Analysis) -> list:
@@ -201,9 +156,7 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
         return report
     if command == "sod":
         report["centers"] = _center_section(analysis)
-        report["lefschetz"] = _lefschetz_section(analysis)
-        report["sod"] = _sod_section(analysis)
-        report["serre_vanishing"] = _serre_section(analysis)
+        report.update(_ledger_sections(analysis))
         return report
 
     base_route = analysis.base_locus_route
@@ -230,9 +183,7 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
             },
             "divisor_classes": _divisor_section(analysis),
             "charts": _charts_section(analysis),
-            "lefschetz": _lefschetz_section(analysis),
-            "sod": _sod_section(analysis),
-            "serre_vanishing": _serre_section(analysis),
+            **_ledger_sections(analysis),
         }
     )
     return report

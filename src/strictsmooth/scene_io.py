@@ -85,6 +85,12 @@ def load_scene(path) -> Scene:
             doc = yaml.safe_load(handle)
     except FileNotFoundError:
         raise SceneError(f"scene file not found: {path}") from None
+    except OSError as exc:
+        raise SceneError(f"cannot read scene file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"scene file is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise SceneError("scene file nested too deeply") from None
     except yaml.YAMLError as exc:
         raise SceneError(f"scene file is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

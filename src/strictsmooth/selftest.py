@@ -230,10 +230,6 @@ def route_agreement_suite(count: int, seed: int):
             scene = random_pairing_like_scene(rng)
         else:
             scene = random_scene(rng)
-        try:
-            scene.validate()
-        except Exception:
-            continue
         yield produced, scene, analyze(scene)
         produced += 1
 
@@ -248,10 +244,7 @@ def equivalence_suite(count: int, seed: int):
     produced = 0
     while produced < count:
         scene = random_scene(rng, force_k1=True)
-        try:
-            scene.validate()
-        except Exception:
-            continue
+        scene.validate()
         center = scene.centers[0]
         k = multiplicity(scene.f, center)
         if k != 1:

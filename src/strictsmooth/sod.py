@@ -6,131 +6,62 @@ decomposition of the blown-up hypersurface, and which pushforward-vanishing
 range is invoked.  No derived categories are modelled; the hypotheses
 (vanishing order strictly below the codimension) are validated and the
 block chains are enumerated with their exact twist ranges.
+
+A center is given as (name, d, k): its name, codimension and vanishing
+order.  Each function returns its section of the report as plain data; a
+ledger whose hypothesis fails says so with `applicable` False and a reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
-from .errors import StrictSmoothError
-
-
-@dataclass(frozen=True)
-class CenterShape:
-    """The (codimension, vanishing order) data of one analyzed center."""
-
-    name: str
-    codimension: int
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class LefschetzBlock:
-    """One block of the Lefschetz chain (twist l) or its dual (twist -l)."""
-
-    center: str
-    index: int
-    kind: str        # "pullback" or "orthogonal-complement"
-    twist: int
-
-
-@dataclass(frozen=True)
-class LefschetzResult:
-    applicable: bool
-    reason: str
-    blocks: tuple
-    dual_blocks: tuple
-
-
-@dataclass(frozen=True)
-class SodBlock:
-    """One block of the semiorthogonal decomposition.
-
-    Twisted blocks carry a center and a strictly negative twist; the single
-    residual block closes the list and is the weakly crepant piece.
-    """
-
-    center: Optional[str] = None
-    twist: Optional[int] = None
-    residual: bool = False
-    weakly_crepant: bool = False
-
-
-@dataclass(frozen=True)
-class SerreVanishingRecord:
-    """Twist range (-d, 0), both ends exclusive, invoked for one center."""
-
-    center: str
-    lower: int
-    upper: int
-    twists: tuple
-
-
-class SodApplicabilityError(StrictSmoothError):
-    def __init__(self, offenders: Sequence[CenterShape]):
-        self.offenders = tuple(offenders)
-        names = ", ".join(
-            f"{s.name} (k={s.multiplicity}, d={s.codimension})" for s in self.offenders
-        )
-        super().__init__(
-            "the semiorthogonal decomposition requires the vanishing order to be "
-            f"strictly below the codimension at every center; offenders: {names}"
-        )
-
-
-def lefschetz(shape: CenterShape) -> LefschetzResult:
+def lefschetz(name: str, d: int, k: int) -> dict:
     """Lefschetz and dual Lefschetz blocks of one exceptional divisor.
 
     Applicable when k < d; then there are d - k blocks with twists
     0, 1, ..., d - k - 1 (block 0 is the orthogonal complement of the rest)
     and d - k dual blocks with twists 0, -1, ..., 1 + k - d.
     """
-    d, k = shape.codimension, shape.multiplicity
     if k >= d:
-        return LefschetzResult(
-            applicable=False,
-            reason=(
-                f"vanishing order k={k} is not strictly below the codimension d={d}"
-            ),
-            blocks=(),
-            dual_blocks=(),
-        )
+        return {
+            "center": name,
+            "applicable": False,
+            "reason": f"vanishing order k={k} is not strictly below the codimension d={d}",
+        }
     kinds = ["orthogonal-complement"] + ["pullback"] * (d - k - 1)
     blocks, duals = (
-        tuple(LefschetzBlock(shape.name, l, kind, sign * l) for l, kind in enumerate(kinds))
+        [{"index": l, "kind": kind, "twist": sign * l} for l, kind in enumerate(kinds)]
         for sign in (1, -1)
     )
-    return LefschetzResult(True, "", blocks, duals)
+    return {"center": name, "applicable": True, "blocks": blocks, "dual_blocks": duals}
 
 
-def sod(shapes: Sequence[CenterShape]) -> tuple:
-    """Ordered semiorthogonal block list over all centers.
+def sod(shapes) -> dict:
+    """Ordered semiorthogonal block list over all (name, d, k) centers.
 
     Per center the twisted blocks run through the twists strictly between
     k - d and 0, in ascending order; centers keep their input order (the
     order is immaterial mathematically, fixed here for reproducibility).
-    The residual weakly crepant block comes last.  Raises
-    SodApplicabilityError when some center has k >= d.
+    The residual weakly crepant block comes last.  Not applicable when
+    some center has k >= d.
     """
-    offenders = [s for s in shapes if s.multiplicity >= s.codimension]
+    offenders = [(name, d, k) for name, d, k in shapes if k >= d]
     if offenders:
-        raise SodApplicabilityError(offenders)
-    blocks = []
-    for shape in shapes:
-        low = shape.multiplicity - shape.codimension
-        for twist in range(low + 1, 0):
-            blocks.append(SodBlock(center=shape.name, twist=twist))
-    blocks.append(SodBlock(residual=True, weakly_crepant=True))
-    return tuple(blocks)
+        names = ", ".join(f"{name} (k={k}, d={d})" for name, d, k in offenders)
+        return {
+            "applicable": False,
+            "reason": "the semiorthogonal decomposition requires the vanishing order to be "
+            f"strictly below the codimension at every center; offenders: {names}",
+        }
+    blocks = [
+        {"center": name, "twist": twist}
+        for name, d, k in shapes
+        for twist in range(k - d + 1, 0)
+    ]
+    blocks.append({"residual": True, "weakly_crepant": True})
+    return {"applicable": True, "twist_order": "ascending", "blocks": blocks}
 
 
-def serre_vanishing_record(shape: CenterShape) -> SerreVanishingRecord:
-    """The pushforward-vanishing twist range for one exceptional bundle."""
-    d = shape.codimension
-    return SerreVanishingRecord(
-        center=shape.name,
-        lower=-d,
-        upper=0,
-        twists=tuple(range(1 - d, 0)),
-    )
+def serre_vanishing_record(name: str, d: int) -> dict:
+    """The pushforward-vanishing twist range (-d, 0), both ends exclusive."""
+    return {"center": name, "open_range": [-d, 0], "twists": list(range(1 - d, 0))}

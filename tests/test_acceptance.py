@@ -21,7 +21,7 @@ from strictsmooth.selftest import (
     random_scene,
     route_agreement_suite,
 )
-from strictsmooth.sod import CenterShape, SodBlock, lefschetz, sod
+from strictsmooth.sod import lefschetz, sod
 
 from _naive import naive_groebner, naive_is_empty, naive_member
 
@@ -155,19 +155,15 @@ def test_criterion_6_adjunction_ledger():
 
 
 def test_criterion_7_sod_ledger():
-    blocks = sod([CenterShape("C", 4, 2)])
-    assert blocks == (
-        SodBlock(center="C", twist=-1),
-        SodBlock(residual=True, weakly_crepant=True),
-    )
-    blocks = sod([CenterShape("C", 2, 1)])
-    assert blocks == (SodBlock(residual=True, weakly_crepant=True),)
+    residual = {"residual": True, "weakly_crepant": True}
+    assert sod([("C", 4, 2)])["blocks"] == [{"center": "C", "twist": -1}, residual]
+    assert sod([("C", 2, 1)])["blocks"] == [residual]
     for d in range(2, 13):
         for k in range(1, d):
-            result = lefschetz(CenterShape("C", d, k))
-            assert len(result.blocks) == d - k
-            assert len(result.dual_blocks) == d - k
-            twisted = [b for b in sod([CenterShape("C", d, k)]) if not b.residual]
+            result = lefschetz("C", d, k)
+            assert len(result["blocks"]) == d - k
+            assert len(result["dual_blocks"]) == d - k
+            twisted = [b for b in sod([("C", d, k)])["blocks"] if not b.get("residual")]
             assert len(twisted) == d - k - 1
     _report(7, True, "(4,2) and (2,1) exact; block counts hold for 1 <= k < d <= 12")
 

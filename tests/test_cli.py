@@ -202,6 +202,42 @@ def test_p_at_the_primality_bound_exit_two(capsys, tmp_path):
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, ["analyze", "/nonexistent/scene.yaml"])
     assert code == 2
+    assert "scene file not found: /nonexistent/scene.yaml" in err
+
+
+def test_directory_exit_two(capsys, tmp_path):
+    code, out, err = run(capsys, ["analyze", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read scene file {tmp_path}")
+
+
+def test_non_utf8_file_exit_two(capsys, tmp_path):
+    scene = tmp_path / "latin1.yaml"
+    scene.write_bytes(PAIRING_SCENE.replace("x1*y1", "x1*y1\xff").encode("latin-1"))
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert code == 2 and out == ""
+    assert "not UTF-8" in err
+
+
+def test_deeply_nested_file_exit_two(capsys, tmp_path):
+    scene = tmp_path / "deep.yaml"
+    scene.write_text(ORIGIN_SCENE.split("centers:")[0] + "centers: " + "[" * 3000 + "]" * 3000)
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * 200 + "x1" + ")" * 200, "-" * 1000 + "x1", "x1 + " + "7" * 5000, "x1*y1 + 3^20000*x1^2"],
+    ids=["parentheses", "unary-minus", "long-literal", "long-coefficient"],
+)
+def test_hostile_expression_exit_two(capsys, tmp_path, expression):
+    scene = tmp_path / "hostile.yaml"
+    scene.write_text(ORIGIN_SCENE.replace('"x1*y1"', f'"{expression}"'))
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: hypersurface expression: ")
 
 
 def test_max_degree_guardrail_exit_two(capsys, pairing_file):
@@ -236,6 +272,13 @@ def test_selftest_runs_clean(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "0 failed" in err
+
+
+def test_selftest_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--format", "plain"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format plain" in capsys.readouterr().err
 
 
 def test_loaded_scene_round_trips_canonical_rendering(pairing_file):

@@ -5,7 +5,8 @@ The corpus is every committed `scenes/*.yaml` file (run through the CLI)
 and every built-in fixture (analyzed in process; fixtures have no file),
 under `analyze`, `charts`, `oracle` and `sod`.  An `analyze` report is
 `<input>.<ext>`, the others `<input>.<command>.<ext>`.  A change that
-alters a single byte of any report fails here.  After an intended change
+alters a single byte of any report fails here, and every structured report
+is checked against the report schema.  After an intended change
 of the report, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,14 +18,17 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from strictsmooth.cli import main
 from strictsmooth.geometry import analyze
 from strictsmooth.report import build_report, render_plain, render_structured
+from strictsmooth.scene_io import report_schema
 from strictsmooth.selftest import FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +74,11 @@ def test_golden_corpus_is_complete():
 def test_report_matches_golden(name):
     want = (GOLDEN / name).read_bytes()
     assert CASES[name]().encode("utf-8") == want
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".json")))
+def test_structured_golden_matches_report_schema(name):
+    jsonschema.validate(json.loads((GOLDEN / name).read_text()), report_schema())
 
 
 if __name__ == "__main__":

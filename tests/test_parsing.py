@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,48 @@ def test_tokenizer_positions():
     kinds = [t[0] for t in tokens]
     assert kinds == ["NAME", "PLUS", "INT", "END"]
     assert tokens[2][2:] == (1, 6)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 200 + "x1" + ")" * 200, "-" * 1000 + "x1"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse(text)
+    assert err.value.line == 1 and err.value.column is not None
+
+
+def test_moderate_nesting_still_parses():
+    assert parse("(" * 100 + "x1" + ")" * 100) == parse("x1")
+
+
+@pytest.fixture
+def max_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int/str conversion is unlimited in this interpreter")
+    return limit
+
+
+def test_overlong_integer_literal_is_a_parse_error(max_digits):
+    assert parse("9" * max_digits) == parse("10^%d - 1" % max_digits)
+    with pytest.raises(ParseError, match=f"more than {max_digits} digits") as err:
+        parse("x1 + " + "7" * (max_digits + 700))
+    assert (err.value.line, err.value.column) == (1, 6)
+    with pytest.raises(ParseError, match="integer literal"):
+        parse("x1^" + "1" * (max_digits + 1))
+
+
+def test_overlong_parsed_coefficient_is_a_parse_error(max_digits):
+    for text in (f"x1*y1 + 10^{max_digits}*x1^2", f"x1 + 1/10^{max_digits}"):
+        with pytest.raises(ParseError, match="coefficient has more than") as err:
+            parse(text)
+        assert err.value.line is None
+    # only the parsed result is checked, not the intermediate values
+    assert parse("x1*y1 + 3^20000*x1^2 - 3^20000*x1^2") == parse("x1*y1")
+    assert sys.get_int_max_str_digits() == max_digits
 
 
 def random_poly(rng, nvars, field=QQ):

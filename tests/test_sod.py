@@ -1,106 +1,102 @@
 import random
 
-import pytest
+from strictsmooth.sod import lefschetz, serre_vanishing_record, sod
 
-from strictsmooth.sod import (
-    CenterShape,
-    SodApplicabilityError,
-    SodBlock,
-    lefschetz,
-    serre_vanishing_record,
-    sod,
-)
+RESIDUAL = {"residual": True, "weakly_crepant": True}
 
 
-def shape(name, d, k):
-    return CenterShape(name, d, k)
+def twisted(doc):
+    return [b for b in doc["blocks"] if not b.get("residual")]
+
+
+def pattern(doc):
+    return [(b.get("twist"), b.get("residual", False)) for b in doc["blocks"]]
 
 
 # ----- lefschetz blocks -------------------------------------------------------
 
 
 def test_lefschetz_d4_k2():
-    result = lefschetz(shape("C", 4, 2))
-    assert result.applicable
-    assert [(b.index, b.kind, b.twist) for b in result.blocks] == [
-        (0, "orthogonal-complement", 0),
-        (1, "pullback", 1),
+    result = lefschetz("C", 4, 2)
+    assert result["center"] == "C" and result["applicable"]
+    assert result["blocks"] == [
+        {"index": 0, "kind": "orthogonal-complement", "twist": 0},
+        {"index": 1, "kind": "pullback", "twist": 1},
     ]
-    assert [(b.index, b.kind, b.twist) for b in result.dual_blocks] == [
-        (0, "orthogonal-complement", 0),
-        (1, "pullback", -1),
+    assert result["dual_blocks"] == [
+        {"index": 0, "kind": "orthogonal-complement", "twist": 0},
+        {"index": 1, "kind": "pullback", "twist": -1},
     ]
 
 
 def test_lefschetz_not_applicable_when_k_equals_d():
-    result = lefschetz(shape("C", 2, 2))
-    assert not result.applicable
-    assert result.blocks == () and result.dual_blocks == ()
-    assert "codimension" in result.reason
+    result = lefschetz("C", 2, 2)
+    assert result == {
+        "center": "C",
+        "applicable": False,
+        "reason": "vanishing order k=2 is not strictly below the codimension d=2",
+    }
 
 
 def test_lefschetz_case_one_block_chain():
     for n in (2, 3, 5):
-        result = lefschetz(shape("C", n, 1))
-        assert len(result.blocks) == n - 1
-        assert [b.twist for b in result.blocks] == list(range(n - 1))
-        assert result.blocks[0].kind == "orthogonal-complement"
-        assert all(b.kind == "pullback" for b in result.blocks[1:])
-        assert [b.twist for b in result.dual_blocks] == [-l for l in range(n - 1)]
+        result = lefschetz("C", n, 1)
+        assert len(result["blocks"]) == n - 1
+        assert [b["twist"] for b in result["blocks"]] == list(range(n - 1))
+        assert result["blocks"][0]["kind"] == "orthogonal-complement"
+        assert all(b["kind"] == "pullback" for b in result["blocks"][1:])
+        assert [b["twist"] for b in result["dual_blocks"]] == [-l for l in range(n - 1)]
 
 
 # ----- sod --------------------------------------------------------------------
 
 
 def test_sod_single_center_d4_k2():
-    blocks = sod([shape("C", 4, 2)])
-    assert blocks == (
-        SodBlock(center="C", twist=-1),
-        SodBlock(residual=True, weakly_crepant=True),
-    )
+    assert sod([("C", 4, 2)]) == {
+        "applicable": True,
+        "twist_order": "ascending",
+        "blocks": [{"center": "C", "twist": -1}, RESIDUAL],
+    }
 
 
 def test_sod_crepant_case_has_residual_only():
-    blocks = sod([shape("C", 2, 1)])
-    assert blocks == (SodBlock(residual=True, weakly_crepant=True),)
+    assert sod([("C", 2, 1)])["blocks"] == [RESIDUAL]
 
 
 def test_sod_two_centers_ascending_twists():
-    blocks = sod([shape("A", 4, 1), shape("B", 4, 2)])
-    assert blocks == (
-        SodBlock(center="A", twist=-2),
-        SodBlock(center="A", twist=-1),
-        SodBlock(center="B", twist=-1),
-        SodBlock(residual=True, weakly_crepant=True),
-    )
+    assert sod([("A", 4, 1), ("B", 4, 2)])["blocks"] == [
+        {"center": "A", "twist": -2},
+        {"center": "A", "twist": -1},
+        {"center": "B", "twist": -1},
+        RESIDUAL,
+    ]
 
 
 def test_sod_rejects_k_at_least_d():
-    with pytest.raises(SodApplicabilityError) as err:
-        sod([shape("A", 3, 1), shape("B", 2, 2)])
-    assert [s.name for s in err.value.offenders] == ["B"]
-    assert "B" in str(err.value)
+    assert sod([("A", 3, 1), ("B", 2, 2)]) == {
+        "applicable": False,
+        "reason": "the semiorthogonal decomposition requires the vanishing order to be "
+        "strictly below the codimension at every center; offenders: B (k=2, d=2)",
+    }
 
 
 def test_block_count_identities():
     for d in range(2, 13):
         for k in range(1, d):
-            result = lefschetz(shape("C", d, k))
-            assert len(result.blocks) == d - k
-            assert len(result.dual_blocks) == d - k
-            blocks = sod([shape("C", d, k)])
-            twisted = [b for b in blocks if not b.residual]
-            assert len(twisted) == d - k - 1
-            assert [b.twist for b in twisted] == list(range(k - d + 1, 0))
-            assert blocks[-1].residual and blocks[-1].weakly_crepant
+            result = lefschetz("C", d, k)
+            assert len(result["blocks"]) == d - k
+            assert len(result["dual_blocks"]) == d - k
+            doc = sod([("C", d, k)])
+            assert len(twisted(doc)) == d - k - 1
+            assert [b["twist"] for b in twisted(doc)] == list(range(k - d + 1, 0))
+            assert doc["blocks"][-1] == RESIDUAL
 
 
 def test_crepant_boundary():
     # discrepancy zero (d = k + 1) exactly when no twisted blocks appear
     for d in range(2, 13):
         for k in range(1, d):
-            twisted = [b for b in sod([shape("C", d, k)]) if not b.residual]
-            assert (len(twisted) == 0) == (d - k - 1 == 0)
+            assert (len(twisted(sod([("C", d, k)]))) == 0) == (d - k - 1 == 0)
 
 
 def test_sod_depends_only_on_shape_multiset_and_order():
@@ -110,19 +106,17 @@ def test_sod_depends_only_on_shape_multiset_and_order():
         for i in range(rng.randint(1, 4)):
             d = rng.randint(2, 12)
             k = rng.randint(1, d - 1)
-            shapes.append(shape(f"C{i}", d, k))
+            shapes.append((f"C{i}", d, k))
         first = sod(shapes)
-        second = sod(shapes)
-        assert first == second
+        assert sod(shapes) == first
         # renaming preserves the block pattern
-        renamed = [shape(f"D{i}", s.codimension, s.multiplicity) for i, s in enumerate(shapes)]
-        pattern = [(b.twist, b.residual) for b in sod(renamed)]
-        assert pattern == [(b.twist, b.residual) for b in first]
+        renamed = [(f"D{i}", d, k) for i, (_, d, k) in enumerate(shapes)]
+        assert pattern(sod(renamed)) == pattern(first)
 
 
 def test_residual_appears_exactly_once_and_last():
-    blocks = sod([shape("A", 5, 1), shape("B", 3, 1)])
-    residuals = [i for i, b in enumerate(blocks) if b.residual]
+    blocks = sod([("A", 5, 1), ("B", 3, 1)])["blocks"]
+    residuals = [i for i, b in enumerate(blocks) if b.get("residual")]
     assert residuals == [len(blocks) - 1]
 
 
@@ -130,8 +124,7 @@ def test_residual_appears_exactly_once_and_last():
 
 
 def test_serre_vanishing_ranges():
-    record = serre_vanishing_record(shape("C", 4, 2))
-    assert (record.lower, record.upper) == (-4, 0)
-    assert record.twists == (-3, -2, -1)
-    assert serre_vanishing_record(shape("C", 1, 1)).twists == ()
-    assert serre_vanishing_record(shape("C", 2, 1)).twists == (-1,)
+    record = serre_vanishing_record("C", 4)
+    assert record == {"center": "C", "open_range": [-4, 0], "twists": [-3, -2, -1]}
+    assert serre_vanishing_record("C", 1)["twists"] == []
+    assert serre_vanishing_record("C", 2)["twists"] == [-1]
