@@ -36,7 +36,6 @@ from .geometry import (
     BlowupChart,
     Center,
     CenterAnalysis,
-    DivisorClass,
     Scene,
     Status,
     Verdict,

@@ -19,6 +19,7 @@ verdict is Inconclusive, never Singular.  The chart oracle always decides.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -151,8 +152,6 @@ class CenterAnalysis:
     leading_form: Polynomial       # also the exceptional section, read on the bundle
     section_verdict: Verdict
     base_locus: Optional[BaseLocusResult]
-    discrepancy: int
-    lefschetz_applicable: bool
 
 
 @dataclass(frozen=True)
@@ -178,48 +177,6 @@ class BlowupChart:
 
 
 @dataclass(frozen=True)
-class DivisorClass:
-    """Integer vector on a labelled divisor basis (exact lattice arithmetic)."""
-
-    coeffs: tuple  # sorted (label, coefficient) pairs, zero entries dropped
-
-    @classmethod
-    def from_dict(cls, mapping) -> "DivisorClass":
-        return cls(tuple(sorted((k, v) for k, v in mapping.items() if v != 0)))
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def coefficient(self, label: str) -> int:
-        return self.as_dict().get(label, 0)
-
-    def plus(self, other: "DivisorClass") -> "DivisorClass":
-        total = self.as_dict()
-        for k, v in other.coeffs:
-            total[k] = total.get(k, 0) + v
-        return DivisorClass.from_dict(total)
-
-
-@dataclass(frozen=True)
-class DiscrepancyRecord:
-    center: str
-    codimension: int
-    multiplicity: int
-    by_formula: int
-    by_lattice: int
-    crepant: bool
-    class_identity: Optional[dict]
-
-
-@dataclass(frozen=True)
-class AdjunctionLedger:
-    records: tuple
-    strict_transform: DivisorClass
-    canonical: DivisorClass        # pullback of the canonical class plus discrepancies
-    assumes_normal: bool
-
-
-@dataclass(frozen=True)
 class Analysis:
     scene: Scene
     centers: tuple                 # CenterAnalysis per center, input order
@@ -231,11 +188,7 @@ class Analysis:
     notes: tuple
     warnings: tuple
     charts: tuple                  # tuple of chart tuples, parallel to centers
-    ledger: AdjunctionLedger
-
-
-def exceptional_label(center: Center) -> str:
-    return f"E:{center.name}"
+    ledger: dict                   # the report's divisor_classes section
 
 
 # --------------------------------------------------------------------------
@@ -399,16 +352,12 @@ def analyze_center(scene: Scene, center: Center) -> CenterAnalysis:
         # the witness lives in the tangent ring, like the equations
         names = tuple(scene.names[i] for i in center.tangent(scene.nvars))
         base = replace(base, verdict=replace(base.verdict, witness_names=names))
-    d = center.codimension
-    discrepancy = d - k - 1
     return CenterAnalysis(
         center=center,
         multiplicity=k,
         leading_form=phi,
         section_verdict=section,
         base_locus=base,
-        discrepancy=discrepancy,
-        lefschetz_applicable=k < d,
     )
 
 
@@ -558,61 +507,78 @@ def chart_oracle(
 # divisor-class bookkeeping
 
 
-def adjunction_ledger(scene: Scene, analyses) -> AdjunctionLedger:
-    """Discrepancy of every center computed two independent ways.
+def _divisor_class(*summands) -> dict:
+    """Sum of integer vectors on labelled divisors, as a {label: int} dict
+    with zero entries dropped and keys sorted (the plain report prints it)."""
+    total = Counter()
+    for summand in summands:
+        total.update(summand)
+    return {label: c for label, c in sorted(total.items()) if c}
+
+
+def adjunction_ledger(scene: Scene, analyses) -> dict:
+    """The report's `divisor_classes` section: the discrepancy of every
+    center computed two independent ways.
 
     Route one is the closed formula d - k - 1.  Route two adds honest
     divisor-class vectors: the canonical class of the blow-up picks up
     (d - 1) times each exceptional divisor, the strict transform is the
     pullback of the hypersurface minus k times each exceptional divisor,
-    and adjunction restricts their sum.  Both routes must agree.
+    and adjunction restricts their sum.  The routes must agree, else
+    InternalCheckError.
+
+    Returns `assumes_normal`, the `strict_transform` and `canonical`
+    classes (see `_divisor_class`), and `per_center`, one entry per
+    analysis in order with its codimension, multiplicity, both discrepancy
+    values, `agree`, `crepant` and the codimension-2, k = 1 class identity
+    (None elsewhere).
     """
-    strict = DivisorClass.from_dict(
-        {"pullback:Y": 1, **{exceptional_label(a.center): -a.multiplicity for a in analyses}}
+    labels = [f"E:{a.center.name}" for a in analyses]
+    strict = _divisor_class(
+        {"pullback:Y": 1},
+        {label: -a.multiplicity for label, a in zip(labels, analyses)},
     )
-    blowup_canonical = DivisorClass.from_dict(
-        {"pullback:K_Z": 1, **{exceptional_label(a.center): a.center.codimension - 1 for a in analyses}}
+    blowup_canonical = _divisor_class(
+        {"pullback:K_Z": 1},
+        {label: a.center.codimension - 1 for label, a in zip(labels, analyses)},
     )
-    restricted = blowup_canonical.plus(strict)
-    records = []
-    canonical_coeffs = {"pullback:K_Y": 1}
-    for a in analyses:
-        label = exceptional_label(a.center)
-        by_formula = a.center.codimension - a.multiplicity - 1
-        by_lattice = restricted.coefficient(label)
+    restricted = _divisor_class(blowup_canonical, strict)
+    canonical = {"pullback:K_Y": 1}
+    per_center = []
+    for label, a in zip(labels, analyses):
+        d, k = a.center.codimension, a.multiplicity
+        by_formula = d - k - 1
+        by_lattice = restricted.get(label, 0)
         if by_formula != by_lattice:
             raise InternalCheckError(
                 f"discrepancy mismatch at center {a.center.name!r}: "
                 f"{by_formula} by formula, {by_lattice} by lattice"
             )
-        canonical_coeffs[label] = by_formula
+        canonical[label] = by_formula
         identity = None
-        if a.center.codimension == 2 and a.multiplicity == 1:
+        if d == 2 and k == 1:
             identity = {
                 "lhs": "exceptional divisor of the base locus inside the center",
-                "rhs": {
-                    "pullback:det_conormal": 1,
-                    "pullback:Y": 1,
-                    label: 2 - a.multiplicity,
-                },
+                "rhs": {"pullback:det_conormal": 1, "pullback:Y": 1, label: 2 - k},
             }
-        records.append(
-            DiscrepancyRecord(
-                center=a.center.name,
-                codimension=a.center.codimension,
-                multiplicity=a.multiplicity,
-                by_formula=by_formula,
-                by_lattice=by_lattice,
-                crepant=by_formula == 0,
-                class_identity=identity,
-            )
+        per_center.append(
+            {
+                "center": a.center.name,
+                "codimension": d,
+                "multiplicity": k,
+                "discrepancy_formula": by_formula,
+                "discrepancy_lattice": by_lattice,
+                "agree": True,
+                "crepant": by_formula == 0,
+                "class_identity": identity,
+            }
         )
-    return AdjunctionLedger(
-        records=tuple(records),
-        strict_transform=strict,
-        canonical=DivisorClass.from_dict(canonical_coeffs),
-        assumes_normal=True,
-    )
+    return {
+        "assumes_normal": True,
+        "strict_transform": strict,
+        "canonical": _divisor_class(canonical),
+        "per_center": per_center,
+    }
 
 
 # --------------------------------------------------------------------------

@@ -88,11 +88,6 @@ class Ideal:
             raise StructuralError("a generator-free ideal needs an explicit field")
         object.__setattr__(self, "field", fld)
 
-    def plus(self, *polys: Polynomial) -> "Ideal":
-        """The ideal with extra generators adjoined (zeros are dropped)."""
-        extra = tuple(p for p in polys if not p.is_zero)
-        return Ideal(self.generators + extra, self.nvars, self.field, self.order)
-
     def join(self, other: "Ideal") -> "Ideal":
         if other.nvars != self.nvars or other.field != self.field:
             raise StructuralError("cannot join ideals of different rings")

@@ -13,7 +13,10 @@ two integer literals, where it forms an exact coefficient.  Errors carry
 line and column numbers where a token is at fault.  Integer literals and
 parsed coefficients are limited to the digits Python converts between int
 and str (`sys.get_int_max_str_digits`), so every accepted expression can
-be rendered back.
+be rendered back.  Over QQ every product and every step of a power is
+checked as it is formed: a numerator or denominator longer than 8 bits
+per allowed digit (room for any number of twice the digit limit, since
+10^2 < 2^8) is a ParseError, so no expression grows past that budget.
 
 Inside a `degree_limit` block, a product or power whose degree exceeds the
 bound raises DegreeLimitError before it is expanded.  Over a field the
@@ -95,6 +98,7 @@ class _Parser:
         self.nvars = nvars
         self.field = field
         self.limit = active_degree_limit()
+        self.max_bits = 0 if field.characteristic else 8 * _max_digits()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -114,6 +118,15 @@ class _Parser:
                 f"expression degree {degree} exceeds the degree guardrail "
                 f"({self.limit}) (line {token[2]}, column {token[3]})"
             )
+
+    def checked(self, value: Polynomial, token) -> Polynomial:
+        """`value`, unless a coefficient is over the intermediate budget."""
+        if self.max_bits and any(
+            max(c.numerator.bit_length(), c.denominator.bit_length()) > self.max_bits
+            for _, c in value.terms()
+        ):
+            self.error(f"an intermediate coefficient has more than {self.max_bits} bits", token)
+        return value
 
     def expect(self, kind, message):
         tok = self.peek()
@@ -142,7 +155,7 @@ class _Parser:
             star = self.advance()
             rhs = self.factor()
             self.check_degree(value.total_degree() + rhs.total_degree(), star)
-            value = value * rhs
+            value = self.checked(value * rhs, star)
         return value
 
     def factor(self) -> Polynomial:
@@ -163,7 +176,15 @@ class _Parser:
             self.advance()
             exponent = int(tok[1])
             self.check_degree(base.total_degree() * exponent, caret)
-            return base ** exponent
+            # square-and-multiply, checking every step before the next
+            value = Polynomial.constant(self.field.one, self.nvars, self.field)
+            while exponent:
+                if exponent & 1:
+                    value = self.checked(value * base, caret)
+                exponent >>= 1
+                if exponent:
+                    base = self.checked(base * base, caret)
+            return value
         return base
 
     def atom(self) -> Polynomial:

@@ -55,10 +55,12 @@ def _ledger_sections(analysis: Analysis) -> dict:
     }
 
 
-def _center_section(analysis: Analysis) -> list:
+def _center_section(analysis: Analysis, lefschetz_entries) -> list:
+    """One entry per center; `lefschetz_entries` is the `lefschetz` section."""
     scene = analysis.scene
     out = []
-    for a in analysis.centers:
+    divisors = analysis.ledger["per_center"]
+    for a, divisor, block in zip(analysis.centers, divisors, lefschetz_entries):
         entry = {
             "name": a.center.name,
             "vanishing": [scene.names[i] for i in a.center.vanishing],
@@ -67,8 +69,8 @@ def _center_section(analysis: Analysis) -> list:
             "leading_form": a.leading_form.render(scene.names),
             "section": a.leading_form.render(_section_names(scene, a.center)),
             "section_smooth": _verdict_doc(a.section_verdict, scene),
-            "discrepancy": a.discrepancy,
-            "lefschetz_applicable": a.lefschetz_applicable,
+            "discrepancy": divisor["discrepancy_formula"],
+            "lefschetz_applicable": block["applicable"],
         }
         if a.base_locus is None:
             entry["base_locus"] = {
@@ -89,30 +91,6 @@ def _center_section(analysis: Analysis) -> list:
             }
         out.append(entry)
     return out
-
-
-def _divisor_section(analysis: Analysis) -> dict:
-    ledger = analysis.ledger
-    per_center = []
-    for r in ledger.records:
-        per_center.append(
-            {
-                "center": r.center,
-                "codimension": r.codimension,
-                "multiplicity": r.multiplicity,
-                "discrepancy_formula": r.by_formula,
-                "discrepancy_lattice": r.by_lattice,
-                "agree": r.by_formula == r.by_lattice,
-                "crepant": r.crepant,
-                "class_identity": r.class_identity,
-            }
-        )
-    return {
-        "assumes_normal": ledger.assumes_normal,
-        "strict_transform": ledger.strict_transform.as_dict(),
-        "canonical": ledger.canonical.as_dict(),
-        "per_center": per_center,
-    }
 
 
 def _charts_section(analysis: Analysis) -> list:
@@ -154,9 +132,11 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
         report["verdicts"] = {"chart_oracle": _verdict_doc(analysis.oracle, scene)}
         report["charts"] = _charts_section(analysis)
         return report
+    ledgers = _ledger_sections(analysis)
+    centers = _center_section(analysis, ledgers["lefschetz"])
     if command == "sod":
-        report["centers"] = _center_section(analysis)
-        report.update(_ledger_sections(analysis))
+        report["centers"] = centers
+        report.update(ledgers)
         return report
 
     base_route = analysis.base_locus_route
@@ -171,7 +151,7 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
     report.update(
         {
             "notes": list(analysis.notes),
-            "centers": _center_section(analysis),
+            "centers": centers,
             "verdicts": {
                 "singular_locus_in_centers": _verdict_doc(
                     analysis.singular_containment, scene
@@ -181,9 +161,9 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
                 "chart_oracle": _verdict_doc(analysis.oracle, scene),
                 "consistent": analysis.consistent,
             },
-            "divisor_classes": _divisor_section(analysis),
+            "divisor_classes": analysis.ledger,
             "charts": _charts_section(analysis),
-            **_ledger_sections(analysis),
+            **ledgers,
         }
     )
     return report

@@ -210,9 +210,6 @@ def fixture_suite():
                 problems.append("base-locus route mismatch")
         if not analysis.consistent:
             problems.append("routes inconsistent")
-        for record in analysis.ledger.records:
-            if record.by_formula != record.by_lattice:
-                problems.append("discrepancy routes disagree")
         yield fixture.name, not problems, "; ".join(problems)
 
 

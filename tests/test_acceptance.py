@@ -63,7 +63,7 @@ def test_criterion_1_pairing_subspace_centers():
         assert analysis.base_locus_route.status is Status.SMOOTH
         assert analysis.section_route.status is Status.SMOOTH
         assert analysis.oracle.status is Status.SMOOTH
-        assert analysis.ledger.strict_transform.as_dict() == {
+        assert analysis.ledger["strict_transform"] == {
             "pullback:Y": 1,
             "E:X": -1,
         }
@@ -80,12 +80,12 @@ def test_criterion_2_pairing_origin_centers():
         assert a.section_verdict.status is Status.SMOOTH  # the quadric section
         assert analysis.section_route.status is Status.SMOOTH
         assert analysis.oracle.status is Status.SMOOTH
-        assert analysis.ledger.strict_transform.as_dict() == {
+        assert analysis.ledger["strict_transform"] == {
             "pullback:Y": 1,
             "E:O": -2,
         }
-        record = analysis.ledger.records[0]
-        assert record.by_formula == 2 * n - 3 == record.by_lattice
+        record = analysis.ledger["per_center"][0]
+        assert record["discrepancy_formula"] == 2 * n - 3 == record["discrepancy_lattice"]
     elapsed = time.monotonic() - start
     _report(2, elapsed < 10.0, f"n=1,2,3 exact, {elapsed:.2f}s < 10s")
 
@@ -135,8 +135,8 @@ def test_criterion_5_equivalence_100_scenes():
 def test_criterion_6_adjunction_ledger():
     for fixture in FIXTURES:
         analysis = analyze(fixture.build())
-        for record in analysis.ledger.records:
-            assert record.by_formula == record.by_lattice, fixture.name
+        for record in analysis.ledger["per_center"]:
+            assert record["discrepancy_formula"] == record["discrepancy_lattice"], fixture.name
     rng = random.Random(99)
     checked = 0
     while checked < 25:
@@ -146,11 +146,11 @@ def test_criterion_6_adjunction_ledger():
         except Exception:
             continue
         analysis = analyze(scene)
-        for record in analysis.ledger.records:
-            assert record.by_formula == record.by_lattice
+        for record in analysis.ledger["per_center"]:
+            assert record["discrepancy_formula"] == record["discrepancy_lattice"]
         checked += 1
     analysis = analyze(pairing_scene(2, "origin"))
-    assert analysis.ledger.records[0].by_formula == 1
+    assert analysis.ledger["per_center"][0]["discrepancy_formula"] == 1
     _report(6, True, "formula == lattice everywhere; origin-center n=2 gives a=1")
 
 

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from strictsmooth.errors import SceneError, StructuralError
+from strictsmooth import geometry
+from strictsmooth.errors import InternalCheckError, SceneError, StructuralError
 from strictsmooth.geometry import (
     Center,
-    DivisorClass,
     Scene,
     Status,
     adjunction_ledger,
@@ -21,6 +21,7 @@ from strictsmooth.geometry import (
 )
 from strictsmooth.groebner import Ideal, krull_dimension, radical_membership
 from strictsmooth.poly import Polynomial
+from strictsmooth.report import build_report
 from strictsmooth.scalars import QQ, PrimeField
 from strictsmooth.selftest import (
     FIXTURES,
@@ -397,7 +398,7 @@ def test_analyze_pairing_case_one():
     assert analysis.base_locus_route.status is Status.SMOOTH
     assert analysis.oracle.status is Status.SMOOTH
     assert analysis.consistent
-    assert analysis.ledger.strict_transform.as_dict() == {"pullback:Y": 1, "E:X": -1}
+    assert analysis.ledger["strict_transform"] == {"pullback:Y": 1, "E:X": -1}
 
 
 def test_analyze_pairing_case_two():
@@ -407,7 +408,7 @@ def test_analyze_pairing_case_two():
     assert analysis.section_route.status is Status.SMOOTH
     assert analysis.base_locus_route is None
     assert analysis.oracle.status is Status.SMOOTH
-    assert analysis.ledger.strict_transform.as_dict() == {"pullback:Y": 1, "E:O": -2}
+    assert analysis.ledger["strict_transform"] == {"pullback:Y": 1, "E:O": -2}
 
 
 def test_analyze_cusp_sufficiency_only():
@@ -456,29 +457,29 @@ def test_analyze_fixture_corpus():
 
 def test_discrepancy_examples():
     analysis = analyze(pairing_scene(2, "origin"))
-    record = analysis.ledger.records[0]
-    assert record.codimension == 4 and record.multiplicity == 2
-    assert record.by_formula == 1 == record.by_lattice
+    record = analysis.ledger["per_center"][0]
+    assert record["codimension"] == 4 and record["multiplicity"] == 2
+    assert record["discrepancy_formula"] == 1 == record["discrepancy_lattice"]
 
     for n in (1, 2, 3):
         analysis = analyze(pairing_scene(n, "subspace"))
-        record = analysis.ledger.records[0]
-        assert record.by_formula == n - 2 == record.by_lattice
-        assert record.crepant == (n == 2)
+        record = analysis.ledger["per_center"][0]
+        assert record["discrepancy_formula"] == n - 2 == record["discrepancy_lattice"]
+        assert record["crepant"] == (n == 2)
 
 
 def test_crepant_case_d2_k1_has_class_identity():
     analysis = analyze(pairing_scene(1, "subspace"))
-    record = analysis.ledger.records[0]
-    assert record.codimension == 1  # d = 1: no identity
-    assert record.class_identity is None
+    record = analysis.ledger["per_center"][0]
+    assert record["codimension"] == 1  # d = 1: no identity
+    assert record["class_identity"] is None
 
     analysis = analyze(pairing_scene(2, "subspace"))
-    record = analysis.ledger.records[0]
-    assert record.codimension == 2 and record.multiplicity == 1
-    assert record.crepant
-    assert record.class_identity is not None
-    assert record.class_identity["rhs"] == {
+    record = analysis.ledger["per_center"][0]
+    assert record["codimension"] == 2 and record["multiplicity"] == 1
+    assert record["crepant"]
+    assert record["class_identity"] is not None
+    assert record["class_identity"]["rhs"] == {
         "pullback:det_conormal": 1,
         "pullback:Y": 1,
         "E:X": 1,
@@ -486,12 +487,29 @@ def test_crepant_case_d2_k1_has_class_identity():
 
 
 def test_divisor_class_lattice_arithmetic():
-    a = DivisorClass.from_dict({"pullback:K_Z": 1, "E:C": 3})
-    b = DivisorClass.from_dict({"pullback:Y": 1, "E:C": -1})
-    total = a.plus(b)
-    assert total.coefficient("E:C") == 2
-    assert total.coefficient("pullback:K_Z") == 1
-    assert total.coefficient("missing") == 0
+    # crepant: the zero E:X coefficient is dropped from the canonical class
+    ledger = analyze(pairing_scene(2, "subspace")).ledger
+    assert ledger["assumes_normal"] is True
+    assert ledger["strict_transform"] == {"E:X": -1, "pullback:Y": 1}
+    assert ledger["canonical"] == {"pullback:K_Y": 1}
+    ledger = analyze(pairing_scene(2, "origin")).ledger
+    assert ledger["canonical"] == {"E:O": 1, "pullback:K_Y": 1}
+    for fixture in FIXTURES:
+        ledger = analyze(fixture.build()).ledger
+        for key in ("strict_transform", "canonical"):
+            cls = ledger[key]
+            assert list(cls) == sorted(cls), (fixture.name, key)
+            assert all(isinstance(c, int) and c != 0 for c in cls.values())
+
+
+def test_adjunction_ledger_raises_when_routes_disagree(monkeypatch):
+    scene = pairing_scene(2, "origin")  # discrepancy 1
+    analyses = tuple(analyze_center(scene, c) for c in scene.centers)
+    real = geometry._divisor_class
+    # a lattice sum that drops every summand but the first loses the E:O terms
+    monkeypatch.setattr(geometry, "_divisor_class", lambda *summands: real(summands[0]))
+    with pytest.raises(InternalCheckError, match="1 by formula, 0 by lattice"):
+        adjunction_ledger(scene, analyses)
 
 
 def test_discrepancy_routes_agree_on_random_scenes():
@@ -504,8 +522,30 @@ def test_discrepancy_routes_agree_on_random_scenes():
             continue
         analyses = tuple(analyze_center(scene, c) for c in scene.centers)
         ledger = adjunction_ledger(scene, analyses)
-        for record in ledger.records:
-            assert record.by_formula == record.by_lattice
+        for record in ledger["per_center"]:
+            assert record["discrepancy_formula"] == record["discrepancy_lattice"]
+            assert record["agree"] is True
+
+
+def test_center_entries_read_the_ledgers():
+    scenes = [fixture.build() for fixture in FIXTURES]
+    rng = random.Random(31)
+    while len(scenes) < len(FIXTURES) + 20:
+        scene = random_scene(rng)
+        try:
+            scene.validate()
+        except SceneError:
+            continue
+        scenes.append(scene)
+    for scene in scenes:
+        report = build_report(analyze(scene))
+        entries = zip(report["centers"], report["divisor_classes"]["per_center"],
+                      report["lefschetz"])
+        for center, divisor, block in entries:
+            d, k = center["codimension"], center["multiplicity"]
+            assert center["discrepancy"] == divisor["discrepancy_formula"] == d - k - 1
+            assert center["lefschetz_applicable"] == block["applicable"] == (k < d)
+        assert len(report["centers"]) == len(scene.centers)
 
 
 # ----- the two big property suites (trimmed versions; full runs in acceptance) ------

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -141,9 +142,26 @@ def test_overlong_parsed_coefficient_is_a_parse_error(max_digits):
         with pytest.raises(ParseError, match="coefficient has more than") as err:
             parse(text)
         assert err.value.line is None
-    # only the parsed result is checked, not the intermediate values
+    # the digit limit holds for the parsed result; intermediate values only
+    # need to fit the larger budget below, so they may cancel
     assert parse("x1*y1 + 3^20000*x1^2 - 3^20000*x1^2") == parse("x1*y1")
     assert sys.get_int_max_str_digits() == max_digits
+
+
+def test_coefficient_budget_stops_growth_as_it_is_formed(max_digits):
+    hostile = (
+        "x1 + 3^4000000",
+        "x1 + (2/3)^2000000",
+        "x1 + " + "*".join(["3^9000"] * 800),
+        "(x1 + 3^9000)^64",
+    )
+    for text in hostile:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"more than {8 * max_digits} bits"):
+            parse(text)
+        assert time.perf_counter() - start < 1.0, text
+    # GF(p) coefficients are bounded by p, so no budget applies
+    assert parse("x1 + 3^4000000", field=PrimeField(5)) == parse("x1 + 1", field=PrimeField(5))
 
 
 def random_poly(rng, nvars, field=QQ):
