@@ -516,7 +516,7 @@ def _divisor_class(*summands) -> dict:
     return {label: c for label, c in sorted(total.items()) if c}
 
 
-def adjunction_ledger(scene: Scene, analyses) -> dict:
+def adjunction_ledger(analyses) -> dict:
     """The report's `divisor_classes` section: the discrepancy of every
     center computed two independent ways.
 
@@ -649,7 +649,7 @@ def analyze(scene: Scene) -> Analysis:
                 f"from characteristic-zero behaviour"
             )
 
-    ledger = adjunction_ledger(scene, analyses)
+    ledger = adjunction_ledger(analyses)
     return Analysis(
         scene=scene,
         centers=analyses,

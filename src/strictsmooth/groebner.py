@@ -15,6 +15,18 @@ element keeps its leading monomial, and each critical pair keeps its lcm
 and that lcm's key.  These are caches of pure functions of the exponent
 tuples, so the basis, the pair order and every result are the same with
 or without them.
+
+Critical-pair maintenance tests divisibility behind short exponent
+vectors (Bachmann & Schönemann, ISSAC 1998; the pair criteria are
+Gebauer & Möller's, JSC 6, 1988).  Each basis element keeps a bit mask of
+its leading monomial and each pair the mask of its lcm, which is the OR
+of two masks.  A failed mask subset test proves non-divisibility with one
+`&`; only when it passes does the exact test `_divides_t` run, since
+exponents above `_MASK_CAP` are not visible in the mask.  Coprimality is
+exact on the masks alone.  The seed interreduction returns as soon as a
+constant appears, since the ideal is then the unit ideal.
+`power_ideal` builds each k-fold product from its (k-1)-fold prefix, in
+the generator order of `combinations_with_replacement`.
 """
 
 from __future__ import annotations
@@ -31,6 +43,9 @@ from .poly import GREVLEX, MonomialOrder, Polynomial
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
+
+# exponent levels per variable in a divisibility mask (see `_mask_t`)
+_MASK_CAP = 4
 
 
 @contextmanager
@@ -129,6 +144,23 @@ def _divides_t(a, b):
     return all(map(le, a, b))
 
 
+def _mask_t(a):
+    """Short exponent vector of `a`: bit i*_MASK_CAP + j is set when a[i] > j.
+
+    If a divides b then `_mask_t(a)` is a subset of `_mask_t(b)`, the mask
+    of an lcm is the OR of the two masks, and two monomials are coprime
+    exactly when their masks share no bit of `_mask_t((1,) * nvars)`.  A
+    subset test therefore settles most non-divisibility with one `&`; when
+    it passes, `_divides_t` decides, since exponents above the cap are
+    not seen by the mask.
+    """
+    m = 0
+    for i, e in enumerate(a):
+        if e:
+            m |= ((1 << min(e, _MASK_CAP)) - 1) << (i * _MASK_CAP)
+    return m
+
+
 def _lcm_t(a, b):
     return tuple(map(max, a, b))
 
@@ -141,11 +173,10 @@ def _check_degree(poly_dict, limit):
             )
 
 
-def _lead_monic(d, keyf):
+def _lead_monic(d, keyf, one):
     """(leading monomial, d scaled to leading coefficient one)."""
     lm = max(d, key=keyf)
     lc = d[lm]
-    one = lc / lc
     if lc == one:
         return lm, d
     return lm, {m: c / lc for m, c in d.items()}
@@ -198,46 +229,60 @@ def _spoly_t(p, q, lmp, lmq):
 
 def _update(G, B, ih, lms, keyf):
     # critical-pair maintenance with the coprime and chain criteria,
-    # following Becker-Weispfenning p. 230.  A critical pair is the tuple
-    # (order key of its lcm, i, j, lcm), so min(B) is the normal strategy
-    # with ties broken on (i, j).
-    mh = lms[ih]
+    # following Becker-Weispfenning p. 230.  lms[i] is the (leading
+    # monomial, mask) pair of basis element i.  A critical pair is the
+    # tuple (order key of its lcm, i, j, lcm, lcm mask), so min(B) is the
+    # normal strategy with ties broken on (i, j).  Each divisibility test
+    # checks the masks first and calls `_divides_t` only when they pass.
+    mh, bh = lms[ih]
+    low = _mask_t((1,) * len(mh))
     C = sorted(G)
-    lcms = [_lcm_t(mh, lms[ig]) for ig in C]
-    D = []  # (ig, lcm, coprime) for the pairs (ih, ig) that survive
+    lcms = [(_lcm_t(mh, lms[ig][0]), bh | lms[ig][1]) for ig in C]
+    D = []  # (ig, lcm, lcm mask, coprime) for the pairs (ih, ig) that survive
     for t, ig in enumerate(C):
-        lcm_hg = lcms[t]
-        coprime = _mul_t(mh, lms[ig]) == lcm_hg
+        lcm_hg, b_hg = lcms[t]
+        coprime = not bh & lms[ig][1] & low
         if coprime or not (
-            any(_divides_t(l, lcm_hg) for l in lcms[t + 1:])
-            or any(_divides_t(l, lcm_hg) for _, l, _ in D)
+            any(b & b_hg == b and _divides_t(l, lcm_hg) for l, b in lcms[t + 1:])
+            or any(b & b_hg == b and _divides_t(l, lcm_hg) for _, l, b, _ in D)
         ):
-            D.append((ig, lcm_hg, coprime))
+            D.append((ig, lcm_hg, b_hg, coprime))
     B_new = set()
     for pair in B:
-        _, i, j, lcm_ij = pair
+        _, i, j, lcm_ij, b_ij = pair
         if (
-            not _divides_t(mh, lcm_ij)
-            or _lcm_t(lms[i], mh) == lcm_ij
-            or _lcm_t(lms[j], mh) == lcm_ij
+            b_ij & bh != bh
+            or not _divides_t(mh, lcm_ij)
+            or _lcm_t(lms[i][0], mh) == lcm_ij
+            or _lcm_t(lms[j][0], mh) == lcm_ij
         ):
             B_new.add(pair)
-    B_new.update((keyf(l), ih, ig, l) for ig, l, coprime in D if not coprime)
-    G_new = {g for g in G if not _divides_t(mh, lms[g])}
+    B_new.update((keyf(l), ih, ig, l, b) for ig, l, b, coprime in D if not coprime)
+    G_new = {g for g in G if lms[g][1] & bh != bh or not _divides_t(mh, lms[g][0])}
     G_new.add(ih)
     return G_new, B_new
 
 
-def _interreduce_seed(gens, keyf):
-    """Monic (lm, dict) pairs, each reduced against the ones before it."""
-    f1 = [_lead_monic(g, keyf) for g in gens if g]
+def _interreduce_seed(gens, keyf, one):
+    """Monic (lm, dict) pairs, each reduced against the ones before it.
+
+    A constant leading monomial, in the input or after a reduction, ends
+    the work at once: the ideal is the unit ideal, and that one pair is
+    returned.
+    """
+    f1 = [_lead_monic(g, keyf, one) for g in gens if g]
+    for pair in f1:
+        if not any(pair[0]):
+            return [pair]
     while True:
         f = f1
         f1 = []
         for i, (_, p) in enumerate(f):
             r = _reduce(p, f[:i], keyf) if i else p
             if r:
-                f1.append(_lead_monic(r, keyf))
+                f1.append(_lead_monic(r, keyf, one))
+                if not any(f1[-1][0]):
+                    return f1[-1:]
         if f == f1:
             return f
 
@@ -248,11 +293,11 @@ def _unit_basis(nvars, one):
 
 def _reducers(G, lms, polys, keyf):
     """The (lm, dict) pairs of G, ascending in the order, ties on index."""
-    return [(lms[g], polys[g]) for g in sorted(G, key=lambda g: (keyf(lms[g]), g))]
+    return [(lms[g][0], polys[g]) for g in sorted(G, key=lambda g: (keyf(lms[g][0]), g))]
 
 
 def _buchberger(gens, keyf, nvars, one, limit):
-    f = _interreduce_seed(gens, keyf)
+    f = _interreduce_seed(gens, keyf, one)
     if not f:
         return []
     for lm, p in f:
@@ -260,30 +305,30 @@ def _buchberger(gens, keyf, nvars, one, limit):
         if not any(lm):
             return _unit_basis(nvars, one)
 
-    lms = [lm for lm, _ in f]
+    lms = [(lm, _mask_t(lm)) for lm, _ in f]
     polys = [p for _, p in f]
     G: set = set()
     CP: set = set()
-    for ih in sorted(range(len(polys)), key=lambda i: (keyf(lms[i]), i)):
+    for ih in sorted(range(len(polys)), key=lambda i: (keyf(lms[i][0]), i)):
         G, CP = _update(G, CP, ih, lms, keyf)
     reducers = _reducers(G, lms, polys, keyf)
 
     while CP:
         pair = min(CP)
         CP.remove(pair)
-        _, i, j, _ = pair
-        s = _spoly_t(polys[i], polys[j], lms[i], lms[j])
+        _, i, j, _, _ = pair
+        s = _spoly_t(polys[i], polys[j], lms[i][0], lms[j][0])
         if not s:
             continue
         r = _reduce(s, reducers, keyf)
         if not r:
             continue
         _check_degree(r, limit)
-        lm_r, r = _lead_monic(r, keyf)
+        lm_r, r = _lead_monic(r, keyf, one)
         if not any(lm_r):
             return _unit_basis(nvars, one)
         polys.append(r)
-        lms.append(lm_r)
+        lms.append((lm_r, _mask_t(lm_r)))
         G, CP = _update(G, CP, len(polys) - 1, lms, keyf)
         reducers = _reducers(G, lms, polys, keyf)
 
@@ -291,7 +336,7 @@ def _buchberger(gens, keyf, nvars, one, limit):
     for t, (_, p) in enumerate(reducers):
         r = _reduce(p, reducers[:t] + reducers[t + 1:], keyf)
         if r:
-            out.append(_lead_monic(r, keyf)[1])
+            out.append(_lead_monic(r, keyf, one)[1])
     out.sort(key=lambda p: keyf(max(p, key=keyf)), reverse=True)
     return out
 
@@ -402,8 +447,9 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     if p.is_zero or q.is_zero:
         raise StructuralError("S-polynomial of a zero polynomial")
-    lmp, dp = _lead_monic(p._terms, order.key)
-    lmq, dq = _lead_monic(q._terms, order.key)
+    one = p.field.one
+    lmp, dp = _lead_monic(p._terms, order.key, one)
+    lmq, dq = _lead_monic(q._terms, order.key, one)
     return Polynomial(p.nvars, p.field, _spoly_t(dp, dq, lmp, lmq))
 
 
@@ -413,13 +459,14 @@ def power_ideal(ideal: Ideal, k: int) -> Ideal:
         raise StructuralError("ideal power requires k >= 1")
     if k == 1:
         return ideal
-    gens = []
-    for combo in itertools.combinations_with_replacement(ideal.generators, k):
-        prod = combo[0]
-        for g in combo[1:]:
-            prod = prod * g
-        gens.append(prod)
-    return Ideal(tuple(gens), ideal.nvars, ideal.field, ideal.order)
+    # each level extends every product of the level before by each generator
+    # from its last one on: the order of combinations_with_replacement, with
+    # the same left-to-right products, and one multiplication per product
+    gens = ideal.generators
+    prods = list(enumerate(gens))  # (index of the last generator, product)
+    for _ in range(k - 1):
+        prods = [(j, p * gens[j]) for i, p in prods for j in range(i, len(gens))]
+    return Ideal(tuple(p for _, p in prods), ideal.nvars, ideal.field, ideal.order)
 
 
 def ideal_power_membership(p: Polynomial, ideal: Ideal, k: int) -> bool:

@@ -10,7 +10,7 @@ monomial order, so the text form is deterministic.
 
 from __future__ import annotations
 
-from operator import add, le, sub
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import StructuralError
@@ -70,7 +70,7 @@ class Monomial(tuple):
 
 
 def _grevlex_key(exps):
-    return sum(exps), tuple(-e for e in reversed(exps))
+    return sum(exps), tuple(map(neg, reversed(exps)))
 
 
 class MonomialOrder:

@@ -76,6 +76,30 @@ def naive_groebner(generators, order=GREVLEX, max_steps=2000):
     return basis
 
 
+def naive_reduced_basis(generators, order=GREVLEX, max_steps=2000):
+    """The reduced Groebner basis, from `naive_groebner` by the textbook steps.
+
+    Make every element monic, drop each element whose leading monomial is
+    divisible by that of another (of two equal ones the first stays), then
+    replace each survivor by its remainder against the others.
+    """
+    basis = naive_groebner(list(generators), order, max_steps)
+    monic = [g * (g.field.one / g.coefficient(_lead(g, order))) for g in basis]
+    leads = [_lead(g, order) for g in monic]
+    minimal = [
+        g
+        for i, g in enumerate(monic)
+        if not any(
+            leads[j].divides(leads[i]) and (leads[j] != leads[i] or j < i)
+            for j in range(len(monic))
+            if j != i
+        )
+    ]
+    return [
+        divide(g, [h for h in minimal if h is not g], order) for g in minimal
+    ]
+
+
 def naive_member(p, basis, order=GREVLEX, permutation_cap=720):
     """Membership by division against every ordering of the basis.
 

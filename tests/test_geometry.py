@@ -509,7 +509,7 @@ def test_adjunction_ledger_raises_when_routes_disagree(monkeypatch):
     # a lattice sum that drops every summand but the first loses the E:O terms
     monkeypatch.setattr(geometry, "_divisor_class", lambda *summands: real(summands[0]))
     with pytest.raises(InternalCheckError, match="1 by formula, 0 by lattice"):
-        adjunction_ledger(scene, analyses)
+        adjunction_ledger(analyses)
 
 
 def test_discrepancy_routes_agree_on_random_scenes():
@@ -521,7 +521,7 @@ def test_discrepancy_routes_agree_on_random_scenes():
         except SceneError:
             continue
         analyses = tuple(analyze_center(scene, c) for c in scene.centers)
-        ledger = adjunction_ledger(scene, analyses)
+        ledger = adjunction_ledger(analyses)
         for record in ledger["per_center"]:
             assert record["discrepancy_formula"] == record["discrepancy_lattice"]
             assert record["agree"] is True

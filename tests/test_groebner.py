@@ -1,9 +1,13 @@
+import hashlib
+import importlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from strictsmooth.errors import DegreeLimitError, StructuralError
+from strictsmooth.geometry import Center, Scene, analyze
 from strictsmooth.groebner import (
     GroebnerBasis,
     Ideal,
@@ -20,7 +24,9 @@ from strictsmooth.groebner import (
     radical_membership,
     spolynomial,
 )
-from strictsmooth.poly import BlockOrder, Monomial, Polynomial
+from strictsmooth.parsing import parse_expression
+from strictsmooth.poly import GREVLEX, BlockOrder, Monomial, Polynomial
+from strictsmooth.report import build_report, render_structured
 from strictsmooth.scalars import QQ, ModularInt, PrimeField
 
 from _naive import (
@@ -29,7 +35,11 @@ from _naive import (
     naive_is_empty,
     naive_krull_dimension,
     naive_member,
+    naive_reduced_basis,
 )
+
+# the kernel module itself: the package re-exports its `groebner` function
+kernel = importlib.import_module("strictsmooth.groebner")
 
 
 def variables(nvars):
@@ -417,6 +427,145 @@ def test_membership_and_emptiness_agree_with_naive_oracle():
         for p in (combo, probe):
             assert gb.contains(p) == naive_member(p, naive)
         checked += 1
+
+
+# ----- monomial bookkeeping: masks, the unit exit, ideal powers ----------------
+
+
+def test_divisibility_masks():
+    cap = kernel._MASK_CAP
+    mask = kernel._mask_t
+    rng = random.Random(4)
+    for _ in range(2000):
+        nvars = rng.randint(1, 5)
+        a, b = (tuple(rng.randint(0, 3 * cap) for _ in range(nvars)) for _ in "ab")
+        low = mask((1,) * nvars)
+        lcm = tuple(map(max, a, b))
+        multiple = tuple(e + rng.randint(0, cap) for e in a)
+        # a true divisor always passes the mask
+        assert mask(a) & mask(multiple) == mask(a)
+        assert mask(a) & mask(lcm) == mask(a)
+        assert mask(lcm) == mask(a) | mask(b)
+        coprime = tuple(map(sum, zip(a, b))) == lcm
+        assert (not mask(a) & mask(b) & low) == coprime
+        # with no exponent above the cap the mask decides divisibility alone
+        small = tuple(min(e, cap) for e in a)
+        assert (mask(small) & mask(b) == mask(small)) == kernel._divides_t(small, b)
+
+
+def sparse_poly(rng, nvars, fld, top):
+    """One to three terms with exponents up to `top`, nonzero coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = Monomial(rng.randint(0, top) for _ in range(nvars))
+        terms[exps] = fld.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return Polynomial(nvars, fld, terms)
+
+
+def rabinowitsch(gens, g):
+    """The ideal of the radical test for g: gens and 1 - t*g in one more variable."""
+    n = g.nvars
+    t = Polynomial.variable(n, n + 1, g.field)
+    one = Polynomial.constant(g.field.one, n + 1, g.field)
+    return tuple(p.extended(n + 1) for p in gens) + (one - t * g.extended(n + 1),)
+
+
+def term_sets(polys):
+    return {frozenset(p.terms()) for p in polys}
+
+
+@pytest.mark.parametrize(
+    "fld", [QQ, PrimeField(7), PrimeField(32003)], ids=["QQ", "GF7", "GF32003"]
+)
+def test_reduced_basis_matches_naive_above_the_mask_cap(fld):
+    rng = random.Random(91)
+    top = kernel._MASK_CAP + 2
+    x, y = (Polynomial.variable(i, 2, fld) for i in range(2))
+    cases = [
+        (x**6 - y, x * y**5 - x),
+        # g lies in the radical: the seed reduces 1 - t*g to a constant
+        rabinowitsch((x, y), x + y),
+        # g lies in the radical, and the unit comes out of the pair loop
+        rabinowitsch((x**5, y**6 - x), x),
+        rabinowitsch((x**5 - y**6, y**5), y),
+        rabinowitsch(((x**2 + y) ** 3 * y,), (x**2 + y) * y),
+    ]
+    for gens in cases:
+        got = groebner(Ideal(gens, gens[0].nvars, fld)).basis
+        assert term_sets(got) == term_sets(naive_reduced_basis(gens, max_steps=60)), gens
+    checked = 0
+    while checked < 15:
+        nvars = rng.choice((2, 3))
+        gens = [sparse_poly(rng, nvars, fld, top) for _ in range(rng.randint(1, 3))]
+        gens = tuple(g for g in gens if not g.is_zero)
+        try:
+            want = naive_reduced_basis(gens, max_steps=60)
+        except RuntimeError:
+            continue  # the naive Buchberger ran out of steps
+        got = groebner(Ideal(gens, nvars, fld)).basis
+        assert term_sets(got) == term_sets(want), gens
+        checked += 1
+
+
+def test_seed_ends_at_the_first_constant(monkeypatch):
+    x, y, t = variables(3)
+    keyf = kernel._KeyMemo(GREVLEX).__getitem__
+    one = QQ.one
+    reduced = []
+    real = kernel._reduce
+    monkeypatch.setattr(kernel, "_reduce", lambda p, *rest: reduced.append(p) or real(p, *rest))
+    # 1 - t*x reduces to 1 against x; the last generator is never reduced
+    gens = [g._terms for g in (x, y, 1 - t * x, t**2 * y + x**3)]
+    assert kernel._interreduce_seed(gens, keyf, one) == [((0, 0, 0), {(0, 0, 0): one})]
+    assert len(reduced) == 2
+    # a constant generator ends the work before any reduction
+    reduced.clear()
+    gens = [g._terms for g in (x + y, 2 + 0 * x, y)]
+    assert kernel._interreduce_seed(gens, keyf, one) == [((0, 0, 0), {(0, 0, 0): one})]
+    assert reduced == []
+
+
+def test_power_ideal_keeps_the_generator_order():
+    rng = random.Random(12)
+    fld = PrimeField(32003)
+    x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
+    tuples = [
+        (x, y, z),  # monomial
+        (x * y, y**2, x**3 * z),
+        (x + y, x * z - y**2, z**3 + 1),  # non-monomial
+        (x - y, x - y, y * z),  # a repeated generator
+    ]
+    for _ in range(6):
+        gens = (field_poly(rng, 3, fld, 3, 3) for _ in range(rng.randint(1, 4)))
+        tuples.append(tuple(g for g in gens if not g.is_zero) or (x,))
+    for gens in tuples:
+        ideal = Ideal(gens, 3, fld)
+        for k in range(1, 5):
+            want = []
+            for combo in itertools.combinations_with_replacement(gens, k):
+                prod = combo[0]
+                for g in combo[1:]:
+                    prod = prod * g
+                want.append(prod)
+            assert power_ideal(ideal, k).generators == tuple(want)
+
+
+# the quintic-5 scene of the hard-scenes benchmark, and the sha256 of its
+# structured report; kernel bookkeeping must leave those bytes as they are
+QUINTIC = "a^5 + b^5 + c^5 + d^5 + e^5 + a*b*c*d*e"
+QUINTIC_REPORT_SHA256 = "0da304999e3d15bf2fd9e2d82259af833983796d081b89a5c13cb08f9ba00a3a"
+
+
+def test_quintic_exact_divisibility_tests_are_few(monkeypatch):
+    names = tuple("abcde")
+    scene = Scene(5, names, parse_expression(QUINTIC, names, QQ), (Center("O", tuple(range(5))),))
+    calls = []
+    real = kernel._divides_t
+    monkeypatch.setattr(kernel, "_divides_t", lambda a, b: calls.append(1) or real(a, b))
+    text = render_structured(build_report(analyze(scene)))
+    # 178,505 exact tests before the masks, 32,410 with them
+    assert 0 < len(calls) <= 50_000
+    assert hashlib.sha256(text.encode()).hexdigest() == QUINTIC_REPORT_SHA256
 
 
 # ----- agreement with sympy --------------------------------------------------------
