@@ -2,10 +2,9 @@
 
 The kernel is a Buchberger loop with the normal pair-selection strategy and
 the coprime / chain criteria (critical-pair bookkeeping after Becker &
-Weispfenning, p. 230).  It works on term maps keyed by exponent tuples:
-it reads the term map of each input :class:`Polynomial` in place, never
-writes into it, and hands the term maps it builds to the Polynomial
-constructor, so nothing is converted at the boundary.  Tie-breaking is
+Weispfenning, p. 230).  It works on term maps keyed by exponent tuples,
+the keys of each input :class:`Polynomial`'s term map, which it never
+writes into; only the coefficients are converted (see below).  Tie-breaking is
 lexicographic on internal indices everywhere, so results are reproducible
 bit for bit.
 
@@ -25,6 +24,24 @@ of two masks.  A failed mask subset test proves non-divisibility with one
 exponents above `_MASK_CAP` are not visible in the mask.  Coprimality is
 exact on the masks alone.  The seed interreduction returns as soon as a
 constant appears, since the ideal is then the unit ideal.
+
+Coefficients in the kernel are plain Python ints.  `groebner` converts
+each generator once on entry: over GF(p) to its residues (`c.value`),
+over QQ to its primitive integer multiple (denominators cleared with
+their lcm, content divided out).  The kernel works up to units, so every
+polynomial it keeps is normalized: monic over GF(p), primitive with a
+positive leading coefficient over QQ.  A reduction step over GF(p) is
+`(cur - c*bc) % p`.  Over QQ it is fraction-free: with g = gcd(c, lb),
+the work and the remainder found so far are multiplied by lb // g and
+(c // g) times the shifted reducer is subtracted; an S-polynomial
+cross-multiplies the two leading coefficients.  Each element of the
+reduced basis is converted back once on exit: over QQ to monic
+Fractions, over GF(p) through the Polynomial constructor.  Since reduced
+bases are unique and pair selection reads only leading monomials, the
+pair sequence and the basis are those of field arithmetic.
+`normal_form` over QQ passes the monic Fraction basis through the same
+loop, where no step scales, so its remainder is exact.
+
 `power_ideal` builds each k-fold product from its (k-1)-fold prefix, in
 the generator order of `combinations_with_replacement`.
 """
@@ -35,6 +52,8 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Callable, Optional, Sequence
 
@@ -173,17 +192,49 @@ def _check_degree(poly_dict, limit):
             )
 
 
-def _lead_monic(d, keyf, one):
-    """(leading monomial, d scaled to leading coefficient one)."""
+def _kernel_terms(terms, p):
+    """The kernel's int term map of a Polynomial's term map.
+
+    Over GF(p) the residues.  Over QQ the primitive integer multiple: the
+    denominators cleared with their lcm, then the content divided out.
+    """
+    if p:
+        return {m: c.value for m, c in terms.items()}
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    content = gcd(*ints.values())
+    return {m: c // content for m, c in ints.items()} if content > 1 else ints
+
+
+def _normalize(d, keyf, p):
+    """(leading monomial, d normalized): monic over GF(p); over QQ
+    primitive with a positive leading coefficient."""
     lm = max(d, key=keyf)
     lc = d[lm]
-    if lc == one:
+    if p:
+        if lc == 1:
+            return lm, d
+        inv = pow(lc, -1, p)
+        return lm, {m: c * inv % p for m, c in d.items()}
+    content = gcd(*d.values())
+    if lc < 0:
+        content = -content
+    if content == 1:
         return lm, d
-    return lm, {m: c / lc for m, c in d.items()}
+    return lm, {m: c // content for m, c in d.items()}
 
 
-def _reduce(target, basis, keyf):
-    """Full normal form of `target` against monic (lm, dict) pairs."""
+def _reduce(target, basis, keyf, p):
+    """Normal form of `target` against (lm, dict) pairs, up to a unit.
+
+    Over GF(p) every reducer is monic and a step is `(cur - c*bc) % p`.
+    Over QQ a step is fraction-free: with g = gcd(c, lb) for the reducer's
+    leading coefficient lb, the work and the remainder found so far are
+    scaled by lb // g, and (c // g) times the shifted reducer is
+    subtracted.  The result is then a positive integer multiple of the
+    remainder; it is the remainder itself when every reducer has leading
+    coefficient 1, which also holds for Fraction coefficients.
+    """
     work = dict(target)
     rem = {}
     while work:
@@ -191,35 +242,48 @@ def _reduce(target, basis, keyf):
         c = work.pop(lm)
         for blm, bd in basis:
             if _divides_t(blm, lm):
-                shift = _quo_t(lm, blm)
-                for m, bc in bd.items():
-                    if m == blm:
-                        continue
-                    mm = _mul_t(m, shift)
-                    cur = work.get(mm)
-                    val = -(c * bc) if cur is None else cur - c * bc
-                    if val:
-                        work[mm] = val
-                    elif cur is not None:
-                        del work[mm]
                 break
         else:
             rem[lm] = c
+            continue
+        lb = bd[blm]
+        if lb != 1:
+            g = gcd(c, lb)
+            scale = lb // g
+            c //= g
+            if scale != 1:
+                work = {m: v * scale for m, v in work.items()}
+                rem = {m: v * scale for m, v in rem.items()}
+        shift = _quo_t(lm, blm)
+        for m, bc in bd.items():
+            if m == blm:
+                continue
+            mm = _mul_t(m, shift)
+            cur = work.get(mm)
+            val = -(c * bc) if cur is None else cur - c * bc
+            if p:
+                val %= p
+            if val:
+                work[mm] = val
+            elif cur is not None:
+                del work[mm]
     return rem
 
 
-def _spoly_t(p, q, lmp, lmq):
-    """S-polynomial of two monic tuple-polynomials."""
-    lcm = _lcm_t(lmp, lmq)
-    a = _quo_t(lcm, lmp)
-    b = _quo_t(lcm, lmq)
-    out = {}
-    for m, c in p.items():
-        out[_mul_t(m, a)] = c
-    for m, c in q.items():
+def _spoly_t(f, g, lmf, lmg, p):
+    """S-polynomial of two kernel term maps, each scaled by the other's
+    leading coefficient (over GF(p) both are monic)."""
+    lcm_fg = _lcm_t(lmf, lmg)
+    a = _quo_t(lcm_fg, lmf)
+    b = _quo_t(lcm_fg, lmg)
+    lf, lg = f[lmf], g[lmg]
+    out = {_mul_t(m, a): lg * c for m, c in f.items()}
+    for m, c in g.items():
         mm = _mul_t(m, b)
         cur = out.get(mm)
-        val = -c if cur is None else cur - c
+        val = -(lf * c) if cur is None else cur - lf * c
+        if p:
+            val %= p
         if val:
             out[mm] = val
         elif cur is not None:
@@ -263,32 +327,33 @@ def _update(G, B, ih, lms, keyf):
     return G_new, B_new
 
 
-def _interreduce_seed(gens, keyf, one):
-    """Monic (lm, dict) pairs, each reduced against the ones before it.
+def _interreduce_seed(gens, keyf, p):
+    """Normalized (lm, dict) pairs, each reduced against the ones before it.
 
     A constant leading monomial, in the input or after a reduction, ends
     the work at once: the ideal is the unit ideal, and that one pair is
     returned.
     """
-    f1 = [_lead_monic(g, keyf, one) for g in gens if g]
+    f1 = [_normalize(g, keyf, p) for g in gens if g]
     for pair in f1:
         if not any(pair[0]):
             return [pair]
     while True:
         f = f1
         f1 = []
-        for i, (_, p) in enumerate(f):
-            r = _reduce(p, f[:i], keyf) if i else p
+        for i, (_, d) in enumerate(f):
+            r = _reduce(d, f[:i], keyf, p) if i else d
             if r:
-                f1.append(_lead_monic(r, keyf, one))
+                f1.append(_normalize(r, keyf, p))
                 if not any(f1[-1][0]):
                     return f1[-1:]
         if f == f1:
             return f
 
 
-def _unit_basis(nvars, one):
-    return [{(0,) * nvars: one}]
+def _unit_basis(nvars):
+    unit = (0,) * nvars
+    return [(unit, {unit: 1})]
 
 
 def _reducers(G, lms, polys, keyf):
@@ -296,17 +361,19 @@ def _reducers(G, lms, polys, keyf):
     return [(lms[g][0], polys[g]) for g in sorted(G, key=lambda g: (keyf(lms[g][0]), g))]
 
 
-def _buchberger(gens, keyf, nvars, one, limit):
-    f = _interreduce_seed(gens, keyf, one)
+def _buchberger(gens, keyf, nvars, p, limit):
+    """The reduced basis of the kernel term maps `gens` as normalized
+    (lm, dict) pairs, descending in the order."""
+    f = _interreduce_seed(gens, keyf, p)
     if not f:
         return []
-    for lm, p in f:
-        _check_degree(p, limit)
+    for lm, d in f:
+        _check_degree(d, limit)
         if not any(lm):
-            return _unit_basis(nvars, one)
+            return _unit_basis(nvars)
 
     lms = [(lm, _mask_t(lm)) for lm, _ in f]
-    polys = [p for _, p in f]
+    polys = [d for _, d in f]
     G: set = set()
     CP: set = set()
     for ih in sorted(range(len(polys)), key=lambda i: (keyf(lms[i][0]), i)):
@@ -317,31 +384,31 @@ def _buchberger(gens, keyf, nvars, one, limit):
         pair = min(CP)
         CP.remove(pair)
         _, i, j, _, _ = pair
-        s = _spoly_t(polys[i], polys[j], lms[i][0], lms[j][0])
+        s = _spoly_t(polys[i], polys[j], lms[i][0], lms[j][0], p)
         if not s:
             continue
-        r = _reduce(s, reducers, keyf)
+        r = _reduce(s, reducers, keyf, p)
         if not r:
             continue
         _check_degree(r, limit)
-        lm_r, r = _lead_monic(r, keyf, one)
+        lm_r, r = _normalize(r, keyf, p)
         if not any(lm_r):
-            return _unit_basis(nvars, one)
+            return _unit_basis(nvars)
         polys.append(r)
         lms.append((lm_r, _mask_t(lm_r)))
         G, CP = _update(G, CP, len(polys) - 1, lms, keyf)
         reducers = _reducers(G, lms, polys, keyf)
 
     out = []
-    for t, (_, p) in enumerate(reducers):
-        r = _reduce(p, reducers[:t] + reducers[t + 1:], keyf)
+    for t, (_, d) in enumerate(reducers):
+        r = _reduce(d, reducers[:t] + reducers[t + 1:], keyf, p)
         if r:
-            out.append(_lead_monic(r, keyf, one)[1])
-    out.sort(key=lambda p: keyf(max(p, key=keyf)), reverse=True)
+            out.append(_normalize(r, keyf, p))
+    out.sort(key=lambda pair: keyf(pair[0]), reverse=True)
     return out
 
 
-def _monomial_basis(gens, keyf, one):
+def _monomial_basis(gens, keyf):
     monos = sorted({next(iter(g)) for g in gens}, key=keyf)
     kept = {}  # degree -> the minimal generators of that degree found so far
     for m in monos:
@@ -351,7 +418,7 @@ def _monomial_basis(gens, keyf, one):
         if not any(_divides_t(k, m) for d, ks in kept.items() if d < dm for k in ks):
             kept.setdefault(dm, []).append(m)
     keep = [m for ks in kept.values() for m in ks]
-    return [{m: one} for m in sorted(keep, key=keyf, reverse=True)]
+    return [(m, {m: 1}) for m in sorted(keep, key=keyf, reverse=True)]
 
 
 # --------------------------------------------------------------------------
@@ -382,28 +449,29 @@ class GroebnerBasis:
         generator of the source ideal reduces to zero.
         """
         keyf = _KeyMemo(self.order).__getitem__
-        dicts = [g._terms for g in self.basis]
-        lms = [max(d, key=keyf) for d in dicts]
-        one = self.source.field.one
-        for d, lm in zip(dicts, lms):
-            if d[lm] != one:
+        fld = self.source.field
+        p = fld.characteristic
+        lms = [max(g._terms, key=keyf) for g in self.basis]
+        for g, lm in zip(self.basis, lms):
+            if g._terms[lm] != fld.one:
                 raise InternalCheckError("basis element is not monic")
+        dicts = [_kernel_terms(g._terms, p) for g in self.basis]
         for i, d in enumerate(dicts):
             for j, lm in enumerate(lms):
                 if i == j:
                     continue
                 if any(_divides_t(lm, m) for m in d):
                     raise InternalCheckError("basis is not reduced")
-        pairs = [(lms[i], dicts[i]) for i in range(len(dicts))]
+        pairs = list(zip(lms, dicts))
         for i in range(len(dicts)):
             for j in range(i + 1, len(dicts)):
-                s = _spoly_t(dicts[i], dicts[j], lms[i], lms[j])
-                if _reduce(s, pairs, keyf):
+                s = _spoly_t(dicts[i], dicts[j], lms[i], lms[j], p)
+                if _reduce(s, pairs, keyf, p):
                     raise InternalCheckError(
                         "an S-polynomial does not reduce to zero against the basis"
                     )
         for g in self.source.generators:
-            if _reduce(g._terms, pairs, keyf):
+            if _reduce(_kernel_terms(g._terms, p), pairs, keyf, p):
                 raise InternalCheckError("a source generator does not reduce to zero")
 
 
@@ -415,14 +483,22 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     """
     limit = _degree_limit_var.get()
     keyf = _KeyMemo(ideal.order).__getitem__
+    fld = ideal.field
+    p = fld.characteristic
     gens = [g._terms for g in ideal.generators]
     for g in gens:
         _check_degree(g, limit)
     if gens and all(len(g) == 1 for g in gens):
-        basis = _monomial_basis(gens, keyf, ideal.field.one)
+        basis = _monomial_basis(gens, keyf)
     else:
-        basis = _buchberger(gens, keyf, ideal.nvars, ideal.field.one, limit)
-    polys = tuple(Polynomial(ideal.nvars, ideal.field, d) for d in basis)
+        basis = _buchberger([_kernel_terms(g, p) for g in gens], keyf, ideal.nvars, p, limit)
+    # back to monic Fractions over QQ; the constructor takes the residues,
+    # and the ints of a QQ element whose leading coefficient is already 1
+    basis = [
+        (lm, {m: Fraction(c, d[lm]) for m, c in d.items()} if d[lm] != 1 else d)
+        for lm, d in basis
+    ]
+    polys = tuple(Polynomial(ideal.nvars, fld, d) for _, d in basis)
     gb = GroebnerBasis(polys, ideal.order, ideal)
     hook = _audit_var.get()
     if hook is not None:
@@ -440,17 +516,29 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.field != gb.source.field:
         raise StructuralError("polynomial over a different field than the basis")
     keyf = _KeyMemo(gb.order).__getitem__
-    pairs = [(max(g._terms, key=keyf), g._terms) for g in gb.basis]
-    return Polynomial(p.nvars, p.field, _reduce(p._terms, pairs, keyf))
+    char = p.field.characteristic
+    target = p._terms
+    basis = [g._terms for g in gb.basis]
+    if char:
+        target = _kernel_terms(target, char)
+        basis = [_kernel_terms(d, char) for d in basis]
+    # over QQ the monic Fraction basis goes through the loop as it is: no
+    # step scales, so the remainder is exact
+    pairs = [(max(d, key=keyf), d) for d in basis]
+    return Polynomial(p.nvars, p.field, _reduce(target, pairs, keyf, char))
 
 
 def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     if p.is_zero or q.is_zero:
         raise StructuralError("S-polynomial of a zero polynomial")
-    one = p.field.one
-    lmp, dp = _lead_monic(p._terms, order.key, one)
-    lmq, dq = _lead_monic(q._terms, order.key, one)
-    return Polynomial(p.nvars, p.field, _spoly_t(dp, dq, lmp, lmq))
+    char = p.field.characteristic
+    lmp, dp = _normalize(_kernel_terms(p._terms, char), order.key, char)
+    lmq, dq = _normalize(_kernel_terms(q._terms, char), order.key, char)
+    s = _spoly_t(dp, dq, lmp, lmq, char)
+    if not char:  # the S-polynomial of the monic multiples
+        scale = dp[lmp] * dq[lmq]
+        s = {m: Fraction(c, scale) for m, c in s.items()}
+    return Polynomial(p.nvars, p.field, s)
 
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:

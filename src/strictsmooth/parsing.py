@@ -17,6 +17,9 @@ be rendered back.  Over QQ every product and every step of a power is
 checked as it is formed: a numerator or denominator longer than 8 bits
 per allowed digit (room for any number of twice the digit limit, since
 10^2 < 2^8) is a ParseError, so no expression grows past that budget.
+Nesting is limited to `MAX_NESTING` levels, counted as the parser
+descends: each open parenthesis and each unary minus is one level, so the
+limit does not depend on the caller's stack depth.
 
 Inside a `degree_limit` block, a product or power whose degree exceeds the
 bound raises DegreeLimitError before it is expanded.  Over a field the
@@ -31,6 +34,9 @@ from .errors import DegreeLimitError, ParseError
 from .groebner import active_degree_limit
 from .poly import Polynomial
 
+
+# the deepest nesting of parentheses and unary minuses an expression may have
+MAX_NESTING = 100
 
 _SINGLE = {
     "+": "PLUS",
@@ -94,6 +100,7 @@ class _Parser:
     def __init__(self, tokens, names, nvars, field):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minuses around the current token
         self.index = {name: i for i, name in enumerate(names)}
         self.nvars = nvars
         self.field = field
@@ -111,6 +118,13 @@ class _Parser:
     def error(self, message, token=None):
         token = token or self.peek()
         raise ParseError(message, token[2], token[3]) from None
+
+    def descend(self):
+        """Enter one more level of nesting, or fail past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.error("expression nested too deeply")
+        self.depth += 1
+        self.advance()
 
     def check_degree(self, degree, token):
         if self.limit is not None and degree > self.limit:
@@ -160,8 +174,10 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         if self.peek()[0] == "MINUS":
-            self.advance()
-            return -self.factor()
+            self.descend()
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> Polynomial:
@@ -215,9 +231,10 @@ class _Parser:
                 self.error(f"unknown variable {tok[1]!r}", tok)
             return Polynomial.variable(idx, self.nvars, self.field)
         if tok[0] == "LPAREN":
-            self.advance()
+            self.descend()
             value = self.expr()
             self.expect("RPAREN", "expected ')'")
+            self.depth -= 1
             return value
         if tok[0] == "END":
             self.error("unexpected end of expression", tok)

@@ -11,6 +11,7 @@ a display convention only.
 
 from __future__ import annotations
 
+import copy
 import json
 
 from . import __version__
@@ -161,7 +162,7 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
                 "chart_oracle": _verdict_doc(analysis.oracle, scene),
                 "consistent": analysis.consistent,
             },
-            "divisor_classes": analysis.ledger,
+            "divisor_classes": copy.deepcopy(analysis.ledger),
             "charts": _charts_section(analysis),
             **ledgers,
         }

@@ -576,6 +576,19 @@ def test_analyze_is_deterministic():
     assert first == second
 
 
+def test_editing_a_report_leaves_the_analysis_alone():
+    from strictsmooth.report import render_structured
+
+    analysis = analyze(pairing_scene(2, "origin"))
+    ledger = render_structured(analysis.ledger)
+    first = build_report(analysis)
+    text = render_structured(first)
+    first["divisor_classes"]["canonical"]["E:O"] = 99
+    first["divisor_classes"]["per_center"][0]["agree"] = None
+    assert render_structured(analysis.ledger) == ledger
+    assert render_structured(build_report(analysis)) == text
+
+
 def _brute_force_smooth(scene):
     # independent complete decision: the charts cover the whole blow-up, so
     # the strict transform is smooth iff every chart's full Jacobian locus is

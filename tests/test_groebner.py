@@ -510,18 +510,18 @@ def test_reduced_basis_matches_naive_above_the_mask_cap(fld):
 def test_seed_ends_at_the_first_constant(monkeypatch):
     x, y, t = variables(3)
     keyf = kernel._KeyMemo(GREVLEX).__getitem__
-    one = QQ.one
+    unit = [((0, 0, 0), {(0, 0, 0): 1})]
     reduced = []
     real = kernel._reduce
     monkeypatch.setattr(kernel, "_reduce", lambda p, *rest: reduced.append(p) or real(p, *rest))
     # 1 - t*x reduces to 1 against x; the last generator is never reduced
-    gens = [g._terms for g in (x, y, 1 - t * x, t**2 * y + x**3)]
-    assert kernel._interreduce_seed(gens, keyf, one) == [((0, 0, 0), {(0, 0, 0): one})]
+    gens = [kernel._kernel_terms(g._terms, 0) for g in (x, y, 1 - t * x, t**2 * y + x**3)]
+    assert kernel._interreduce_seed(gens, keyf, 0) == unit
     assert len(reduced) == 2
     # a constant generator ends the work before any reduction
     reduced.clear()
-    gens = [g._terms for g in (x + y, 2 + 0 * x, y)]
-    assert kernel._interreduce_seed(gens, keyf, one) == [((0, 0, 0), {(0, 0, 0): one})]
+    gens = [kernel._kernel_terms(g._terms, 0) for g in (x + y, 2 + 0 * x, y)]
+    assert kernel._interreduce_seed(gens, keyf, 0) == unit
     assert reduced == []
 
 
@@ -571,8 +571,33 @@ def test_quintic_exact_divisibility_tests_are_few(monkeypatch):
 # ----- agreement with sympy --------------------------------------------------------
 
 
-def _coefficient_value(c):
-    return c.value if isinstance(c, ModularInt) else c
+def coefficient_sets(gb):
+    """The basis as sets of (exponents, scalar), with residues as ints."""
+    return {
+        frozenset((m.exps, c.value if isinstance(c, ModularInt) else c) for m, c in g.terms())
+        for g in gb.basis
+    }
+
+
+def sympy_basis(sympy, nvars, p, generators):
+    """sympy's reduced grevlex basis, as sets of (exponents, scalar), of the
+    generators given as raw lists of (exponents, int or Fraction) terms."""
+    xs = sympy.symbols(f"x0:{nvars}")
+    exprs = [
+        sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, exps))
+            for exps, c in terms
+        )
+        for terms in generators
+    ]
+    exprs = [e for e in exprs if e != 0]
+    if p:
+        ref = sympy.groebner(exprs, *xs, order="grevlex", modulus=p)
+        convert = lambda c: int(c) % p
+    else:
+        ref = sympy.groebner(exprs, *xs, order="grevlex", domain=sympy.QQ)
+        convert = lambda c: Fraction(int(c.p), int(c.q))
+    return {frozenset((tuple(m), convert(c)) for m, c in g.terms()) for g in ref.polys}
 
 
 @pytest.mark.parametrize("modulus", [None, 32003], ids=["QQ", "GF32003"])
@@ -600,29 +625,147 @@ def test_reduced_basis_matches_sympy(modulus):
                 polys.append(p)
         hypothesis.assume(polys)
         gb = groebner(Ideal(tuple(polys), nvars, fld))
-        ours = {
-            frozenset((m.exps, _coefficient_value(c)) for m, c in g.terms())
-            for g in gb.basis
-        }
-
-        xs = sympy.symbols(f"x0:{nvars}")
-        exprs = [
-            sum(c * sympy.prod(x**e for x, e in zip(xs, exps)) for exps, c in terms)
-            for terms in raw
-        ]
-        exprs = [e for e in exprs if e != 0]
-        if modulus is None:
-            ref = sympy.groebner(exprs, *xs, order="grevlex", domain=sympy.QQ)
-            convert = lambda c: Fraction(int(c.p), int(c.q))
-        else:
-            ref = sympy.groebner(exprs, *xs, order="grevlex", modulus=modulus)
-            convert = lambda c: int(c) % modulus
-        theirs = {
-            frozenset((tuple(m), convert(c)) for m, c in g.terms()) for g in ref.polys
-        }
-        assert ours == theirs
+        assert coefficient_sets(gb) == sympy_basis(sympy, nvars, modulus, raw)
 
     check()
+
+
+# ----- integer coefficients in the kernel ------------------------------------------
+
+MERSENNE_61 = 2**61 - 1
+KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(MERSENNE_61)]
+KERNEL_FIELD_IDS = ["QQ", "GF2", "GF3", "GF32003", "GF(2^61-1)"]
+
+
+def big_coefficient(rng, p):
+    """A nonzero raw scalar: over QQ (p = 0) a Fraction with numerator up to
+    2^40 over a non-unit denominator, over GF(p) an int residue."""
+    if p:
+        return rng.randrange(1, p)
+    numerator = rng.choice((-1, 1)) * rng.randint(1, 2**40)
+    return Fraction(numerator, rng.choice((1, 3, 10, 2**20 + 7, 3**25)))
+
+
+def big_terms(rng, nvars, p, max_degree=3, max_terms=4):
+    """A raw term list [(exponents, scalar)] with distinct exponents."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = big_coefficient(rng, p)
+    return list(terms.items())
+
+
+def from_terms(terms, nvars, fld):
+    scalar = fld.from_int if fld.characteristic else (lambda c: c)
+    return Polynomial(nvars, fld, {Monomial(exps): scalar(c) for exps, c in terms})
+
+
+def big_poly(rng, nvars, fld, max_degree=3, max_terms=4):
+    terms = big_terms(rng, nvars, fld.characteristic, max_degree, max_terms)
+    return from_terms(terms, nvars, fld)
+
+
+def big_ideals(fld, count, seed):
+    """`count` seeded (ideal, naive reduced basis, raw generator terms)
+    triples for ideals that the naive Buchberger finishes."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nvars = rng.choice((2, 3))
+        raw = [big_terms(rng, nvars, fld.characteristic) for _ in range(rng.randint(2, 3))]
+        gens = tuple(from_terms(terms, nvars, fld) for terms in raw)
+        try:
+            want = naive_reduced_basis(gens, max_steps=60)
+        except RuntimeError:
+            continue  # the naive Buchberger ran out of steps
+        out.append((Ideal(gens, nvars, fld), want, raw))
+    return out
+
+
+@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
+def test_kernel_matches_naive_and_sympy_on_large_coefficients(fld):
+    cases = big_ideals(fld, 12, seed=10)
+    assert any(len(want) > 1 for _, want, _ in cases)
+    bases = []
+    for ideal, want, raw in cases:
+        gb = groebner(ideal)
+        gb.verify()
+        assert term_sets(gb.basis) == term_sets(want), ideal.generators
+        bases.append((gb, ideal.nvars, raw))
+    sympy = pytest.importorskip("sympy")
+    p = fld.characteristic
+    for gb, nvars, raw in bases:
+        assert coefficient_sets(gb) == sympy_basis(sympy, nvars, p, raw), raw
+
+
+@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
+def test_normal_form_is_the_exact_remainder(fld):
+    rng = random.Random(11)
+    for ideal, _, _ in big_ideals(fld, 8, seed=11):
+        gb = groebner(ideal)
+        if gb.is_unit:
+            continue
+        nvars = ideal.nvars
+        member = Polynomial.zero(nvars, fld)
+        for g in ideal.generators:
+            member = member + big_poly(rng, nvars, fld, 2, 2) * g
+        assert normal_form(member, gb).is_zero
+        for _ in range(3):
+            probe = big_poly(rng, nvars, fld, 4, 5)
+            want = divide(probe, list(gb.basis))
+            assert normal_form(probe, gb) == want
+            assert normal_form(member + probe, gb) == want
+
+
+@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
+def test_spolynomial_is_the_textbook_one(fld):
+    rng = random.Random(12)
+    for _ in range(20):
+        f, g = (big_poly(rng, 3, fld) for _ in "fg")
+        lmf, lmg = f.leading_monomial(), g.leading_monomial()
+        lcm_fg = lmf.lcm(lmg)
+
+        def monic_multiple(h, lm):
+            shift = Polynomial(3, fld, {lcm_fg.quotient(lm): fld.one / h.coefficient(lm)})
+            return shift * h
+
+        assert spolynomial(f, g) == monic_multiple(f, lmf) - monic_multiple(g, lmg)
+
+
+def katsura_ideal(n, fld):
+    """katsura-n in n + 1 unknowns u0..un."""
+    u = [Polynomial.variable(i, n + 1, fld) for i in range(n + 1)]
+
+    def at(k):
+        return u[abs(k)] if abs(k) <= n else None
+
+    gens = []
+    for m in range(n):
+        total = -u[m]
+        for l in range(-n, n + 1):
+            if at(l) is not None and at(m - l) is not None:
+                total = total + at(l) * at(m - l)
+        gens.append(total)
+    gens.append(u[0] + 2 * sum(u[1:], Polynomial.zero(n + 1, fld)) - 1)
+    return Ideal(tuple(gens), n + 1, fld)
+
+
+def test_prime_field_kernel_builds_scalars_only_for_its_output(monkeypatch):
+    ideal = katsura_ideal(5, PrimeField(32003))
+    built = []
+    real = ModularInt.__init__
+
+    def counting_init(self, value, p):
+        built.append(1)
+        real(self, value, p)
+
+    monkeypatch.setattr(ModularInt, "__init__", counting_init)
+    gb = groebner(ideal)
+    monkeypatch.undo()
+    assert len(gb.basis) == 22
+    assert len(built) == sum(len(g.terms()) for g in gb.basis)
 
 
 # ----- guardrail and audit hook ---------------------------------------------------

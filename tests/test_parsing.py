@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from strictsmooth import parsing
 from strictsmooth.errors import DegreeLimitError, ParseError
 from strictsmooth.groebner import degree_limit
 from strictsmooth.parsing import parse_expression, tokenize
@@ -118,6 +119,33 @@ def test_deep_nesting_is_a_parse_error(text):
 
 def test_moderate_nesting_still_parses():
     assert parse("(" * 100 + "x1" + ")" * 100) == parse("x1")
+
+
+def nested(shape, levels):
+    """x1 under `levels` levels of parentheses, unary minuses or both."""
+    if shape == "parentheses":
+        return "(" * levels + "x1" + ")" * levels
+    if shape == "unary-minus":
+        return "-" * levels + "x1"
+    half = levels // 2
+    return "-" * (levels % 2) + "-(" * half + "x1" + ")" * half + " + -(-x2)"
+
+
+def call_under(frames, fn):
+    """fn() called with `frames` extra frames on the stack."""
+    return fn() if frames == 0 else call_under(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize("shape", ["parentheses", "unary-minus", "mixed"])
+def test_nesting_budget_does_not_depend_on_the_caller(shape, frames):
+    budget = parsing.MAX_NESTING
+    assert 100 <= budget < 200
+    value = call_under(frames, lambda: parse(nested(shape, budget)))
+    assert value.total_degree() == 1
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        call_under(frames, lambda: parse(nested(shape, budget + 1)))
+    assert err.value.line == 1
 
 
 @pytest.fixture
