@@ -2,28 +2,41 @@
 
 The kernel is a Buchberger loop with the normal pair-selection strategy and
 the coprime / chain criteria (critical-pair bookkeeping after Becker &
-Weispfenning, p. 230).  It works on term maps keyed by exponent tuples,
-the keys of each input :class:`Polynomial`'s term map, which it never
-writes into; only the coefficients are converted (see below).  Tie-breaking is
-lexicographic on internal indices everywhere, so results are reproducible
-bit for bit.
+Weispfenning, p. 230).  Tie-breaking is lexicographic on internal indices
+everywhere, so results are reproducible bit for bit.
 
-Within one kernel call each derived monomial quantity is computed once:
-order keys go through a memo that lives for that call only, each basis
-element keeps its leading monomial, and each critical pair keeps its lcm
-and that lcm's key.  These are caches of pure functions of the exponent
-tuples, so the basis, the pair order and every result are the same with
-or without them.
+Monomials inside the kernel are packed ints K (Bachmann & Schönemann,
+"Monomial representations for Gröbner bases computations", ISSAC 1998;
+Monagan & Pearce, CASC 2007), laid out by `_Packing`.  Under grevlex in n
+variables with w-bit fields and B = 2^w, K = deg·B^n − Σ e_i·B^i, plus a
+low field holding the total degree.  A product is `Ka + Kb`, integer
+order is the monomial order, so the leading term of a term map is
+`max(d)`, and divisibility is one guard-bit test, which the reducer scan
+of `_reduce` makes once per reducer.  LEX and `BlockOrder(s)` are grevlex
+on consecutive blocks and are packed block by block; any other
+`MonomialOrder` raises StructuralError.  `_kernel_terms` packs each
+monomial in the pass that converts its coefficient, the exit decodes
+each straight to a `Monomial`, and each basis element's `_Reducer` is
+built once, when it joins the basis.
 
-Critical-pair maintenance tests divisibility behind short exponent
-vectors (Bachmann & Schönemann, ISSAC 1998; the pair criteria are
-Gebauer & Möller's, JSC 6, 1988).  Each basis element keeps a bit mask of
-its leading monomial and each pair the mask of its lcm, which is the OR
-of two masks.  A failed mask subset test proves non-divisibility with one
-`&`; only when it passes does the exact test `_divides_t` run, since
-exponents above `_MASK_CAP` are not visible in the mask.  Coprimality is
-exact on the masks alone.  The seed interreduction returns as soon as a
-constant appears, since the ideal is then the unit ideal.
+The width starts at `_WIDTH` bits, or wider when an input degree needs
+it.  Each reduction step and each S-polynomial first checks that no term
+it makes can reach degree 2^(w-1), the guard bit; if one could, the call
+restarts at twice the width.  Under LEX or a block order degrees grow
+inside one reduction (x^200 reduced by x − y^200 gives y^40000).  Reduced
+bases and normal forms are unique, so a restart returns the same result.
+
+Critical-pair maintenance stays on exponent tuples: each new basis
+element's leading monomial is decoded once.  There divisibility goes
+behind short exponent vectors (the pair criteria are Gebauer & Möller's,
+JSC 6, 1988).  Each basis element keeps a bit mask of its leading
+monomial and each pair the mask of its lcm, which is the OR of two masks.
+A failed mask subset test proves non-divisibility with one `&`; only when
+it passes does the exact test `_divides_t` run, since exponents above
+`_MASK_CAP` are not visible in the mask.  Coprimality is exact on the
+masks alone.  Order keys of the pairs' lcms go through a memo that lives
+for one call.  The seed interreduction returns as soon as a constant
+appears, since the ideal is then the unit ideal.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -53,18 +66,21 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from operator import add, le, sub
-from typing import Callable, Optional, Sequence
+from operator import le, mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
-from .poly import GREVLEX, MonomialOrder, Polynomial
+from .poly import GREVLEX, BlockOrder, GrevlexOrder, LexOrder, Monomial, MonomialOrder, Polynomial
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
 
 # exponent levels per variable in a divisibility mask (see `_mask_t`)
 _MASK_CAP = 4
+
+_new = tuple.__new__
 
 
 @contextmanager
@@ -129,7 +145,130 @@ class Ideal:
 
 
 # --------------------------------------------------------------------------
-# tuple-level kernel
+# packed monomials
+
+# starting width in bits of one field of a packed monomial (see `_Packing`):
+# at least 2, one bit of exponent and the guard bit
+_WIDTH = 8
+
+
+class _Overflow(Exception):
+    """A degree in a packed computation would reach the guard bits."""
+
+
+def _blocks(order, nvars):
+    """The nonempty variable blocks of `order`, most significant first.
+
+    Each supported order is grevlex on each block, with the blocks compared
+    in turn: GREVLEX is one block, LEX one block per variable, and
+    `BlockOrder(s)` the first s variables and the rest.
+    """
+    if isinstance(order, GrevlexOrder):
+        blocks = [range(nvars)]
+    elif isinstance(order, LexOrder):
+        blocks = [range(v, v + 1) for v in range(nvars)]
+    elif isinstance(order, BlockOrder):
+        s = min(order.split, nvars)
+        blocks = [range(s), range(s, nvars)]
+    else:
+        raise StructuralError(
+            f"the Groebner kernel supports grevlex, lex and block orders, not {order!r}"
+        )
+    return [b for b in blocks if b]
+
+
+class _Packing:
+    """Monomials as ints K: a product is `Ka + Kb`, the order is `<`.
+
+    K is made of w-bit fields, B = 2^w.  Field 0 holds the total degree.
+    Above it come the blocks of the order (`_blocks`), the least
+    significant first.  A block of m variables takes m fields, its last
+    variable highest, and one field above them, and holds
+    deg·B^m − Σ e_i·B^i: its degree, then its exponents negated, which is
+    grevlex on the block.  So variable v adds the weight
+    1 + B^top − B^pos to K, where pos is its field and top its block's
+    degree field.  While every total degree stays below `bound` = 2^(w-1),
+    no field carries into the next, K is the sum of its monomial's
+    exponents times the weights, and integer order on K is the monomial
+    order.
+
+    The exponent word E = `exponents(K)` holds e_v in field pos: the
+    exponent fields of K hold −E mod B^m per block, and one blockwise
+    negation recovers it.  a divides b exactly when
+    `((Eb | guard) - Ea) & guard == guard`, where `guard` has the top bit
+    of each exponent field set: that bit survives the subtraction in a
+    field exactly when e_a <= e_b there, and no field borrows from the next.
+    """
+
+    __slots__ = ("weights", "bound", "mask", "fields", "ones", "guard", "shifts", "graded")
+
+    def __init__(self, order, nvars, width):
+        self.mask = (1 << width) - 1  # k & mask is the total degree of k
+        self.bound = 1 << (width - 1)
+        weights = [0] * nvars
+        shifts = [0] * nvars
+        fields = ones = guard = 0
+        blocks = _blocks(order, nvars)
+        self.graded = len(blocks) <= 1
+        pos = 1
+        for block in reversed(blocks):
+            top = (pos + len(block)) * width
+            ones |= 1 << (pos * width)
+            for v in block:
+                shift = pos * width
+                weights[v] = 1 + (1 << top) - (1 << shift)
+                shifts[v] = shift
+                fields |= self.mask << shift
+                guard |= self.bound << shift
+                pos += 1
+            pos += 1  # the block's degree field
+        self.weights = tuple(weights)
+        self.shifts = tuple(shifts)
+        self.fields, self.ones, self.guard = fields, ones, guard
+
+    def exponents(self, k):
+        """The exponent word E of the packed monomial k."""
+        return ((~k & self.fields) + self.ones) & self.fields
+
+    def divides(self, ea, eb):
+        """Whether the monomial of exponent word ea divides that of eb.
+
+        `_reduce` inlines this test, with `eb | guard` taken once per step.
+        """
+        return ((eb | self.guard) - ea) & self.guard == self.guard
+
+    def monomial(self, k):
+        """The Monomial of the packed monomial k."""
+        e, mask = self.exponents(k), self.mask
+        return _new(Monomial, [e >> s & mask for s in self.shifts])
+
+
+@cache
+def _packing(order, nvars, width):
+    """The `_Packing` of (order, nvars, width), built once per process;
+    a run meets only a handful of these triples."""
+    return _Packing(order, nvars, width)
+
+
+def _packed(order, nvars, degree, run):
+    """`run(packing)` at width `_WIDTH`, or wider when the input degree
+    `degree` needs it, restarted at twice the width while a degree
+    overflows.
+
+    Reduced bases and normal forms are unique, so a restart returns what
+    a wider first try would have returned.
+    """
+    width = max(_WIDTH, degree.bit_length() + 1)
+    while True:
+        try:
+            return run(_packing(order, nvars, width))
+        except _Overflow:
+            width *= 2
+
+
+# --------------------------------------------------------------------------
+# kernel: term maps keyed by packed monomials with int coefficients;
+# critical pairs on exponent tuples
 
 
 class _KeyMemo(dict):
@@ -149,14 +288,6 @@ class _KeyMemo(dict):
     def __missing__(self, exps):
         key = self[exps] = self._raw(exps)
         return key
-
-
-def _mul_t(a, b):
-    return tuple(map(add, a, b))
-
-
-def _quo_t(a, b):
-    return tuple(map(sub, a, b))
 
 
 def _divides_t(a, b):
@@ -184,32 +315,38 @@ def _lcm_t(a, b):
     return tuple(map(max, a, b))
 
 
-def _check_degree(poly_dict, limit):
-    if limit is not None and poly_dict:
-        if max(sum(m) for m in poly_dict) > limit:
-            raise DegreeLimitError(
-                f"Groebner computation exceeded the degree guardrail ({limit})"
-            )
+def _degree(term_maps):
+    """The largest total degree of a term of the exponent-tuple term maps; 0 for none."""
+    return max(map(sum, itertools.chain.from_iterable(term_maps)), default=0)
 
 
-def _kernel_terms(terms, p):
-    """The kernel's int term map of a Polynomial's term map.
+def _check_degree(degree, limit):
+    if limit is not None and degree > limit:
+        raise DegreeLimitError(f"Groebner computation exceeded the degree guardrail ({limit})")
 
-    Over GF(p) the residues.  Over QQ the primitive integer multiple: the
+
+def _kernel_terms(terms, p, weights):
+    """The kernel's term map of a Polynomial's term map, in one pass.
+
+    Each monomial packed with `weights` (`_Packing`).  Each coefficient:
+    over GF(p) its residue; over QQ the primitive integer multiple, the
     denominators cleared with their lcm, then the content divided out.
     """
     if p:
-        return {m: c.value for m, c in terms.items()}
+        return {sum(map(mul, m, weights)): c.value for m, c in terms.items()}
     den = lcm(*(c.denominator for c in terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    ints = {
+        sum(map(mul, m, weights)): c.numerator * (den // c.denominator)
+        for m, c in terms.items()
+    }
     content = gcd(*ints.values())
     return {m: c // content for m, c in ints.items()} if content > 1 else ints
 
 
-def _normalize(d, keyf, p):
+def _normalize(d, p):
     """(leading monomial, d normalized): monic over GF(p); over QQ
     primitive with a positive leading coefficient."""
-    lm = max(d, key=keyf)
+    lm = max(d)
     lc = d[lm]
     if p:
         if lc == 1:
@@ -224,29 +361,60 @@ def _normalize(d, keyf, p):
     return lm, {m: c // content for m, c in d.items()}
 
 
-def _reduce(target, basis, keyf, p):
-    """Normal form of `target` against (lm, dict) pairs, up to a unit.
+class _Reducer(NamedTuple):
+    """A normalized term map as the reduction loop reads it."""
 
-    Over GF(p) every reducer is monic and a step is `(cur - c*bc) % p`.
-    Over QQ a step is fraction-free: with g = gcd(c, lb) for the reducer's
-    leading coefficient lb, the work and the remainder found so far are
-    scaled by lb // g, and (c // g) times the shifted reducer is
-    subtracted.  The result is then a positive integer multiple of the
-    remainder; it is the remainder itself when every reducer has leading
-    coefficient 1, which also holds for Fraction coefficients.
+    word: int  # the exponent word of the leading monomial
+    lm: int
+    lc: int  # a Fraction when normal_form reduces over QQ
+    tail: list  # the other terms, as (monomial, coefficient) pairs
+    reach: int  # the largest term degree less the degree of lm
+    terms: dict
+
+
+def _entry(lm, d, pk):
+    """The `_Reducer` of the term map d with leading monomial lm.
+
+    Under a graded order no term outranks the leading one in degree.
+    Built with `tuple.__new__`, which skips the named tuple's Python-level
+    constructor: the seed and `normal_form` build one per element per call.
     """
+    mask = pk.mask
+    reach = 0 if pk.graded else max(map(mask.__and__, d)) - (lm & mask)
+    tail = [(m, c) for m, c in d.items() if m != lm]
+    return _new(_Reducer, (pk.exponents(lm), lm, d[lm], tail, reach, d))
+
+
+def _reduce(target, reducers, p, pk):
+    """Normal form of the term map `target` against `_Reducer`s, up to a unit.
+
+    The first reducer whose leading monomial divides the leading work term
+    reduces it.  Over GF(p) every reducer is monic and a step is
+    `(cur - c*bc) % p`.  Over QQ a step is fraction-free: with
+    g = gcd(c, lb) for the reducer's leading coefficient lb, the work and
+    the remainder found so far are scaled by lb // g, and (c // g) times
+    the shifted reducer is subtracted.  The result is then a positive
+    integer multiple of the remainder; it is the remainder itself when
+    every reducer has leading coefficient 1, which also holds for Fraction
+    coefficients.  Raises `_Overflow` before a step would make a term of
+    degree `pk.bound` or more.
+    """
+    fields, ones, guard, mask, bound = pk.fields, pk.ones, pk.guard, pk.mask, pk.bound
     work = dict(target)
     rem = {}
     while work:
-        lm = max(work, key=keyf)
+        lm = max(work)
         c = work.pop(lm)
-        for blm, bd in basis:
-            if _divides_t(blm, lm):
+        x = ((~lm & fields) + ones) & fields | guard  # pk.exponents(lm) | guard
+        for r in reducers:
+            if (x - r[0]) & guard == guard:  # r.word divides lm
                 break
         else:
             rem[lm] = c
             continue
-        lb = bd[blm]
+        _, blm, lb, tail, reach, _ = r
+        if (lm & mask) + reach >= bound:
+            raise _Overflow
         if lb != 1:
             g = gcd(c, lb)
             scale = lb // g
@@ -254,11 +422,9 @@ def _reduce(target, basis, keyf, p):
             if scale != 1:
                 work = {m: v * scale for m, v in work.items()}
                 rem = {m: v * scale for m, v in rem.items()}
-        shift = _quo_t(lm, blm)
-        for m, bc in bd.items():
-            if m == blm:
-                continue
-            mm = _mul_t(m, shift)
+        shift = lm - blm
+        for m, bc in tail:
+            mm = m + shift
             cur = work.get(mm)
             val = -(c * bc) if cur is None else cur - c * bc
             if p:
@@ -270,16 +436,19 @@ def _reduce(target, basis, keyf, p):
     return rem
 
 
-def _spoly_t(f, g, lmf, lmg, p):
-    """S-polynomial of two kernel term maps, each scaled by the other's
-    leading coefficient (over GF(p) both are monic)."""
-    lcm_fg = _lcm_t(lmf, lmg)
-    a = _quo_t(lcm_fg, lmf)
-    b = _quo_t(lcm_fg, lmg)
-    lf, lg = f[lmf], g[lmg]
-    out = {_mul_t(m, a): lg * c for m, c in f.items()}
-    for m, c in g.items():
-        mm = _mul_t(m, b)
+def _spoly_t(f, g, lcm_fg, p, pk):
+    """S-polynomial of two `_Reducer`s, each scaled by the other's leading
+    coefficient (over GF(p) both are monic).  `lcm_fg` is the exponent
+    tuple of the lcm of their leading monomials; the two leading terms
+    cancel and are never formed.  Raises `_Overflow` when a term could
+    reach degree `pk.bound`."""
+    if sum(lcm_fg) + max(f.reach, g.reach) >= pk.bound:
+        raise _Overflow
+    k = sum(map(mul, lcm_fg, pk.weights))
+    a, b, lf, lg = k - f.lm, k - g.lm, f.lc, g.lc
+    out = {m + a: lg * c for m, c in f.tail}
+    for m, c in g.tail:
+        mm = m + b
         cur = out.get(mm)
         val = -(lf * c) if cur is None else cur - lf * c
         if p:
@@ -327,85 +496,86 @@ def _update(G, B, ih, lms, keyf):
     return G_new, B_new
 
 
-def _interreduce_seed(gens, keyf, p):
-    """Normalized (lm, dict) pairs, each reduced against the ones before it.
+def _interreduce_seed(gens, p, pk):
+    """`_Reducer`s of the kernel term maps `gens`, normalized, each reduced
+    against the ones before it until a round changes nothing.
 
     A constant leading monomial, in the input or after a reduction, ends
-    the work at once: the ideal is the unit ideal, and that one pair is
+    the work at once: the ideal is the unit ideal, and that one reducer is
     returned.
     """
-    f1 = [_normalize(g, keyf, p) for g in gens if g]
-    for pair in f1:
-        if not any(pair[0]):
-            return [pair]
+    f1 = [_entry(*_normalize(g, p), pk) for g in gens if g]
+    for e in f1:
+        if not e.lm:
+            return [e]
     while True:
         f = f1
-        f1 = []
-        for i, (_, d) in enumerate(f):
-            r = _reduce(d, f[:i], keyf, p) if i else d
-            if r:
-                f1.append(_normalize(r, keyf, p))
-                if not any(f1[-1][0]):
+        f1 = f[:1]
+        for i in range(1, len(f)):
+            r = _reduce(f[i].terms, f[:i], p, pk)
+            if r == f[i].terms:  # unchanged: keep its reducer
+                f1.append(f[i])
+            elif r:
+                f1.append(_entry(*_normalize(r, p), pk))
+                if not f1[-1].lm:
                     return f1[-1:]
-        if f == f1:
+        if [e.terms for e in f] == [e.terms for e in f1]:
             return f
 
 
-def _unit_basis(nvars):
-    unit = (0,) * nvars
-    return [(unit, {unit: 1})]
-
-
-def _reducers(G, lms, polys, keyf):
-    """The (lm, dict) pairs of G, ascending in the order, ties on index."""
-    return [(lms[g][0], polys[g]) for g in sorted(G, key=lambda g: (keyf(lms[g][0]), g))]
-
-
-def _buchberger(gens, keyf, nvars, p, limit):
+def _buchberger(gens, p, limit, pk, keyf):
     """The reduced basis of the kernel term maps `gens` as normalized
     (lm, dict) pairs, descending in the order."""
-    f = _interreduce_seed(gens, keyf, p)
-    if not f:
+    entries = _interreduce_seed(gens, p, pk)
+    if not entries:
         return []
-    for lm, d in f:
-        _check_degree(d, limit)
-        if not any(lm):
-            return _unit_basis(nvars)
+    for e in entries:
+        _check_degree((e.lm & pk.mask) + e.reach, limit)
+        if not e.lm:
+            return [(0, {0: 1})]
 
-    lms = [(lm, _mask_t(lm)) for lm, _ in f]
-    polys = [d for _, d in f]
+    lms = []  # (exponent tuple, mask) of each leading monomial, for the pairs
+    for e in entries:
+        lm = pk.monomial(e.lm)
+        lms.append((lm, _mask_t(lm)))
     G: set = set()
     CP: set = set()
-    for ih in sorted(range(len(polys)), key=lambda i: (keyf(lms[i][0]), i)):
+    for ih in sorted(range(len(entries)), key=lambda i: (entries[i].lm, i)):
         G, CP = _update(G, CP, ih, lms, keyf)
-    reducers = _reducers(G, lms, polys, keyf)
+    reducers = _reducers(G, entries)
 
     while CP:
         pair = min(CP)
         CP.remove(pair)
-        _, i, j, _, _ = pair
-        s = _spoly_t(polys[i], polys[j], lms[i][0], lms[j][0], p)
+        _, i, j, lcm_ij, _ = pair
+        s = _spoly_t(entries[i], entries[j], lcm_ij, p, pk)
         if not s:
             continue
-        r = _reduce(s, reducers, keyf, p)
+        r = _reduce(s, reducers, p, pk)
         if not r:
             continue
-        _check_degree(r, limit)
-        lm_r, r = _normalize(r, keyf, p)
-        if not any(lm_r):
-            return _unit_basis(nvars)
-        polys.append(r)
-        lms.append((lm_r, _mask_t(lm_r)))
-        G, CP = _update(G, CP, len(polys) - 1, lms, keyf)
-        reducers = _reducers(G, lms, polys, keyf)
+        e = _entry(*_normalize(r, p), pk)
+        _check_degree((e.lm & pk.mask) + e.reach, limit)
+        if not e.lm:
+            return [(0, {0: 1})]
+        entries.append(e)
+        lm = pk.monomial(e.lm)
+        lms.append((lm, _mask_t(lm)))
+        G, CP = _update(G, CP, len(entries) - 1, lms, keyf)
+        reducers = _reducers(G, entries)
 
     out = []
-    for t, (_, d) in enumerate(reducers):
-        r = _reduce(d, reducers[:t] + reducers[t + 1:], keyf, p)
+    for t, e in enumerate(reducers):
+        r = _reduce(e.terms, reducers[:t] + reducers[t + 1:], p, pk)
         if r:
-            out.append(_normalize(r, keyf, p))
-    out.sort(key=lambda pair: keyf(pair[0]), reverse=True)
+            out.append(_normalize(r, p))
+    out.sort(reverse=True)
     return out
+
+
+def _reducers(G, entries):
+    """The reducers of G, ascending in the order."""
+    return [entries[g] for g in sorted(G, key=lambda g: entries[g].lm)]
 
 
 def _monomial_basis(gens, keyf):
@@ -448,30 +618,34 @@ class GroebnerBasis:
         every S-polynomial of a basis pair reduces to zero, and that every
         generator of the source ideal reduces to zero.
         """
-        keyf = _KeyMemo(self.order).__getitem__
+        terms = [g._terms for g in self.basis + self.source.generators]
+        _packed(self.order, self.source.nvars, _degree(terms), self._verify)
+
+    def _verify(self, pk):
         fld = self.source.field
         p = fld.characteristic
-        lms = [max(g._terms, key=keyf) for g in self.basis]
-        for g, lm in zip(self.basis, lms):
-            if g._terms[lm] != fld.one:
+        entries = []
+        for g in self.basis:
+            d = _kernel_terms(g._terms, p, pk.weights)
+            lm = max(d)
+            if g._terms[pk.monomial(lm)] != fld.one:
                 raise InternalCheckError("basis element is not monic")
-        dicts = [_kernel_terms(g._terms, p) for g in self.basis]
-        for i, d in enumerate(dicts):
-            for j, lm in enumerate(lms):
-                if i == j:
-                    continue
-                if any(_divides_t(lm, m) for m in d):
+            entries.append(_entry(lm, d, pk))
+        for i, e in enumerate(entries):
+            words = [pk.exponents(m) for m in e.terms]
+            for j, f in enumerate(entries):
+                if i != j and any(pk.divides(f.word, x) for x in words):
                     raise InternalCheckError("basis is not reduced")
-        pairs = list(zip(lms, dicts))
-        for i in range(len(dicts)):
-            for j in range(i + 1, len(dicts)):
-                s = _spoly_t(dicts[i], dicts[j], lms[i], lms[j], p)
-                if _reduce(s, pairs, keyf, p):
+        lms = [pk.monomial(e.lm) for e in entries]
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                s = _spoly_t(entries[i], entries[j], _lcm_t(lms[i], lms[j]), p, pk)
+                if _reduce(s, entries, p, pk):
                     raise InternalCheckError(
                         "an S-polynomial does not reduce to zero against the basis"
                     )
         for g in self.source.generators:
-            if _reduce(_kernel_terms(g._terms, p), pairs, keyf, p):
+            if _reduce(_kernel_terms(g._terms, p, pk.weights), entries, p, pk):
                 raise InternalCheckError("a source generator does not reduce to zero")
 
 
@@ -480,26 +654,40 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 
     Deterministic: identical inputs produce the identical basis, and the
     reduced basis itself is mathematically unique for the given order.
+    The order must be GREVLEX, LEX or a `BlockOrder`; any other raises
+    StructuralError.
     """
+    order, nvars, fld = ideal.order, ideal.nvars, ideal.field
     limit = _degree_limit_var.get()
-    keyf = _KeyMemo(ideal.order).__getitem__
-    fld = ideal.field
-    p = fld.characteristic
     gens = [g._terms for g in ideal.generators]
-    for g in gens:
-        _check_degree(g, limit)
+    degree = _degree(gens)
+    _check_degree(degree, limit)
     if gens and all(len(g) == 1 for g in gens):
-        basis = _monomial_basis(gens, keyf)
+        _blocks(order, nvars)  # raises StructuralError for an order the kernel cannot pack
+        basis = _monomial_basis(gens, _KeyMemo(order).__getitem__)
+        polys = tuple(Polynomial(nvars, fld, d) for _, d in basis)
     else:
-        basis = _buchberger([_kernel_terms(g, p) for g in gens], keyf, ideal.nvars, p, limit)
-    # back to monic Fractions over QQ; the constructor takes the residues,
-    # and the ints of a QQ element whose leading coefficient is already 1
-    basis = [
-        (lm, {m: Fraction(c, d[lm]) for m, c in d.items()} if d[lm] != 1 else d)
-        for lm, d in basis
-    ]
-    polys = tuple(Polynomial(ideal.nvars, fld, d) for _, d in basis)
-    gb = GroebnerBasis(polys, ideal.order, ideal)
+        p = fld.characteristic
+
+        def run(pk):
+            kernel_gens = [_kernel_terms(g, p, pk.weights) for g in gens]
+            basis = _buchberger(kernel_gens, p, limit, pk, _KeyMemo(order).__getitem__)
+            # back to monic Fractions over QQ; the constructor takes the
+            # residues, and the ints of a QQ element whose leading
+            # coefficient is already 1
+            mono = pk.monomial
+            out = []
+            for lm, d in basis:
+                lc = d[lm]
+                if lc == 1:
+                    terms = {mono(m): c for m, c in d.items()}
+                else:
+                    terms = {mono(m): Fraction(c, lc) for m, c in d.items()}
+                out.append(Polynomial(nvars, fld, terms))
+            return tuple(out)
+
+        polys = _packed(order, nvars, degree, run)
+    gb = GroebnerBasis(polys, order, ideal)
     hook = _audit_var.get()
     if hook is not None:
         hook(gb)
@@ -515,30 +703,40 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise StructuralError("polynomial does not live in the basis ring")
     if p.field != gb.source.field:
         raise StructuralError("polynomial over a different field than the basis")
-    keyf = _KeyMemo(gb.order).__getitem__
     char = p.field.characteristic
-    target = p._terms
-    basis = [g._terms for g in gb.basis]
-    if char:
-        target = _kernel_terms(target, char)
-        basis = [_kernel_terms(d, char) for d in basis]
-    # over QQ the monic Fraction basis goes through the loop as it is: no
-    # step scales, so the remainder is exact
-    pairs = [(max(d, key=keyf), d) for d in basis]
-    return Polynomial(p.nvars, p.field, _reduce(target, pairs, keyf, char))
+    maps = [p._terms] + [g._terms for g in gb.basis]
+
+    def run(pk):
+        w = pk.weights
+        if char:
+            target, *basis = (_kernel_terms(d, char, w) for d in maps)
+        else:
+            # the monic Fraction basis goes through the loop as it is: no
+            # step scales, so the remainder is exact
+            target, *basis = ({sum(map(mul, m, w)): c for m, c in d.items()} for d in maps)
+        rem = _reduce(target, [_entry(max(d), d, pk) for d in basis], char, pk)
+        return Polynomial(p.nvars, p.field, {pk.monomial(m): c for m, c in rem.items()})
+
+    return _packed(gb.order, p.nvars, _degree(maps), run)
 
 
 def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     if p.is_zero or q.is_zero:
         raise StructuralError("S-polynomial of a zero polynomial")
     char = p.field.characteristic
-    lmp, dp = _normalize(_kernel_terms(p._terms, char), order.key, char)
-    lmq, dq = _normalize(_kernel_terms(q._terms, char), order.key, char)
-    s = _spoly_t(dp, dq, lmp, lmq, char)
-    if not char:  # the S-polynomial of the monic multiples
-        scale = dp[lmp] * dq[lmq]
-        s = {m: Fraction(c, scale) for m, c in s.items()}
-    return Polynomial(p.nvars, p.field, s)
+
+    def run(pk):
+        f, g = (
+            _entry(*_normalize(_kernel_terms(h._terms, char, pk.weights), char), pk)
+            for h in (p, q)
+        )
+        s = _spoly_t(f, g, _lcm_t(pk.monomial(f.lm), pk.monomial(g.lm)), char, pk)
+        if not char:  # the S-polynomial of the monic multiples
+            scale = f.lc * g.lc
+            s = {m: Fraction(c, scale) for m, c in s.items()}
+        return Polynomial(p.nvars, p.field, {pk.monomial(m): c for m, c in s.items()})
+
+    return _packed(order, p.nvars, _degree([p._terms, q._terms]), run)
 
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:

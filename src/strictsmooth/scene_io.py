@@ -24,6 +24,35 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+# The deepest node a scene file may hold, counting the document as depth 1.
+# A scene's deepest nodes, the names in a center's `vanishing` list, are at
+# depth 5.  The composer checks the bound as it descends, so a deeper file
+# ends in "nested too deeply" whatever the caller's stack depth.
+MAX_NESTING = 50
+
+
+class _NestingLoader(yaml.SafeLoader):
+    """The safe loader with node depth limited to `MAX_NESTING`.
+
+    The composer builds the node tree with one recursive `compose_node`
+    call per node, so the depth it counts is the depth of every later
+    recursion over the document.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._depth = 0
+
+    def compose_node(self, parent, index):
+        if self._depth == MAX_NESTING:
+            raise SceneError("scene file nested too deeply")
+        self._depth += 1
+        try:
+            return super().compose_node(parent, index)
+        finally:
+            self._depth -= 1
+
+
 _SCENE_SCHEMA = _load_schema("scene.schema.json")
 _REPORT_SCHEMA = _load_schema("report.schema.json")
 
@@ -82,7 +111,7 @@ def scene_from_document(doc) -> Scene:
 def load_scene(path) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
+            doc = yaml.load(handle, Loader=_NestingLoader)
     except FileNotFoundError:
         raise SceneError(f"scene file not found: {path}") from None
     except OSError as exc:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from strictsmooth import parsing
+from strictsmooth import parsing, scene_io
+from strictsmooth.cli import main
 from strictsmooth.errors import DegreeLimitError, ParseError
 from strictsmooth.groebner import degree_limit
 from strictsmooth.parsing import parse_expression, tokenize
@@ -146,6 +147,21 @@ def test_nesting_budget_does_not_depend_on_the_caller(shape, frames):
     with pytest.raises(ParseError, match="nested too deeply") as err:
         call_under(frames, lambda: parse(nested(shape, budget + 1)))
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+def test_yaml_nesting_budget_does_not_depend_on_the_caller(capsys, tmp_path, frames):
+    budget = scene_io.MAX_NESTING
+    assert 5 <= budget < 200  # a scene's deepest nodes sit at depth 5
+    scene = tmp_path / "deep.yaml"
+    head = 'schema: strictsmooth-scene/1\nvariables: [x1, y1]\nhypersurface: "x1*y1"\ncenters: '
+    # the document is depth 1, so `levels` brackets reach depth levels + 1
+    for levels, message in ((budget - 1, "invalid at centers/0"), (budget, "nested too deeply")):
+        scene.write_text(head + "[" * levels + "]" * levels + "\n")
+        code = call_under(frames, lambda: main(["analyze", str(scene)]))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err, captured.err[:200]
 
 
 @pytest.fixture
