@@ -26,17 +26,18 @@ restarts at twice the width.  Under LEX or a block order degrees grow
 inside one reduction (x^200 reduced by x − y^200 gives y^40000).  Reduced
 bases and normal forms are unique, so a restart returns the same result.
 
-Critical-pair maintenance stays on exponent tuples: each new basis
-element's leading monomial is decoded once.  There divisibility goes
-behind short exponent vectors (the pair criteria are Gebauer & Möller's,
-JSC 6, 1988).  Each basis element keeps a bit mask of its leading
-monomial and each pair the mask of its lcm, which is the OR of two masks.
-A failed mask subset test proves non-divisibility with one `&`; only when
-it passes does the exact test `_divides_t` run, since exponents above
-`_MASK_CAP` are not visible in the mask.  Coprimality is exact on the
-masks alone.  Order keys of the pairs' lcms go through a memo that lives
-for one call.  The seed interreduction returns as soon as a constant
-appears, since the ideal is then the unit ideal.
+Critical pairs live on packed monomials too (the pair criteria are
+Gebauer & Möller's, JSC 6, 1988).  Each basis element keeps the
+exponent word of its leading monomial; a pair keeps the word of its lcm,
+`_Packing.lcm`, a fieldwise maximum in three big-int operations, and that
+lcm packed, `_Packing.pack`, as its sort key.  An lcm has degree below
+2^w, so no field carries and integer order on the packed lcm is still
+the monomial order.  Coprimality is `lcm == ea + eb`, and the chain
+criterion and the pruning of the basis are guard-bit tests on words.
+A monomial ideal skips Buchberger: its generators are packed and sorted
+by degree, and each one divisible by one of lower degree is dropped.
+The seed interreduction returns as soon as a constant appears, since the
+ideal is then the unit ideal.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import le, mul
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -76,9 +77,6 @@ from .poly import GREVLEX, BlockOrder, GrevlexOrder, LexOrder, Monomial, Monomia
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
-
-# exponent levels per variable in a divisibility mask (see `_mask_t`)
-_MASK_CAP = 4
 
 _new = tuple.__new__
 
@@ -198,15 +196,23 @@ class _Packing:
     `((Eb | guard) - Ea) & guard == guard`, where `guard` has the top bit
     of each exponent field set: that bit survives the subtraction in a
     field exactly when e_a <= e_b there, and no field borrows from the next.
+    These tests and `lcm` need only each exponent below `bound`, so they
+    also take an lcm of two such words, whose degree is at most
+    2·bound − 2 < B: `pack` of an lcm carries no field either.
     """
 
-    __slots__ = ("weights", "bound", "mask", "fields", "ones", "guard", "shifts", "graded")
+    __slots__ = (
+        "weights", "bound", "mask", "fields", "ones", "guard", "guard_shift", "shifts", "sums",
+        "graded",
+    )
 
     def __init__(self, order, nvars, width):
         self.mask = (1 << width) - 1  # k & mask is the total degree of k
         self.bound = 1 << (width - 1)
+        self.guard_shift = width - 1  # the guard bit's place in its field
         weights = [0] * nvars
         shifts = [0] * nvars
+        sums = []  # per block: its exponent fields, and how `pack` sums them
         fields = ones = guard = 0
         blocks = _blocks(order, nvars)
         self.graded = len(blocks) <= 1
@@ -214,26 +220,50 @@ class _Packing:
         for block in reversed(blocks):
             top = (pos + len(block)) * width
             ones |= 1 << (pos * width)
+            block_fields = spread = 0
             for v in block:
                 shift = pos * width
                 weights[v] = 1 + (1 << top) - (1 << shift)
                 shifts[v] = shift
-                fields |= self.mask << shift
+                block_fields |= self.mask << shift
                 guard |= self.bound << shift
+                # times `spread` every exponent lands in the block's last field
+                spread |= 1 << (top - width - shift)
                 pos += 1
+            fields |= block_fields
+            sums.append((block_fields, spread, top - width, 1 + (1 << top)))
             pos += 1  # the block's degree field
         self.weights = tuple(weights)
         self.shifts = tuple(shifts)
+        self.sums = tuple(sums)
         self.fields, self.ones, self.guard = fields, ones, guard
 
     def exponents(self, k):
         """The exponent word E of the packed monomial k."""
         return ((~k & self.fields) + self.ones) & self.fields
 
+    def pack(self, e):
+        """The packed monomial K of the exponent word e.
+
+        K = Σ deg·(1 + B^top) − e over the blocks, each block degree a
+        horizontal sum of its fields in one multiplication.
+        """
+        k, mask = -e, self.mask
+        for block_fields, spread, shift, weight in self.sums:
+            k += ((e & block_fields) * spread >> shift & mask) * weight
+        return k
+
+    def lcm(self, ea, eb):
+        """The exponent word of the lcm of the words ea and eb: their
+        fieldwise maximum, taken where the guard bit marks e_a >= e_b."""
+        ge = ((ea | self.guard) - eb) & self.guard
+        take = (ge >> self.guard_shift) * self.mask
+        return ea & take | eb & ~take
+
     def divides(self, ea, eb):
         """Whether the monomial of exponent word ea divides that of eb.
 
-        `_reduce` inlines this test, with `eb | guard` taken once per step.
+        The kernel's loops inline this test, with `eb | guard` taken once.
         """
         return ((eb | self.guard) - ea) & self.guard == self.guard
 
@@ -267,52 +297,7 @@ def _packed(order, nvars, degree, run):
 
 
 # --------------------------------------------------------------------------
-# kernel: term maps keyed by packed monomials with int coefficients;
-# critical pairs on exponent tuples
-
-
-class _KeyMemo(dict):
-    """Order keys of exponent tuples, each computed on first use.
-
-    One memo lives for one kernel call and is dropped when it returns, so
-    nothing accumulates across calls.  Use `_KeyMemo(order).__getitem__`
-    as the sort key: a hit is a plain dict lookup.
-    """
-
-    __slots__ = ("_raw",)
-
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self._raw = order.key
-
-    def __missing__(self, exps):
-        key = self[exps] = self._raw(exps)
-        return key
-
-
-def _divides_t(a, b):
-    return all(map(le, a, b))
-
-
-def _mask_t(a):
-    """Short exponent vector of `a`: bit i*_MASK_CAP + j is set when a[i] > j.
-
-    If a divides b then `_mask_t(a)` is a subset of `_mask_t(b)`, the mask
-    of an lcm is the OR of the two masks, and two monomials are coprime
-    exactly when their masks share no bit of `_mask_t((1,) * nvars)`.  A
-    subset test therefore settles most non-divisibility with one `&`; when
-    it passes, `_divides_t` decides, since exponents above the cap are
-    not seen by the mask.
-    """
-    m = 0
-    for i, e in enumerate(a):
-        if e:
-            m |= ((1 << min(e, _MASK_CAP)) - 1) << (i * _MASK_CAP)
-    return m
-
-
-def _lcm_t(a, b):
-    return tuple(map(max, a, b))
+# kernel: term maps keyed by packed monomials with int coefficients
 
 
 def _degree(term_maps):
@@ -436,15 +421,13 @@ def _reduce(target, reducers, p, pk):
     return rem
 
 
-def _spoly_t(f, g, lcm_fg, p, pk):
+def _spoly_t(f, g, k, p, pk):
     """S-polynomial of two `_Reducer`s, each scaled by the other's leading
-    coefficient (over GF(p) both are monic).  `lcm_fg` is the exponent
-    tuple of the lcm of their leading monomials; the two leading terms
-    cancel and are never formed.  Raises `_Overflow` when a term could
-    reach degree `pk.bound`."""
-    if sum(lcm_fg) + max(f.reach, g.reach) >= pk.bound:
+    coefficient (over GF(p) both are monic).  `k` is the packed lcm of
+    their leading monomials; the two leading terms cancel and are never
+    formed.  Raises `_Overflow` when a term could reach degree `pk.bound`."""
+    if (k & pk.mask) + max(f.reach, g.reach) >= pk.bound:
         raise _Overflow
-    k = sum(map(mul, lcm_fg, pk.weights))
     a, b, lf, lg = k - f.lm, k - g.lm, f.lc, g.lc
     out = {m + a: lg * c for m, c in f.tail}
     for m, c in g.tail:
@@ -460,38 +443,38 @@ def _spoly_t(f, g, lcm_fg, p, pk):
     return out
 
 
-def _update(G, B, ih, lms, keyf):
+def _update(G, B, ih, words, pk):
     # critical-pair maintenance with the coprime and chain criteria,
-    # following Becker-Weispfenning p. 230.  lms[i] is the (leading
-    # monomial, mask) pair of basis element i.  A critical pair is the
-    # tuple (order key of its lcm, i, j, lcm, lcm mask), so min(B) is the
-    # normal strategy with ties broken on (i, j).  Each divisibility test
-    # checks the masks first and calls `_divides_t` only when they pass.
-    mh, bh = lms[ih]
-    low = _mask_t((1,) * len(mh))
+    # following Becker-Weispfenning p. 230.  words[i] is the exponent word
+    # of the leading monomial of basis element i.  A critical pair is the
+    # tuple (packed lcm, i, j, lcm word), so min(B) is the normal strategy
+    # with ties broken on (i, j).  Each divisibility test is the guard-bit
+    # test of `_Packing.divides`, inlined.
+    guard, lcm = pk.guard, pk.lcm
+    eh = words[ih]
     C = sorted(G)
-    lcms = [(_lcm_t(mh, lms[ig][0]), bh | lms[ig][1]) for ig in C]
-    D = []  # (ig, lcm, lcm mask, coprime) for the pairs (ih, ig) that survive
+    lcms = [lcm(eh, words[ig]) for ig in C]
+    D = []  # (ig, lcm word, coprime) for the pairs (ih, ig) that survive
     for t, ig in enumerate(C):
-        lcm_hg, b_hg = lcms[t]
-        coprime = not bh & lms[ig][1] & low
+        l_hg = lcms[t]
+        coprime = l_hg == eh + words[ig]
+        x = l_hg | guard
         if coprime or not (
-            any(b & b_hg == b and _divides_t(l, lcm_hg) for l, b in lcms[t + 1:])
-            or any(b & b_hg == b and _divides_t(l, lcm_hg) for _, l, b, _ in D)
+            any((x - l) & guard == guard for l in lcms[t + 1:])
+            or any((x - l) & guard == guard for _, l, _ in D)
         ):
-            D.append((ig, lcm_hg, b_hg, coprime))
+            D.append((ig, l_hg, coprime))
     B_new = set()
     for pair in B:
-        _, i, j, lcm_ij, b_ij = pair
+        _, i, j, l_ij = pair
         if (
-            b_ij & bh != bh
-            or not _divides_t(mh, lcm_ij)
-            or _lcm_t(lms[i][0], mh) == lcm_ij
-            or _lcm_t(lms[j][0], mh) == lcm_ij
+            ((l_ij | guard) - eh) & guard != guard
+            or lcm(words[i], eh) == l_ij
+            or lcm(words[j], eh) == l_ij
         ):
             B_new.add(pair)
-    B_new.update((keyf(l), ih, ig, l, b) for ig, l, b, coprime in D if not coprime)
-    G_new = {g for g in G if lms[g][1] & bh != bh or not _divides_t(mh, lms[g][0])}
+    B_new.update((pk.pack(l), ih, ig, l) for ig, l, coprime in D if not coprime)
+    G_new = {g for g in G if ((words[g] | guard) - eh) & guard != guard}
     G_new.add(ih)
     return G_new, B_new
 
@@ -523,7 +506,7 @@ def _interreduce_seed(gens, p, pk):
             return f
 
 
-def _buchberger(gens, p, limit, pk, keyf):
+def _buchberger(gens, p, limit, pk):
     """The reduced basis of the kernel term maps `gens` as normalized
     (lm, dict) pairs, descending in the order."""
     entries = _interreduce_seed(gens, p, pk)
@@ -534,21 +517,18 @@ def _buchberger(gens, p, limit, pk, keyf):
         if not e.lm:
             return [(0, {0: 1})]
 
-    lms = []  # (exponent tuple, mask) of each leading monomial, for the pairs
-    for e in entries:
-        lm = pk.monomial(e.lm)
-        lms.append((lm, _mask_t(lm)))
+    words = [e.word for e in entries]
     G: set = set()
     CP: set = set()
     for ih in sorted(range(len(entries)), key=lambda i: (entries[i].lm, i)):
-        G, CP = _update(G, CP, ih, lms, keyf)
+        G, CP = _update(G, CP, ih, words, pk)
     reducers = _reducers(G, entries)
 
     while CP:
         pair = min(CP)
         CP.remove(pair)
-        _, i, j, lcm_ij, _ = pair
-        s = _spoly_t(entries[i], entries[j], lcm_ij, p, pk)
+        k, i, j, _ = pair
+        s = _spoly_t(entries[i], entries[j], k, p, pk)
         if not s:
             continue
         r = _reduce(s, reducers, p, pk)
@@ -559,9 +539,8 @@ def _buchberger(gens, p, limit, pk, keyf):
         if not e.lm:
             return [(0, {0: 1})]
         entries.append(e)
-        lm = pk.monomial(e.lm)
-        lms.append((lm, _mask_t(lm)))
-        G, CP = _update(G, CP, len(entries) - 1, lms, keyf)
+        words.append(e.word)
+        G, CP = _update(G, CP, len(entries) - 1, words, pk)
         reducers = _reducers(G, entries)
 
     out = []
@@ -578,17 +557,24 @@ def _reducers(G, entries):
     return [entries[g] for g in sorted(G, key=lambda g: entries[g].lm)]
 
 
-def _monomial_basis(gens, keyf):
-    monos = sorted({next(iter(g)) for g in gens}, key=keyf)
-    kept = {}  # degree -> the minimal generators of that degree found so far
-    for m in monos:
-        dm = sum(m)
-        # a divisor sorts first, and distinct monomials of one degree never
-        # divide each other, so only lower-degree survivors need testing
-        if not any(_divides_t(k, m) for d, ks in kept.items() if d < dm for k in ks):
-            kept.setdefault(dm, []).append(m)
-    keep = [m for ks in kept.values() for m in ks]
-    return [(m, {m: 1}) for m in sorted(keep, key=keyf, reverse=True)]
+def _monomial_basis(gens, pk):
+    """The reduced basis of the one-term term maps `gens` (exponent
+    tuples), as packed (lm, {lm: 1}) pairs descending in the order.
+
+    A proper divisor has a lower degree, so in order of degree each
+    monomial is tested only against those kept at lower degrees.
+    """
+    guard, mask, w = pk.guard, pk.mask, pk.weights
+    kept = []  # (packed monomial, exponent word), by degree
+    lower = 0  # how many of them have a degree below the current one
+    for k in sorted({sum(map(mul, m, w)) for g in gens for m in g}, key=mask.__and__):
+        if kept and kept[-1][0] & mask < k & mask:
+            lower = len(kept)
+        e = pk.exponents(k)
+        x = e | guard
+        if not any((x - f) & guard == guard for _, f in kept[:lower]):
+            kept.append((k, e))
+    return [(k, {k: 1}) for k, _ in sorted(kept, reverse=True)]
 
 
 # --------------------------------------------------------------------------
@@ -636,10 +622,9 @@ class GroebnerBasis:
             for j, f in enumerate(entries):
                 if i != j and any(pk.divides(f.word, x) for x in words):
                     raise InternalCheckError("basis is not reduced")
-        lms = [pk.monomial(e.lm) for e in entries]
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                s = _spoly_t(entries[i], entries[j], _lcm_t(lms[i], lms[j]), p, pk)
+        for i, f in enumerate(entries):
+            for g in entries[i + 1:]:
+                s = _spoly_t(f, g, pk.pack(pk.lcm(f.word, g.word)), p, pk)
                 if _reduce(s, entries, p, pk):
                     raise InternalCheckError(
                         "an S-polynomial does not reduce to zero against the basis"
@@ -658,35 +643,32 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     StructuralError.
     """
     order, nvars, fld = ideal.order, ideal.nvars, ideal.field
+    p = fld.characteristic
     limit = _degree_limit_var.get()
     gens = [g._terms for g in ideal.generators]
     degree = _degree(gens)
     _check_degree(degree, limit)
-    if gens and all(len(g) == 1 for g in gens):
-        _blocks(order, nvars)  # raises StructuralError for an order the kernel cannot pack
-        basis = _monomial_basis(gens, _KeyMemo(order).__getitem__)
-        polys = tuple(Polynomial(nvars, fld, d) for _, d in basis)
-    else:
-        p = fld.characteristic
 
-        def run(pk):
-            kernel_gens = [_kernel_terms(g, p, pk.weights) for g in gens]
-            basis = _buchberger(kernel_gens, p, limit, pk, _KeyMemo(order).__getitem__)
-            # back to monic Fractions over QQ; the constructor takes the
-            # residues, and the ints of a QQ element whose leading
-            # coefficient is already 1
-            mono = pk.monomial
-            out = []
-            for lm, d in basis:
-                lc = d[lm]
-                if lc == 1:
-                    terms = {mono(m): c for m, c in d.items()}
-                else:
-                    terms = {mono(m): Fraction(c, lc) for m, c in d.items()}
-                out.append(Polynomial(nvars, fld, terms))
-            return tuple(out)
+    def run(pk):
+        if all(len(g) == 1 for g in gens):
+            basis = _monomial_basis(gens, pk)
+        else:
+            basis = _buchberger([_kernel_terms(g, p, pk.weights) for g in gens], p, limit, pk)
+        # back to monic Fractions over QQ; the constructor takes the
+        # residues, and the ints of a QQ element whose leading
+        # coefficient is already 1
+        mono = pk.monomial
+        out = []
+        for lm, d in basis:
+            lc = d[lm]
+            if lc == 1:
+                terms = {mono(m): c for m, c in d.items()}
+            else:
+                terms = {mono(m): Fraction(c, lc) for m, c in d.items()}
+            out.append(Polynomial(nvars, fld, terms))
+        return tuple(out)
 
-        polys = _packed(order, nvars, degree, run)
+    polys = _packed(order, nvars, degree, run)
     gb = GroebnerBasis(polys, order, ideal)
     hook = _audit_var.get()
     if hook is not None:
@@ -721,6 +703,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+    p._check_compatible(q)
     if p.is_zero or q.is_zero:
         raise StructuralError("S-polynomial of a zero polynomial")
     char = p.field.characteristic
@@ -730,7 +713,7 @@ def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) ->
             _entry(*_normalize(_kernel_terms(h._terms, char, pk.weights), char), pk)
             for h in (p, q)
         )
-        s = _spoly_t(f, g, _lcm_t(pk.monomial(f.lm), pk.monomial(g.lm)), char, pk)
+        s = _spoly_t(f, g, pk.pack(pk.lcm(f.word, g.word)), char, pk)
         if not char:  # the S-polynomial of the monic multiples
             scale = f.lc * g.lc
             s = {m: Fraction(c, scale) for m, c in s.items()}
