@@ -8,6 +8,10 @@ Grammar (whitespace insensitive, no implicit multiplication):
     power   := atom ('^' INT)?
     atom    := INT ('/' INT)? | NAME | '(' expr ')'
 
+An INT is a run of decimal digits, exactly the digits `int()` reads; a
+NAME is a word that starts with a letter or '_'.  Any other character
+outside the operators and whitespace, such as the '²' of 'x^²', is a
+ParseError (exit 2 from the CLI).
 Exponents are nonnegative integer literals.  A '/' is only legal between
 two integer literals, where it forms an exact coefficient.  Errors carry
 line and column numbers where a token is at fault.  Integer literals and
@@ -28,6 +32,7 @@ degree of a product is the sum of the degrees, so the check is exact.
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .errors import DegreeLimitError, ParseError
@@ -48,6 +53,10 @@ _SINGLE = {
     ")": "RPAREN",
 }
 
+# A line break, an integer literal, a word, or any other single character;
+# the whitespace between them matches nothing and is skipped.
+_TOKEN = re.compile(r"(\n)|(\d+)|(\w+)|(\S)")
+
 
 def _max_digits() -> int:
     """Python's int/str conversion limit in digits; 0 means unlimited."""
@@ -57,42 +66,23 @@ def _max_digits() -> int:
 def tokenize(text: str):
     limit = _max_digits()
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append((_SINGLE[ch], ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            if limit and i - start > limit:
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        newline, digits, word, char = match.groups()
+        col = match.start() - line_start + 1
+        if newline:
+            line, line_start = line + 1, match.end()
+        elif digits:
+            if limit and len(digits) > limit:
                 raise ParseError(f"integer literal has more than {limit} digits", line, col)
-            tokens.append(("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("END", "", line, col))
+            tokens.append(("INT", digits, line, col))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("NAME", word, line, col))
+        elif char in _SINGLE:
+            tokens.append((_SINGLE[char], char, line, col))
+        else:
+            raise ParseError(f"unexpected character {match[0][0]!r}", line, col)
+    tokens.append(("END", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -54,11 +54,11 @@ class _NestingLoader(yaml.SafeLoader):
 
 
 _SCENE_SCHEMA = _load_schema("scene.schema.json")
-_REPORT_SCHEMA = _load_schema("report.schema.json")
 
 
 def report_schema() -> dict:
-    return _REPORT_SCHEMA
+    """The report schema, read on each call rather than when this module is imported."""
+    return _load_schema("report.schema.json")
 
 
 def scene_schema() -> dict:

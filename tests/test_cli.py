@@ -152,6 +152,21 @@ def test_bad_expression_exit_two(capsys, tmp_path):
     assert "exponent" in err
 
 
+def test_non_decimal_digit_exit_two(capsys, tmp_path):
+    # '²' is a digit to str.isdigit() but not to int()
+    scene = tmp_path / "superscript.yaml"
+    scene.write_text(
+        "schema: strictsmooth-scene/1\n"
+        "variables: [x, y]\n"
+        'hypersurface: "x^² + y"\n'
+        "centers: []\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert code == 2 and out == ""
+    assert err == "error: hypersurface expression: unexpected character '²' (line 1, column 3)\n"
+
+
 def test_unknown_vanishing_variable_exit_two(capsys, tmp_path):
     scene = tmp_path / "unknown.yaml"
     scene.write_text(

@@ -665,27 +665,6 @@ def test_monomial_ideals_match_naive_under_every_order(fld):
             assert keys == sorted(keys, reverse=True)
 
 
-def katsura_ideal(n, fld):
-    """katsura-n in n+1 unknowns u0..un."""
-    u = [Polynomial.variable(i, n + 1, fld) for i in range(n + 1)]
-
-    def at(k):
-        return u[abs(k)] if abs(k) <= n else None
-
-    gens = []
-    for m in range(n):
-        products = [at(l) * at(m - l) for l in range(-n, n + 1) if at(l) and at(m - l)]
-        total = products[0]
-        for q in products[1:]:
-            total = total + q
-        gens.append(total - u[m])
-    linear = u[0]
-    for v in u[1:]:
-        linear = linear + 2 * v
-    gens.append(linear - 1)
-    return Ideal(tuple(gens), n + 1, fld)
-
-
 def overflow_cases(fld):
     x, y = (Polynomial.variable(i, 2, fld) for i in range(2))
     ideals = [

@@ -57,12 +57,32 @@ def test_unknown_variable_reported_with_position():
         parse("x1 + zz")
     assert "zz" in str(err.value)
     assert err.value.column == 6
+    # a superscript continues a name, as any letter or digit does
+    with pytest.raises(ParseError, match="unknown variable 'x²'"):
+        parse("x²", ("x",))
 
 
 def test_lexical_error_has_line_and_column():
     with pytest.raises(ParseError) as err:
         parse("x1 +\n x2 $ 3")
     assert err.value.line == 2 and err.value.column == 5
+    # digits that int() does not read are not literals
+    for text, char, line, column in (
+        ("x^²", "²", 1, 3),
+        ("²", "²", 1, 1),
+        ("1①7", "①", 1, 2),
+        ("x + ³", "³", 1, 5),
+        ("x +\n  ²", "²", 2, 3),
+    ):
+        with pytest.raises(ParseError, match=f"unexpected character '{char}'") as err:
+            parse(text, ("x",))
+        assert (err.value.line, err.value.column) == (line, column), text
+
+
+def test_decimal_digits_of_any_script_are_literals():
+    # int() reads every Unicode decimal digit
+    assert parse("x^٣", ("x",)) == parse("x^3", ("x",))
+    assert parse("𝟙*x", ("x",)) == parse("x", ("x",))
 
 
 def test_rational_coefficients():
@@ -105,6 +125,9 @@ def test_tokenizer_positions():
     kinds = [t[0] for t in tokens]
     assert kinds == ["NAME", "PLUS", "INT", "END"]
     assert tokens[2][2:] == (1, 6)
+    # END sits just past the last character, trailing whitespace included
+    assert tokens[3][2:] == (1, 8)
+    assert tokenize("x1 +\n  ")[-1][2:] == (2, 3)
 
 
 @pytest.mark.parametrize(
