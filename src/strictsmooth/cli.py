@@ -20,7 +20,6 @@ from .geometry import analyze
 from .groebner import degree_limit
 from .report import build_report, render_plain, render_structured, summary_line
 from .scene_io import load_scene
-from .selftest import run_selftest
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,6 +91,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
+            from .selftest import run_selftest
+
             with degree_limit(args.max_degree):
                 passed, failed = run_selftest(seed=args.seed, stream=sys.stdout)
             if not args.quiet:

@@ -10,7 +10,8 @@ transform of the hypersurface in the blow-up:
   centers and that the projectivized leading form cuts a smooth effective
   divisor out of each exceptional projective bundle (with a base-locus
   specialization when k = 1);
-* the chart oracle substitutes explicit blow-up coordinates chart by chart
+* the chart oracle pulls f back to each affine chart of the blow-up (a
+  monomial change of coordinates, so an exponent map on the terms of f)
   and runs the Jacobian criterion on the strict transform directly.
 
 The hypothesis route is a sufficient criterion only: when it fails the
@@ -164,14 +165,13 @@ class BlowupChart:
     exponents, x^m pulls back to the monomial whose `variable` exponent is
     the normal degree of m, all others unchanged.  The pulled back
     hypersurface is exactly t^exponent times the strict transform and the
-    strict transform is not divisible by t.  `substitution` records the
-    coordinate change for the report.
+    strict transform is not divisible by t.  The chart is that exponent map
+    alone: the report writes the coordinate change from `names`.
     """
 
     center: Center
     variable: int
     names: tuple                   # display names of the chart coordinates
-    substitution: dict             # ambient variable index -> chart polynomial
     strict_transform: Polynomial
     exceptional_exponent: int
 
@@ -302,44 +302,23 @@ def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusRe
             detail="base locus is empty; the dimension condition holds vacuously",
         )
         return BaseLocusResult(equations, dim_b, expected, True, verdict)
+    witness = b_ideal
     if expected < 0:
-        verdict = Verdict(
-            Status.SINGULAR,
-            detail=(
-                f"expected dimension {expected} is negative but the base locus "
-                f"is nonempty (dimension {dim_b})"
-            ),
-            witness=b_ideal,
+        detail = (
+            f"expected dimension {expected} is negative but the base locus "
+            f"is nonempty (dimension {dim_b})"
         )
-        return BaseLocusResult(equations, dim_b, expected, False, verdict)
-    if dim_b != expected:
-        verdict = Verdict(
-            Status.SINGULAR,
-            detail=(
-                f"base locus has dimension {dim_b}, expected {expected}"
-            ),
-            witness=b_ideal,
-        )
-        return BaseLocusResult(equations, dim_b, expected, False, verdict)
-    jacobian = [
-        [eq.partial(j) for j in range(tdim)]
-        for eq in equations
-    ]
-    rank_drop = minors_ideal(jacobian, d)
-    singular_locus = b_ideal.join(rank_drop) if rank_drop.generators else b_ideal
-    if rank_drop.generators:
-        smooth = is_empty_affine(singular_locus)
+    elif dim_b != expected:
+        detail = f"base locus has dimension {dim_b}, expected {expected}"
     else:
-        # every d x d minor vanishes identically: rank never reaches d
-        smooth = False
-    if smooth:
-        verdict = Verdict(Status.SMOOTH)
-    else:
-        verdict = Verdict(
-            Status.SINGULAR,
-            detail=f"base locus of center {center.name!r} is singular",
-            witness=singular_locus,
-        )
+        jacobian = [[eq.partial(j) for j in range(tdim)] for eq in equations]
+        rank_drop = minors_ideal(jacobian, d)
+        witness = b_ideal.join(rank_drop)
+        # with every d x d minor identically zero the rank never reaches d
+        if rank_drop.generators and is_empty_affine(witness):
+            return BaseLocusResult(equations, dim_b, expected, False, Verdict(Status.SMOOTH))
+        detail = f"base locus of center {center.name!r} is singular"
+    verdict = Verdict(Status.SINGULAR, detail=detail, witness=witness)
     return BaseLocusResult(equations, dim_b, expected, False, verdict)
 
 
@@ -415,8 +394,9 @@ def chart_names(scene_names, center: Center, variable: int) -> tuple:
 def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
     """All affine blow-up charts of one center, with strict transforms.
 
-    Each chart is a monomial change of coordinates, so the pullback is
-    rewritten term by term: in the chart of y_j the monomial x^m goes to the
+    In the chart of y_j the blow-up sets y_j = t and y_l = t*u_l for the
+    other normal variables, a monomial change of coordinates, so the
+    pullback is rewritten term by term: the monomial x^m goes to the
     monomial whose j-th exponent is the normal degree sum_{l in V} m_l, with
     every other exponent unchanged.  That map is injective, so no two terms
     merge, over QQ and GF(p) alike.  The t-valuation of the pullback is the
@@ -432,14 +412,9 @@ def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
         raise InternalCheckError(
             f"chart valuation {valuation} below the vanishing order {k}"
         )
-    n, fld = scene.nvars, scene.field
     out = []
     for j in normal:
-        t = Polynomial.variable(j, n, fld)
-        substitution = {
-            l: t if l == j else t * Polynomial.variable(l, n, fld) for l in normal
-        }
-        strict = Polynomial(n, fld, {
+        strict = Polynomial(scene.nvars, scene.field, {
             m[:j] + (d - valuation,) + m[j + 1:]: c for m, d, c in terms
         })
         out.append(
@@ -447,7 +422,6 @@ def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
                 center=center,
                 variable=j,
                 names=chart_names(scene.names, center, j),
-                substitution=substitution,
                 strict_transform=strict,
                 exceptional_exponent=valuation,
             )
@@ -616,11 +590,10 @@ def analyze(scene: Scene) -> Analysis:
 
     oracle = chart_oracle(scene, containment, center_charts)
 
-    consistent = not (
-        section_route.status is Status.SMOOTH and oracle.status is not Status.SMOOTH
-    )
-    if base_route is not None and base_route.status is Status.SMOOTH:
-        consistent = consistent and oracle.status is Status.SMOOTH
+    # the routes are sufficient criteria: only a Smooth route can contradict
+    # the oracle
+    claims = [r.status for r in (section_route, base_route) if r is not None]
+    consistent = oracle.status is Status.SMOOTH or Status.SMOOTH not in claims
 
     notes = []
     if section_route.status is Status.INCONCLUSIVE and oracle.status is Status.SMOOTH:

@@ -14,7 +14,7 @@ from operator import add, le, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import StructuralError
-from .scalars import QQ, coefficient_sign_magnitude
+from .scalars import QQ
 
 _new = tuple.__new__
 
@@ -361,7 +361,9 @@ class Polynomial:
             return "0"
         chunks = []
         for m, c in self.sorted_terms(order):
-            negative, magnitude = coefficient_sign_magnitude(c)
+            text = str(c)
+            negative = text.startswith("-")
+            magnitude = text.removeprefix("-")
             factors = [
                 f"{names[i]}^{e}" if e > 1 else names[i]
                 for i, e in enumerate(m)

@@ -99,9 +99,14 @@ def _charts_section(analysis: Analysis) -> list:
     out = []
     for chart_list in analysis.charts:
         for ch in chart_list:
+            # In the chart of y_j, y_j is t and y_l is t*u_l.  Written in the
+            # chart names, y_j maps to its own name and y_l to the names of
+            # j and l joined by "*" in index order, the text that rendering
+            # the product t*u_l gives.
+            j, names = ch.variable, ch.names
             substitution = {
-                scene.names[i]: image.render(ch.names)
-                for i, image in sorted(ch.substitution.items())
+                scene.names[l]: names[l] if l == j else "*".join(names[i] for i in sorted((j, l)))
+                for l in ch.center.vanishing
             }
             out.append(
                 {
@@ -117,7 +122,9 @@ def _charts_section(analysis: Analysis) -> list:
 
 
 def build_report(analysis: Analysis, command: str = "analyze") -> dict:
-    """Assemble the report document for one CLI command."""
+    """Assemble the report document for one CLI command: `analyze` has
+    every section, `charts` the charts, `oracle` the charts and the oracle
+    verdict, `sod` the centers and the three ledger sections."""
     scene = analysis.scene
     report = {
         "schema": REPORT_SCHEMA_ID,
@@ -126,47 +133,29 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
         "input": echo_input(scene),
         "warnings": list(analysis.warnings),
     }
-    if command == "charts":
+    if command in ("analyze", "charts", "oracle"):
         report["charts"] = _charts_section(analysis)
-        return report
-    if command == "oracle":
+    if command in ("analyze", "oracle"):
         report["verdicts"] = {"chart_oracle": _verdict_doc(analysis.oracle, scene)}
-        report["charts"] = _charts_section(analysis)
-        return report
-    ledgers = _ledger_sections(analysis)
-    centers = _center_section(analysis, ledgers["lefschetz"])
-    if command == "sod":
-        report["centers"] = centers
+    if command in ("analyze", "sod"):
+        ledgers = _ledger_sections(analysis)
+        report["centers"] = _center_section(analysis, ledgers["lefschetz"])
         report.update(ledgers)
-        return report
-
-    base_route = analysis.base_locus_route
-    if base_route is None:
-        if analysis.centers:
-            reason = "some center has vanishing order above 1"
+    if command == "analyze":
+        if analysis.base_locus_route is not None:
+            base_doc = _verdict_doc(analysis.base_locus_route, scene)
+        elif analysis.centers:
+            base_doc = {"applicable": False, "reason": "some center has vanishing order above 1"}
         else:
-            reason = "there are no centers"
-        base_doc = {"applicable": False, "reason": reason}
-    else:
-        base_doc = _verdict_doc(base_route, scene)
-    report.update(
-        {
-            "notes": list(analysis.notes),
-            "centers": centers,
-            "verdicts": {
-                "singular_locus_in_centers": _verdict_doc(
-                    analysis.singular_containment, scene
-                ),
-                "section_criterion": _verdict_doc(analysis.section_route, scene),
-                "base_locus_criterion": base_doc,
-                "chart_oracle": _verdict_doc(analysis.oracle, scene),
-                "consistent": analysis.consistent,
-            },
-            "divisor_classes": copy.deepcopy(analysis.ledger),
-            "charts": _charts_section(analysis),
-            **ledgers,
-        }
-    )
+            base_doc = {"applicable": False, "reason": "there are no centers"}
+        report["verdicts"].update(
+            singular_locus_in_centers=_verdict_doc(analysis.singular_containment, scene),
+            section_criterion=_verdict_doc(analysis.section_route, scene),
+            base_locus_criterion=base_doc,
+            consistent=analysis.consistent,
+        )
+        report["notes"] = list(analysis.notes)
+        report["divisor_classes"] = copy.deepcopy(analysis.ledger)
     return report
 
 

@@ -227,12 +227,3 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def coefficient_sign_magnitude(c):
-    """Split a coefficient into (is_negative, magnitude_string) for rendering."""
-    if isinstance(c, Fraction):
-        return c < 0, str(abs(c))
-    if isinstance(c, ModularInt):
-        return False, str(c.value)
-    raise TypeError(f"not a scalar: {c!r}")

@@ -54,6 +54,8 @@ class _NestingLoader(yaml.SafeLoader):
 
 
 _SCENE_SCHEMA = _load_schema("scene.schema.json")
+# Built once: `jsonschema.validate` would check the schema itself on every call.
+_SCENE_VALIDATOR = jsonschema.validators.validator_for(_SCENE_SCHEMA)(_SCENE_SCHEMA)
 
 
 def report_schema() -> dict:
@@ -72,11 +74,10 @@ def scene_from_document(doc) -> Scene:
     parsed; the scene invariants are left to `Scene.validate`, which
     `analyze` runs first.
     """
-    try:
-        jsonschema.validate(doc, _SCENE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SceneError(f"scene file invalid at {path}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_SCENE_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise SceneError(f"scene file invalid at {path}: {error.message}")
 
     field_doc = doc.get("field", {"kind": "rational"})
     if field_doc["kind"] == "rational":

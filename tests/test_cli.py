@@ -1,15 +1,24 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from strictsmooth.cli import main
+from strictsmooth.errors import SceneError
 from strictsmooth.geometry import analyze
 from strictsmooth.parsing import parse_expression
 from strictsmooth.report import _section_names, build_report
 from strictsmooth.scalars import PRIME_BOUND
-from strictsmooth.scene_io import load_scene, report_schema, scene_schema
+from strictsmooth.scene_io import load_scene, report_schema, scene_from_document, scene_schema
+
+# built once: `jsonschema.validate` checks the schema itself on every call
+REPORT_VALIDATOR = jsonschema.Draft202012Validator(report_schema())
 
 PAIRING_SCENE = """\
 schema: strictsmooth-scene/1
@@ -55,7 +64,7 @@ def test_analyze_exit_zero_and_valid_report(capsys, pairing_file):
     code, out, err = run(capsys, ["analyze", pairing_file])
     assert code == 0
     report = json.loads(out)
-    jsonschema.validate(report, report_schema())
+    REPORT_VALIDATOR.validate(report)
     assert report["verdicts"]["section_criterion"]["status"] == "smooth"
     assert report["verdicts"]["base_locus_criterion"]["status"] == "smooth"
     assert report["verdicts"]["chart_oracle"]["status"] == "smooth"
@@ -86,7 +95,7 @@ def test_charts_command(capsys, pairing_file):
     code, out, _ = run(capsys, ["charts", pairing_file])
     assert code == 0
     report = json.loads(out)
-    jsonschema.validate(report, report_schema())
+    REPORT_VALIDATOR.validate(report)
     assert len(report["charts"]) == 2
     first = report["charts"][0]
     assert first["substitution"]["y1"] == "t"
@@ -106,7 +115,7 @@ def test_sod_command_not_applicable_when_k_equals_d(capsys, origin_file):
     code, out, _ = run(capsys, ["sod", origin_file])
     assert code == 0
     report = json.loads(out)
-    jsonschema.validate(report, report_schema())
+    REPORT_VALIDATOR.validate(report)
     assert report["sod"]["applicable"] is False
     assert "offenders" in report["sod"]["reason"]
     assert report["lefschetz"][0]["applicable"] is False
@@ -117,7 +126,7 @@ def test_sod_command_crepant_case(capsys, pairing_file):
     code, out, _ = run(capsys, ["sod", pairing_file])
     assert code == 0
     report = json.loads(out)
-    jsonschema.validate(report, report_schema())
+    REPORT_VALIDATOR.validate(report)
     assert report["sod"]["applicable"] is True
     assert report["sod"]["blocks"] == [{"residual": True, "weakly_crepant": True}]
 
@@ -282,6 +291,81 @@ def test_scene_schema_is_enforced(capsys, tmp_path):
     assert code == 2 and "scene file invalid" in err
 
 
+PAIRING_DOCUMENT = {
+    "schema": "strictsmooth-scene/1",
+    "field": {"kind": "rational"},
+    "variables": ["x1", "x2", "y1", "y2"],
+    "hypersurface": "x1*y1 + x2*y2",
+    "centers": [{"name": "X", "vanishing": ["y1", "y2"]}],
+}
+
+
+def _mutated_documents():
+    """Hand-mutated copies of PAIRING_DOCUMENT that break the scene schema."""
+    edits = {
+        "no schema": lambda d: d.pop("schema"),
+        "no variables": lambda d: d.pop("variables"),
+        "no hypersurface": lambda d: d.pop("hypersurface"),
+        "no centers": lambda d: d.pop("centers"),
+        "extra key": lambda d: d.update(extra=1),
+        "wrong schema": lambda d: d.update(schema="strictsmooth-scene/2"),
+        "variables not a list": lambda d: d.update(variables="x1"),
+        "hypersurface not a string": lambda d: d.update(hypersurface=3),
+        "empty hypersurface": lambda d: d.update(hypersurface=""),
+        "centers not a list": lambda d: d.update(centers={}),
+        "center not a mapping": lambda d: d.update(centers=["X"]),
+        "center without name": lambda d: d["centers"][0].pop("name"),
+        "center name not a string": lambda d: d["centers"][0].update(name=3),
+        "center extra key": lambda d: d["centers"][0].update(k=1),
+        "vanishing not a list": lambda d: d["centers"][0].update(vanishing="y1"),
+        "empty vanishing": lambda d: d["centers"][0].update(vanishing=[]),
+        "duplicate vanishing": lambda d: d["centers"][0].update(vanishing=["y1", "y1"]),
+        "field not a mapping": lambda d: d.update(field="rational"),
+        "unknown field kind": lambda d: d.update(field={"kind": "complex"}),
+        "rational field with p": lambda d: d.update(field={"kind": "rational", "p": 7}),
+        "prime field without p": lambda d: d.update(field={"kind": "prime"}),
+        "p not an integer": lambda d: d.update(field={"kind": "prime", "p": "7"}),
+        "p is 1": lambda d: d.update(field={"kind": "prime", "p": 1}),
+        "p is 0": lambda d: d.update(field={"kind": "prime", "p": 0}),
+        "p negative": lambda d: d.update(field={"kind": "prime", "p": -3}),
+        "no variables listed": lambda d: d.update(variables=[]),
+        "duplicate variables": lambda d: d.update(variables=["x1", "x1", "y1", "y2"]),
+        "variable starts with a digit": lambda d: d.update(variables=["1x", "x2", "y1", "y2"]),
+        "variable with a dash": lambda d: d.update(variables=["x-1", "x2", "y1", "y2"]),
+        "empty variable name": lambda d: d.update(variables=["", "x2", "y1", "y2"]),
+        "variable not a string": lambda d: d.update(variables=[1, "x2", "y1", "y2"]),
+    }
+    for label, edit in edits.items():
+        doc = copy.deepcopy(PAIRING_DOCUMENT)
+        edit(doc)
+        yield label, doc
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=label) for label, doc in _mutated_documents()]
+)
+def test_scene_check_matches_jsonschema_validate(doc):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, scene_schema())
+    path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+    with pytest.raises(SceneError) as got:
+        scene_from_document(doc)
+    assert str(got.value) == f"scene file invalid at {path}: {expected.value.message}"
+
+
+def test_scene_check_accepts_the_unmutated_document():
+    jsonschema.validate(PAIRING_DOCUMENT, scene_schema())
+    assert scene_from_document(copy.deepcopy(PAIRING_DOCUMENT)).names == ("x1", "x2", "y1", "y2")
+
+
+def test_cli_import_leaves_the_selftest_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, strictsmooth.cli; assert 'strictsmooth.selftest' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_selftest_runs_clean(capsys):
     code, out, err = run(capsys, ["selftest", "--seed", "1"])
     assert code == 0
@@ -429,7 +513,7 @@ def test_base_locus_witness_reports_exit_zero(capsys, tmp_path, argv):
         assert "base locus: singular" in out
         return
     report = json.loads(out)
-    jsonschema.validate(report, report_schema())
+    REPORT_VALIDATOR.validate(report)
     base = report["centers"][0]["base_locus"]
     assert base["tangent_variables"] == ["x1", "x2"]
     assert base["verdict"]["witness"]["variables"] == ["x1", "x2"]
@@ -441,7 +525,7 @@ def test_base_locus_criterion_witness_uses_tangent_names(capsys, tmp_path):
     code, out, err = run(capsys, ["analyze", str(scene)])
     assert code == 0, err
     report = json.loads(out)
-    jsonschema.validate(report, report_schema())
+    REPORT_VALIDATOR.validate(report)
     criterion = report["verdicts"]["base_locus_criterion"]
     assert criterion["status"] == "inconclusive"
     assert criterion["witness"] == {"variables": ["v3"], "generators": ["3*v3"]}

@@ -257,6 +257,18 @@ def test_chart_strict_transforms():
     assert by_var[2].strict_transform == Polynomial.constant(1, 4)
 
 
+def chart_images(scene, ch):
+    """The chart's coordinate change as polynomials, built with ring
+    operations: y_j -> t and y_l -> t*u_l, with t the variable j and u_l the
+    variable l."""
+    n, fld = scene.nvars, scene.field
+    t = Polynomial.variable(ch.variable, n, fld)
+    return {
+        l: t if l == ch.variable else t * Polynomial.variable(l, n, fld)
+        for l in ch.center.vanishing
+    }
+
+
 def _assert_chart_invariants(scene):
     center = scene.centers[0]
     k = multiplicity(scene.f, center)
@@ -264,7 +276,7 @@ def _assert_chart_invariants(scene):
     assert len(chart_list) == center.codimension
     hit_exact = False
     for ch in chart_list:
-        pullback = naive_substitute(scene.f, ch.substitution)
+        pullback = naive_substitute(scene.f, chart_images(scene, ch))
         assert ch.exceptional_exponent >= k
         t = Polynomial.variable(ch.variable, scene.nvars, scene.field)
         assert pullback == (t ** ch.exceptional_exponent) * ch.strict_transform
@@ -294,6 +306,47 @@ def test_chart_valuation_invariants_on_random_scenes():
             })
             if not f.is_zero:
                 _assert_chart_invariants(Scene(scene.nvars, scene.names, f, scene.centers))
+
+
+def _report_substitution_orders(scene):
+    """Check the report's chart substitutions against `chart_images` rendered
+    in the chart names; returns the (chart variable, l) index pairs seen."""
+    analysis = analyze(scene)
+    chart_list = [ch for center_charts in analysis.charts for ch in center_charts]
+    orders = set()
+    for ch, entry in zip(chart_list, build_report(analysis, "charts")["charts"], strict=True):
+        images = chart_images(scene, ch)
+        assert entry["substitution"] == {
+            scene.names[l]: image.render(ch.names) for l, image in images.items()
+        }
+        orders.update((ch.variable, l) for l in images)
+    return orders
+
+
+def test_report_substitutions_on_fixtures():
+    for fixture in FIXTURES:
+        _report_substitution_orders(fixture.build())
+
+
+def test_report_substitutions_with_names_that_clash_with_chart_names():
+    """Scene names drawn from `t`, `u_<name>` and their underscored forms,
+    so `fresh_names` renames chart coordinates, in charts whose variable
+    stands before and after the other normal variables."""
+    pool = ("t", "_t", "a", "u_a", "_u_a", "b", "u_b", "u_t")
+    rng = random.Random(331)
+    orders, renamed = set(), False
+    for _ in range(40):
+        scene = random_scene(rng)
+        names = tuple(rng.sample(pool, scene.nvars))
+        scene = Scene(scene.nvars, names, scene.f, scene.centers)
+        orders |= _report_substitution_orders(scene)
+        renamed = renamed or any(
+            name.startswith("_") and name not in names
+            for ch in charts(scene, scene.centers[0])
+            for name in ch.names
+        )
+    assert renamed
+    assert any(j < l for j, l in orders) and any(j > l for j, l in orders)
 
 
 # ----- chart oracle -----------------------------------------------------------------

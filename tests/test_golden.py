@@ -31,6 +31,9 @@ from strictsmooth.report import build_report, render_plain, render_structured
 from strictsmooth.scene_io import report_schema
 from strictsmooth.selftest import FIXTURES
 
+# built once: `jsonschema.validate` checks the schema itself on every call
+REPORT_VALIDATOR = jsonschema.Draft202012Validator(report_schema())
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENES = sorted((ROOT / "scenes").glob("*.yaml"))
@@ -78,7 +81,7 @@ def test_report_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".json")))
 def test_structured_golden_matches_report_schema(name):
-    jsonschema.validate(json.loads((GOLDEN / name).read_text()), report_schema())
+    REPORT_VALIDATOR.validate(json.loads((GOLDEN / name).read_text()))
 
 
 if __name__ == "__main__":

@@ -250,3 +250,43 @@ def test_render_prime_field_coefficients():
     x = Polynomial.variable(0, 1, F7)
     p = x * 10 + 6  # 3*x + 6 mod 7
     assert p.render(("x",)) == "3*x + 6"
+
+
+def _render_by_sign_split(p, names):
+    """`Polynomial.render` written with an explicit sign/magnitude split of
+    each coefficient: a Fraction's sign and absolute value, a residue's
+    value with no sign."""
+    chunks = []
+    for m, c in p.sorted_terms(GREVLEX):
+        if isinstance(c, Fraction):
+            negative, magnitude = c < 0, str(abs(c))
+        else:
+            negative, magnitude = False, str(c.value)
+        factors = [f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(m) if e]
+        body = "*".join(([] if factors and magnitude == "1" else [magnitude]) + factors)
+        if chunks:
+            chunks.append(f" - {body}" if negative else f" + {body}")
+        else:
+            chunks.append(f"-{body}" if negative else body)
+    return "".join(chunks) or "0"
+
+
+def test_render_reads_the_sign_off_the_coefficient_text():
+    rng = random.Random(41)
+    names = ("x", "y", "z")
+    qq = [Fraction(n, d) for n in (-7, -3, -1, 1, 2, 5) for d in (1, 2, 9)]
+    for field, coefficients in (
+        (QQ, qq),
+        (PrimeField(7), [PrimeField(7).from_int(n) for n in range(1, 7)]),
+        (PrimeField(32003), [PrimeField(32003).from_int(n) for n in (-2, -1, 1, 2, 16001)]),
+    ):
+        seen = set()
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                exps = [rng.randint(0, 2) for _ in names]
+                terms[Monomial(exps)] = rng.choice(coefficients)
+            p = Polynomial(len(names), field, terms)
+            assert p.render(names) == _render_by_sign_split(p, names)
+            seen.update(c for _, c in p.terms())
+        assert seen == set(coefficients)  # every coefficient was rendered
