@@ -29,7 +29,6 @@ from .groebner import (
     normal_form,
     power_ideal,
     radical_membership,
-    spolynomial,
 )
 from .geometry import (
     Analysis,

@@ -12,9 +12,10 @@ variables with w-bit fields and B = 2^w, K = deg·B^n − Σ e_i·B^i, plus a
 low field holding the total degree.  A product is `Ka + Kb`, integer
 order is the monomial order, so the leading term of a term map is
 `max(d)`, and divisibility is one guard-bit test, which the reducer scan
-of `_reduce` makes once per reducer.  LEX and `BlockOrder(s)` are grevlex
-on consecutive blocks and are packed block by block; any other
-`MonomialOrder` raises StructuralError.  `_kernel_terms` packs each
+of `_reduce` makes once per reducer.  An order is packed block by block,
+grevlex on each of the blocks its `blocks` method states (LEX has one
+block per variable); an order without `blocks` raises
+StructuralError.  `_kernel_terms` packs each
 monomial in the pass that converts its coefficient, the exit decodes
 each straight to a `Monomial`, and each basis element's `_Reducer` is
 built once, when it joins the basis.
@@ -73,7 +74,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
-from .poly import GREVLEX, BlockOrder, GrevlexOrder, LexOrder, Monomial, MonomialOrder, Polynomial
+from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
@@ -154,32 +155,11 @@ class _Overflow(Exception):
     """A degree in a packed computation would reach the guard bits."""
 
 
-def _blocks(order, nvars):
-    """The nonempty variable blocks of `order`, most significant first.
-
-    Each supported order is grevlex on each block, with the blocks compared
-    in turn: GREVLEX is one block, LEX one block per variable, and
-    `BlockOrder(s)` the first s variables and the rest.
-    """
-    if isinstance(order, GrevlexOrder):
-        blocks = [range(nvars)]
-    elif isinstance(order, LexOrder):
-        blocks = [range(v, v + 1) for v in range(nvars)]
-    elif isinstance(order, BlockOrder):
-        s = min(order.split, nvars)
-        blocks = [range(s), range(s, nvars)]
-    else:
-        raise StructuralError(
-            f"the Groebner kernel supports grevlex, lex and block orders, not {order!r}"
-        )
-    return [b for b in blocks if b]
-
-
 class _Packing:
     """Monomials as ints K: a product is `Ka + Kb`, the order is `<`.
 
     K is made of w-bit fields, B = 2^w.  Field 0 holds the total degree.
-    Above it come the blocks of the order (`_blocks`), the least
+    Above it come the blocks of the order (`order.blocks`), the least
     significant first.  A block of m variables takes m fields, its last
     variable highest, and one field above them, and holds
     deg·B^m − Σ e_i·B^i: its degree, then its exponents negated, which is
@@ -214,7 +194,7 @@ class _Packing:
         shifts = [0] * nvars
         sums = []  # per block: its exponent fields, and how `pack` sums them
         fields = ones = guard = 0
-        blocks = _blocks(order, nvars)
+        blocks = order.blocks(nvars)
         self.graded = len(blocks) <= 1
         pos = 1
         for block in reversed(blocks):
@@ -639,8 +619,8 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 
     Deterministic: identical inputs produce the identical basis, and the
     reduced basis itself is mathematically unique for the given order.
-    The order must be GREVLEX, LEX or a `BlockOrder`; any other raises
-    StructuralError.
+    The order must state its `blocks` (GREVLEX, LEX and the block orders
+    do); any other raises StructuralError.
     """
     order, nvars, fld = ideal.order, ideal.nvars, ideal.field
     p = fld.characteristic
@@ -700,26 +680,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         return Polynomial(p.nvars, p.field, {pk.monomial(m): c for m, c in rem.items()})
 
     return _packed(gb.order, p.nvars, _degree(maps), run)
-
-
-def spolynomial(p: Polynomial, q: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    p._check_compatible(q)
-    if p.is_zero or q.is_zero:
-        raise StructuralError("S-polynomial of a zero polynomial")
-    char = p.field.characteristic
-
-    def run(pk):
-        f, g = (
-            _entry(*_normalize(_kernel_terms(h._terms, char, pk.weights), char), pk)
-            for h in (p, q)
-        )
-        s = _spoly_t(f, g, pk.pack(pk.lcm(f.word, g.word)), char, pk)
-        if not char:  # the S-polynomial of the monic multiples
-            scale = f.lc * g.lc
-            s = {m: Fraction(c, scale) for m, c in s.items()}
-        return Polynomial(p.nvars, p.field, {pk.monomial(m): c for m, c in s.items()})
-
-    return _packed(order, p.nvars, _degree([p._terms, q._terms]), run)
 
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:

@@ -74,12 +74,27 @@ def _grevlex_key(exps):
 
 
 class MonomialOrder:
-    """A global monomial order, exposed as a sort key on exponent vectors."""
+    """A global monomial order, exposed as a sort key on exponent vectors and,
+    to the Groebner kernel, as variable blocks; equal by class and name."""
 
     name = "order"
 
     def key(self, exps):
         raise NotImplementedError
+
+    def blocks(self, nvars):
+        """The nonempty variable blocks of the order in `nvars` variables,
+        most significant first: the order is grevlex on each block, and the
+        blocks are compared in turn."""
+        raise StructuralError(
+            f"the Groebner kernel supports grevlex, lex and block orders, not {self!r}"
+        )
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self):
+        return hash((type(self), self.name))
 
     def __repr__(self):
         return f"<{self.name}>"
@@ -91,11 +106,8 @@ class GrevlexOrder(MonomialOrder):
     def key(self, exps):
         return _grevlex_key(exps)
 
-    def __eq__(self, other):
-        return isinstance(other, GrevlexOrder)
-
-    def __hash__(self):
-        return hash("grevlex")
+    def blocks(self, nvars):
+        return [range(nvars)] if nvars else []
 
 
 class LexOrder(MonomialOrder):
@@ -104,11 +116,8 @@ class LexOrder(MonomialOrder):
     def key(self, exps):
         return exps
 
-    def __eq__(self, other):
-        return isinstance(other, LexOrder)
-
-    def __hash__(self):
-        return hash("lex")
+    def blocks(self, nvars):
+        return [range(v, v + 1) for v in range(nvars)]
 
 
 class BlockOrder(MonomialOrder):
@@ -127,11 +136,9 @@ class BlockOrder(MonomialOrder):
     def key(self, exps):
         return _grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split:])
 
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and other.split == self.split
-
-    def __hash__(self):
-        return hash(("block", self.split))
+    def blocks(self, nvars):
+        s = min(self.split, nvars)
+        return [b for b in (range(s), range(s, nvars)) if b]
 
 
 GREVLEX = GrevlexOrder()

@@ -178,6 +178,8 @@ class PrimeField:
     """The field with p elements, p prime."""
 
     def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise ValueError(f"the field size must be an integer, not {p!r}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -32,11 +32,12 @@ MAX_NESTING = 50
 
 
 class _NestingLoader(yaml.SafeLoader):
-    """The safe loader with node depth limited to `MAX_NESTING`.
+    """The safe loader with node depth limited to `MAX_NESTING`, and no aliases.
 
     The composer builds the node tree with one recursive `compose_node`
     call per node, so the depth it counts is the depth of every later
-    recursion over the document.
+    recursion over the document.  An alias would share a node, so that a
+    short file could stand for a tree too large to check.
     """
 
     def __init__(self, stream):
@@ -44,6 +45,8 @@ class _NestingLoader(yaml.SafeLoader):
         self._depth = 0
 
     def compose_node(self, parent, index):
+        if self.check_event(yaml.AliasEvent):
+            raise SceneError("scene file uses a YAML alias")
         if self._depth == MAX_NESTING:
             raise SceneError("scene file nested too deeply")
         self._depth += 1

@@ -14,16 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .geometry import (
-    Center,
-    Scene,
-    Status,
-    analyze,
-    base_locus_check,
-    leading_form,
-    multiplicity,
-    section_smoothness,
-)
+from .geometry import Center, Scene, Status, analyze, analyze_center
+from .parsing import parse_expression
 from .poly import Monomial, Polynomial
 from .scalars import QQ
 
@@ -49,8 +41,6 @@ def pairing_scene(n: int, center: str = "subspace") -> Scene:
 
 
 def _poly(names, text):
-    from .parsing import parse_expression
-
     return parse_expression(text, names, QQ)
 
 
@@ -166,19 +156,15 @@ def random_scene(rng: random.Random, force_k1: bool = False) -> Scene:
 
 def random_pairing_like_scene(rng: random.Random) -> Scene:
     """Deformations of the pairing family; often hypothesis-route smooth."""
-    n = rng.choice((1, 2))
-    nvars = 2 * n
-    f = Polynomial.zero(nvars)
-    for i in range(n):
-        f = f + Polynomial.variable(i, nvars) * Polynomial.variable(n + i, nvars)
-    normal = tuple(range(n, nvars))
+    pairing = pairing_scene(rng.choice((1, 2)))
+    nvars, f = pairing.nvars, pairing.f
+    normal = pairing.centers[0].vanishing
     for _ in range(rng.randint(0, 2)):
         exps = _random_monomial(rng, nvars, normal, 2, 4)
         f = f + Polynomial(nvars, QQ, {Monomial(exps): QQ.from_int(_random_coefficient(rng))})
     if f.is_zero:
         return random_pairing_like_scene(rng)
-    names = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
-    return Scene(nvars, names, f, (Center("C", normal),))
+    return Scene(nvars, pairing.names, f, (Center("C", normal),))
 
 
 # --------------------------------------------------------------------------
@@ -236,38 +222,30 @@ def equivalence_suite(count: int, seed: int):
 
     Yields (index, scene, section_verdict, base_result); both sides are
     computed through disjoint code paths on the same leading form.
+    `force_k1` gives f a term of normal degree one, so k = 1 on every scene.
     """
     rng = random.Random(seed)
-    produced = 0
-    while produced < count:
+    for produced in range(count):
         scene = random_scene(rng, force_k1=True)
         scene.validate()
-        center = scene.centers[0]
-        k = multiplicity(scene.f, center)
-        if k != 1:
-            continue
-        phi = leading_form(scene.f, center, k)
-        section = section_smoothness(center, phi)
-        base = base_locus_check(center, phi, scene.nvars)
-        yield produced, scene, section, base
-        produced += 1
+        stages = analyze_center(scene, scene.centers[0])
+        yield produced, scene, stages.section_verdict, stages.base_locus
 
 
 def run_selftest(seed: int = 0, stream=None, route_count: int = 40, equiv_count: int = 25):
     """Fixture corpus plus trimmed property suites; returns (passed, failed)."""
+    tally = {True: 0, False: 0}  # passed, failed
 
     def emit(line):
         if stream is not None:
             stream.write(line + "\n")
 
-    passed = failed = 0
+    def check(ok, pass_line, fail_line):
+        tally[ok] += 1
+        emit(pass_line if ok else fail_line)
+
     for name, ok, message in fixture_suite():
-        if ok:
-            passed += 1
-            emit(f"PASS fixture {name}")
-        else:
-            failed += 1
-            emit(f"FAIL fixture {name}: {message}")
+        check(ok, f"PASS fixture {name}", f"FAIL fixture {name}: {message}")
 
     breaches = 0
     smooth_hits = 0
@@ -277,12 +255,11 @@ def run_selftest(seed: int = 0, stream=None, route_count: int = 40, equiv_count:
             if analysis.oracle.status is not Status.SMOOTH:
                 breaches += 1
                 emit(f"FAIL route-agreement scene {idx}: {scene.f!r}")
-    if breaches:
-        failed += 1
-        emit(f"FAIL route-agreement: {breaches} breaches")
-    else:
-        passed += 1
-        emit(f"PASS route-agreement ({route_count} scenes, {smooth_hits} hypothesis hits)")
+    check(
+        not breaches,
+        f"PASS route-agreement ({route_count} scenes, {smooth_hits} hypothesis hits)",
+        f"FAIL route-agreement: {breaches} breaches",
+    )
 
     mismatches = 0
     for idx, scene, section, base in equivalence_suite(equiv_count, seed + 1):
@@ -291,11 +268,9 @@ def run_selftest(seed: int = 0, stream=None, route_count: int = 40, equiv_count:
         if left != right:
             mismatches += 1
             emit(f"FAIL equivalence scene {idx}: {scene.f!r}")
-    if mismatches:
-        failed += 1
-        emit(f"FAIL equivalence: {mismatches} mismatches")
-    else:
-        passed += 1
-        emit(f"PASS equivalence ({equiv_count} scenes)")
-
-    return passed, failed
+    check(
+        not mismatches,
+        f"PASS equivalence ({equiv_count} scenes)",
+        f"FAIL equivalence: {mismatches} mismatches",
+    )
+    return tally[True], tally[False]

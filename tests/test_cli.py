@@ -209,6 +209,14 @@ def _prime_scene(tmp_path, p):
     return str(scene)
 
 
+@pytest.mark.parametrize("p", ["7.0", "2.0"])
+def test_float_p_exit_two(capsys, tmp_path, p):
+    # JSON Schema's integer type accepts 7.0; the field needs an int
+    code, out, err = run(capsys, ["analyze", _prime_scene(tmp_path, p)])
+    assert code == 2 and out == ""
+    assert err == f"error: the field size must be an integer, not {p}\n"
+
+
 def test_large_prime_p_loads_quickly(capsys, tmp_path):
     start = time.perf_counter()
     code, out, err = run(capsys, ["analyze", _prime_scene(tmp_path, 2**61 - 1), "--quiet"])
@@ -249,6 +257,32 @@ def test_deeply_nested_file_exit_two(capsys, tmp_path):
     code, out, err = run(capsys, ["analyze", str(scene)])
     assert code == 2 and out == ""
     assert "nested too deeply" in err
+
+
+def _alias_scene(depth):
+    # each anchor is a list of 9 aliases of the one before: a 441-byte file
+    # at depth 6 stands for two lists of 9^6 leaves each
+    lines = ["schema: strictsmooth-scene/1", "a0: &a0 [x, x, x, x, x, x, x, x, x]"]
+    for i in range(1, depth + 1):
+        lines.append(f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 9) + "]")
+    lines += [f"variables: [*a{depth}, *a{depth}]", 'hypersurface: "x"', "centers: []"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_alias_scene(6), ORIGIN_SCENE.replace("vanishing: [x1, y1]", "vanishing: *v")
+     .replace("variables: [x1, y1]", "variables: &v [x1, y1]")],
+    ids=["nested-anchors", "plain-alias"],
+)
+def test_yaml_alias_exit_two(capsys, tmp_path, text):
+    scene = tmp_path / "alias.yaml"
+    scene.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == "error: scene file uses a YAML alias\n"
 
 
 @pytest.mark.parametrize(

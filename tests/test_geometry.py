@@ -1,8 +1,10 @@
+import io
 import random
+from dataclasses import replace
 
 import pytest
 
-from strictsmooth import geometry
+from strictsmooth import geometry, selftest
 from strictsmooth.errors import InternalCheckError, SceneError, StructuralError
 from strictsmooth.geometry import (
     Center,
@@ -29,6 +31,7 @@ from strictsmooth.selftest import (
     pairing_scene,
     random_scene,
     route_agreement_suite,
+    run_selftest,
 )
 
 from _naive import naive_substitute
@@ -618,6 +621,70 @@ def test_equivalence_sample():
         left = base.verdict.status is Status.SMOOTH
         right = section.status is Status.SMOOTH
         assert left == right, scene.f
+
+
+def test_equivalence_suite_runs_the_stages_of_analyze_center():
+    # the stages composed by hand on the same seeded draws
+    rng = random.Random(9)
+    expected = []
+    while len(expected) < 20:
+        scene = random_scene(rng, force_k1=True)
+        center = scene.centers[0]
+        k = multiplicity(scene.f, center)
+        if k != 1:
+            continue
+        phi = leading_form(scene.f, center, k)
+        base = base_locus_check(center, phi, scene.nvars)
+        expected.append((scene, section_smoothness(center, phi), base))
+    got = list(equivalence_suite(20, seed=9))
+    assert [idx for idx, *_ in got] == list(range(20))
+    for (_, scene, section, base), (want_scene, want_section, want_base) in zip(got, expected):
+        assert scene == want_scene and section == want_section
+        # analyze_center names the witness's variables; nothing else differs
+        assert base == replace(
+            want_base, verdict=replace(want_base.verdict, witness_names=base.verdict.witness_names)
+        )
+
+
+SELFTEST_SEED_0 = """\
+PASS fixture pairing-n1-subspace
+PASS fixture pairing-n2-subspace
+PASS fixture pairing-n3-subspace
+PASS fixture pairing-n1-origin
+PASS fixture pairing-n2-origin
+PASS fixture pairing-n3-origin
+PASS fixture cusp-origin
+PASS fixture double-cone
+PASS fixture higher-cusp
+PASS fixture node-no-center
+PASS fixture smooth-line-no-center
+PASS fixture double-divisor
+PASS fixture reducible-pair
+PASS fixture pairing-n2-deformed
+PASS fixture linear-center
+PASS route-agreement (40 scenes, 29 hypothesis hits)
+PASS equivalence (25 scenes)
+"""
+
+
+def test_selftest_output_is_pinned():
+    stream = io.StringIO()
+    assert run_selftest(0, stream) == (17, 0)
+    assert stream.getvalue() == SELFTEST_SEED_0
+
+
+def test_selftest_reports_a_failing_fixture(monkeypatch):
+    wrong = replace(selftest.FIXTURES[3], oracle=Status.SINGULAR)
+    monkeypatch.setattr(selftest, "FIXTURES", (wrong,) + selftest.FIXTURES[4:6])
+    stream = io.StringIO()
+    assert run_selftest(0, stream, route_count=0, equiv_count=0) == (4, 1)
+    assert stream.getvalue().splitlines() == [
+        "FAIL fixture pairing-n1-origin: oracle smooth != singular",
+        "PASS fixture pairing-n2-origin",
+        "PASS fixture pairing-n3-origin",
+        "PASS route-agreement (0 scenes, 0 hypothesis hits)",
+        "PASS equivalence (0 scenes)",
+    ]
 
 
 def test_analyze_is_deterministic():

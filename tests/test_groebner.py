@@ -23,7 +23,6 @@ from strictsmooth.groebner import (
     normal_form,
     power_ideal,
     radical_membership,
-    spolynomial,
 )
 from strictsmooth.parsing import parse_expression
 from strictsmooth.poly import GREVLEX, LEX, BlockOrder, Monomial, MonomialOrder, Polynomial
@@ -111,7 +110,6 @@ def test_kernel_leaves_its_inputs_unchanged():
         normal_form(p, gb)
         gb.verify()
         f, g = ideal.generators[0], ideal.generators[-1]
-        spolynomial(f, g)
         groebner(Ideal((f, g, p), 3) if not p.is_zero else ideal)
         assert [dict(q.terms()) for q in polys] == before
 
@@ -885,31 +883,6 @@ def test_normal_form_is_the_exact_remainder(fld):
             want = divide(probe, list(gb.basis))
             assert normal_form(probe, gb) == want
             assert normal_form(member + probe, gb) == want
-
-
-def test_spolynomial_checks_its_ring():
-    x2, z3 = Polynomial.variable(0, 2), Polynomial.variable(2, 3)
-    with pytest.raises(StructuralError, match="variable counts differ"):
-        spolynomial(x2**2 + 1, z3**2 + 1)
-    gf7 = PrimeField(7)
-    x, y = (Polynomial.variable(i, 2, gf7) for i in range(2))
-    with pytest.raises(StructuralError, match="different fields"):
-        spolynomial(x2**2 + 1, x * y + 1)
-
-
-@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
-def test_spolynomial_is_the_textbook_one(fld):
-    rng = random.Random(12)
-    for _ in range(20):
-        f, g = (big_poly(rng, 3, fld) for _ in "fg")
-        lmf, lmg = f.leading_monomial(), g.leading_monomial()
-        lcm_fg = lmf.lcm(lmg)
-
-        def monic_multiple(h, lm):
-            shift = Polynomial(3, fld, {lcm_fg.quotient(lm): fld.one / h.coefficient(lm)})
-            return shift * h
-
-        assert spolynomial(f, g) == monic_multiple(f, lmf) - monic_multiple(g, lmg)
 
 
 def katsura_ideal(n, fld):

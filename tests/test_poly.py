@@ -7,7 +7,9 @@ from strictsmooth.errors import StructuralError
 from strictsmooth.poly import (
     BlockOrder,
     GREVLEX,
+    GrevlexOrder,
     LEX,
+    LexOrder,
     Monomial,
     Polynomial,
 )
@@ -144,6 +146,33 @@ def test_orders_are_total_and_respect_multiplication():
             unit = Monomial.unit(4)
             if a.exps != unit.exps:
                 assert order.key(a) > order.key(unit)
+
+
+def test_orders_are_equal_by_class_and_name():
+    orders = [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)]
+    fresh = [GrevlexOrder(), LexOrder(), BlockOrder(1), BlockOrder(2)]
+    for i, a in enumerate(orders):
+        for j, b in enumerate(fresh):
+            assert (a == b) is (i == j) and (a != b) is (i != j)
+            if i == j:
+                assert hash(a) == hash(b) and repr(a) == repr(b)
+    assert len(set(orders + fresh)) == 4
+    assert {BlockOrder(1): "a"}[BlockOrder(1)] == "a"
+    assert GREVLEX != "grevlex" and BlockOrder(0) != GREVLEX
+
+
+def test_orders_state_their_blocks():
+    r = range
+    want = {
+        GREVLEX: [[], [r(1)], [r(2)], [r(3)], [r(4)]],
+        LEX: [[], [r(1)], [r(1), r(1, 2)], [r(1), r(1, 2), r(2, 3)],
+              [r(1), r(1, 2), r(2, 3), r(3, 4)]],
+        BlockOrder(0): [[], [r(1)], [r(2)], [r(3)], [r(4)]],
+        BlockOrder(1): [[], [r(1)], [r(1), r(1, 2)], [r(1), r(1, 3)], [r(1), r(1, 4)]],
+        BlockOrder(2): [[], [r(1)], [r(2)], [r(2), r(2, 3)], [r(2), r(2, 4)]],
+    }
+    for order, blocks in want.items():
+        assert [order.blocks(n) for n in range(5)] == blocks, order
 
 
 def test_grevlex_vs_lex_disagree_where_expected():

@@ -26,6 +26,12 @@ def test_prime_field_rejects_composite():
     assert is_prime(2) and is_prime(101) and not is_prime(1)
 
 
+@pytest.mark.parametrize("p", [7.0, 2.0, Fraction(7), "7"])
+def test_prime_field_rejects_a_size_that_is_not_an_int(p):
+    with pytest.raises(ValueError, match="must be an integer"):
+        PrimeField(p)
+
+
 def test_kinds_never_mix():
     F5 = PrimeField(5)
     with pytest.raises(TypeError):
