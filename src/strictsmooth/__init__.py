@@ -50,5 +50,15 @@ from .geometry import (
 )
 from .sod import lefschetz, serre_vanishing_record, sod
 from .parsing import parse_expression
-from .scene_io import load_scene, scene_from_document
 from .report import build_report, render_plain, render_structured
+
+
+def __getattr__(name):
+    """`load_scene` and `scene_from_document`, importing PyYAML and
+    jsonschema with `scene_io` on first use, so the rest of the package
+    imports without them (PEP 562)."""
+    if name in ("load_scene", "scene_from_document"):
+        from . import scene_io
+
+        return getattr(scene_io, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

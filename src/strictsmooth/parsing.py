@@ -21,6 +21,9 @@ be rendered back.  Over QQ every product and every step of a power is
 checked as it is formed: a numerator or denominator longer than 8 bits
 per allowed digit (room for any number of twice the digit limit, since
 10^2 < 2^8) is a ParseError, so no expression grows past that budget.
+Over every field a product of m and n terms, at a '*' or at a step of a
+power, is a ParseError before it is formed when m * n exceeds
+`MAX_TERMS`, so no product has more terms than that.
 Nesting is limited to `MAX_NESTING` levels, counted as the parser
 descends: each open parenthesis and each unary minus is one level, so the
 limit does not depend on the caller's stack depth.
@@ -42,6 +45,8 @@ from .poly import Polynomial
 
 # the deepest nesting of parentheses and unary minuses an expression may have
 MAX_NESTING = 100
+# the most terms a product of m and n terms may have, taken as m * n
+MAX_TERMS = 10_000
 
 _SINGLE = {
     "+": "PLUS",
@@ -123,8 +128,12 @@ class _Parser:
                 f"({self.limit}) (line {token[2]}, column {token[3]})"
             )
 
-    def checked(self, value: Polynomial, token) -> Polynomial:
-        """`value`, unless a coefficient is over the intermediate budget."""
+    def product(self, a: Polynomial, b: Polynomial, token) -> Polynomial:
+        """`a * b`, unless it could have more than MAX_TERMS terms or has a
+        coefficient over the intermediate budget."""
+        if len(a.terms()) * len(b.terms()) > MAX_TERMS:
+            self.error(f"a product would have more than {MAX_TERMS} terms", token)
+        value = a * b
         if self.max_bits and any(
             max(c.numerator.bit_length(), c.denominator.bit_length()) > self.max_bits
             for _, c in value.terms()
@@ -159,7 +168,7 @@ class _Parser:
             star = self.advance()
             rhs = self.factor()
             self.check_degree(value.total_degree() + rhs.total_degree(), star)
-            value = self.checked(value * rhs, star)
+            value = self.product(value, rhs, star)
         return value
 
     def factor(self) -> Polynomial:
@@ -186,10 +195,10 @@ class _Parser:
             value = Polynomial.constant(self.field.one, self.nvars, self.field)
             while exponent:
                 if exponent & 1:
-                    value = self.checked(value * base, caret)
+                    value = self.product(value, base, caret)
                 exponent >>= 1
                 if exponent:
-                    base = self.checked(base * base, caret)
+                    base = self.product(base, base, caret)
             return value
         return base
 

@@ -6,7 +6,9 @@ identical inputs give byte-identical output) or as a human-readable text
 block.  Normal variables of each center are rendered capitalized inside the
 projectivized section string to signal their projective-coordinate role
 (underscores prepended where that would clash, see `fresh_names`); this is
-a display convention only.
+a display convention only.  The `input` section echoes the scene as
+analyzed, the expression rendered canonically, so a report needs no
+scene-file code.
 """
 
 from __future__ import annotations
@@ -16,10 +18,27 @@ import json
 
 from . import __version__
 from .geometry import Analysis, Scene, Verdict, fresh_names
-from .scene_io import echo_input
 from .sod import lefschetz, serre_vanishing_record, sod
 
 REPORT_SCHEMA_ID = "strictsmooth-report/1"
+
+
+def echo_input(scene: Scene) -> dict:
+    """Canonical echo of the input for reports (expression re-rendered)."""
+    fld = scene.field
+    if fld.characteristic:
+        field_doc = {"kind": "prime", "p": fld.characteristic}
+    else:
+        field_doc = {"kind": "rational"}
+    return {
+        "field": field_doc,
+        "variables": list(scene.names),
+        "hypersurface": scene.f.render(scene.names),
+        "centers": [
+            {"name": c.name, "vanishing": [scene.names[i] for i in c.vanishing]}
+            for c in scene.centers
+        ],
+    }
 
 
 def _section_names(scene: Scene, center) -> tuple:

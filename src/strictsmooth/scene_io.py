@@ -2,7 +2,10 @@
 
 A scene file names the coefficient field, the ordered variables, the
 hypersurface expression and the centers.  JSON is a YAML subset, so both
-serializations are accepted by the same loader.
+serializations are accepted by the same loader.  This is the one module
+that imports PyYAML and jsonschema: the rest of the package imports
+without them, and the package loads this module on first use of
+`load_scene` or `scene_from_document`.
 """
 
 from __future__ import annotations
@@ -129,21 +132,3 @@ def load_scene(path) -> Scene:
     if not isinstance(doc, dict):
         raise SceneError("scene file must be a mapping")
     return scene_from_document(doc)
-
-
-def echo_input(scene: Scene) -> dict:
-    """Canonical echo of the input for reports (expression re-rendered)."""
-    fld = scene.field
-    if fld.characteristic:
-        field_doc = {"kind": "prime", "p": fld.characteristic}
-    else:
-        field_doc = {"kind": "rational"}
-    return {
-        "field": field_doc,
-        "variables": list(scene.names),
-        "hypersurface": scene.f.render(scene.names),
-        "centers": [
-            {"name": c.name, "vanishing": [scene.names[i] for i in c.vanishing]}
-            for c in scene.centers
-        ],
-    }

@@ -318,6 +318,31 @@ def test_max_degree_bounds_parsing(capsys, tmp_path):
     assert "guardrail" in err
 
 
+@pytest.mark.parametrize(
+    "variables, expression, options",
+    [("a, b, c, d, e, f, g, h", "(a+b+c+d+e+f+g+h)^8", ["--max-degree", "8"]),
+     ("a, b, c, d, e", "(a+b+c+d+e)^30", [])],
+    ids=["eight-variables-under-max-degree", "five-variables"],
+)
+def test_term_budget_bounds_parsing(capsys, tmp_path, variables, expression, options):
+    # the first parsed to 6,435 terms and analyzed for seconds, the second
+    # would expand for minutes; both end at a `^` in the parser
+    scene = tmp_path / "wide.yaml"
+    scene.write_text(
+        f"schema: strictsmooth-scene/1\nvariables: [{variables}]\n"
+        f'hypersurface: "{expression}"\ncenters: []\n'
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", str(scene), *options])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    column = expression.index("^") + 1
+    assert err == (
+        "error: hypersurface expression: a product would have more than 10000 terms"
+        f" (line 1, column {column})\n"
+    )
+
+
 def test_scene_schema_is_enforced(capsys, tmp_path):
     scene = tmp_path / "badschema.yaml"
     scene.write_text("schema: wrong/1\nvariables: [x]\nhypersurface: x\ncenters: []\n")
@@ -398,6 +423,16 @@ def test_cli_import_leaves_the_selftest_unloaded():
     env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, strictsmooth.cli; assert 'strictsmooth.selftest' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_package_loads_the_scene_functions_on_first_use():
+    import strictsmooth
+    from strictsmooth import load_scene as loaded, scene_io
+
+    assert loaded is strictsmooth.load_scene is scene_io.load_scene
+    assert strictsmooth.scene_from_document is scene_io.scene_from_document
+    with pytest.raises(AttributeError, match="no attribute 'echo_input'"):
+        strictsmooth.echo_input
 
 
 def test_selftest_runs_clean(capsys):

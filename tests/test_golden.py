@@ -19,6 +19,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,15 +57,20 @@ def _fixture_output(fixture, command: str, fmt: str) -> str:
     return render_structured(report) if fmt == "structured" else render_plain(report)
 
 
+def _golden_name(stem: str, command: str, fmt: str) -> str:
+    infix = "" if command == "analyze" else f".{command}"
+    return f"{stem}{infix}.{FORMATS[fmt]}"
+
+
 def _cases():
     inputs = [(f"scene-{p.stem}", p, _scene_output) for p in SCENES] + [
         (f"fixture-{x.name}", x, _fixture_output) for x in FIXTURES
     ]
     for stem, source, output in inputs:
         for command in COMMANDS:
-            infix = "" if command == "analyze" else f".{command}"
-            for fmt, ext in FORMATS.items():
-                yield f"{stem}{infix}.{ext}", lambda s=source, c=command, f=fmt, o=output: o(s, c, f)
+            for fmt in FORMATS:
+                name = _golden_name(stem, command, fmt)
+                yield name, lambda s=source, c=command, f=fmt, o=output: o(s, c, f)
 
 
 CASES = dict(_cases())
@@ -82,6 +89,47 @@ def test_report_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".json")))
 def test_structured_golden_matches_report_schema(name):
     REPORT_VALIDATOR.validate(json.loads((GOLDEN / name).read_text()))
+
+
+# Run with PyYAML and jsonschema made unimportable: the fixture reports
+# through the package's public names, and the modules that loaded.
+WITHOUT_SCENE_STACK = """
+import json, sys
+sys.modules["yaml"] = sys.modules["jsonschema"] = None
+import strictsmooth
+from strictsmooth.selftest import FIXTURES
+reports = [
+    [fixture.name, command, fmt, render(strictsmooth.build_report(analysis, command=command))]
+    for fixture in FIXTURES
+    for analysis in [strictsmooth.analyze(fixture.build())]
+    for command in sys.argv[1:]
+    for fmt, render in (("structured", strictsmooth.render_structured),
+                        ("plain", strictsmooth.render_plain))
+]
+loaded = sorted(
+    name for name, module in sys.modules.items()
+    if (module is not None and name.split(".")[0] in ("yaml", "jsonschema"))
+    or name == "strictsmooth.scene_io"
+)
+json.dump({"reports": reports, "loaded": loaded}, sys.stdout)
+"""
+
+
+def test_fixture_reports_need_no_scene_stack():
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCENE_STACK, *COMMANDS],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert len(out["reports"]) == len(FIXTURES) * len(COMMANDS) * len(FORMATS) == 120
+    for fixture, command, fmt, text in out["reports"]:
+        name = _golden_name(f"fixture-{fixture}", command, fmt)
+        assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":

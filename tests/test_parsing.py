@@ -172,6 +172,24 @@ def test_nesting_budget_does_not_depend_on_the_caller(shape, frames):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "bound, at_bound, over_bound",
+    [
+        (6, "(x1 + x2 + y1)*(y1 + y2)", "(x1 + x2 + y1 + y2)*(y1 + y2)"),
+        (6, "(x1 + x2 + y1 + y2 + 1 + x1^2)^1", "(x1 + x2 + y1 + y2 + 1 + x1^2 + x2^2)^1"),
+        (9, "(x1 + x2 + y1)^2", "(x1 + x2 + y1 + y2)^2"),
+    ],
+    ids=["product", "power-multiply", "power-square"],
+)
+def test_term_budget_bounds_products(monkeypatch, bound, at_bound, over_bound):
+    monkeypatch.setattr(parsing, "MAX_TERMS", bound)
+    parse(at_bound)
+    with pytest.raises(ParseError, match=f"a product would have more than {bound} terms") as err:
+        parse(over_bound)
+    operator = "*" if "*" in over_bound else "^"
+    assert (err.value.line, err.value.column) == (1, over_bound.rindex(operator) + 1)
+
+
 @pytest.mark.parametrize("frames", [0, 200])
 def test_yaml_nesting_budget_does_not_depend_on_the_caller(capsys, tmp_path, frames):
     budget = scene_io.MAX_NESTING
