@@ -35,7 +35,7 @@ from .groebner import (
     minors_ideal,
     radical_membership,
 )
-from .poly import Polynomial
+from .poly import Monomial, Polynomial, _new, _trusted
 
 
 class Status(str, Enum):
@@ -414,8 +414,8 @@ def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
         )
     out = []
     for j in normal:
-        strict = Polynomial(scene.nvars, scene.field, {
-            m[:j] + (d - valuation,) + m[j + 1:]: c for m, d, c in terms
+        strict = _trusted(scene.nvars, scene.field, {
+            _new(Monomial, m[:j] + (d - valuation,) + m[j + 1:]): c for m, d, c in terms
         })
         out.append(
             BlowupChart(

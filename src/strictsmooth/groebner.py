@@ -1,9 +1,9 @@
 """Groebner-basis kernel and the decision procedures built on it.
 
 The kernel is a Buchberger loop with the normal pair-selection strategy and
-the coprime / chain criteria (critical-pair bookkeeping after Becker &
-Weispfenning, p. 230).  Tie-breaking is lexicographic on internal indices
-everywhere, so results are reproducible bit for bit.
+the coprime / chain criteria: the pairs of Becker & Weispfenning's update
+(p. 230), installed in Gebauer & Möller's form (JSC 6, 1988).  Tie-breaking
+is lexicographic on internal indices, so results repeat bit for bit.
 
 Monomials inside the kernel are packed ints K (Bachmann & Schönemann,
 "Monomial representations for Gröbner bases computations", ISSAC 1998;
@@ -15,10 +15,9 @@ order is the monomial order, so the leading term of a term map is
 of `_reduce` makes once per reducer.  An order is packed block by block,
 grevlex on each of the blocks its `blocks` method states (LEX has one
 block per variable); an order without `blocks` raises
-StructuralError.  `_kernel_terms` packs each
-monomial in the pass that converts its coefficient, the exit decodes
-each straight to a `Monomial`, and each basis element's `_Reducer` is
-built once, when it joins the basis.
+StructuralError.  `_kernel_terms` packs each monomial in the pass that
+converts its coefficient, and each basis element's `_Reducer` is built
+once, when it joins the basis.
 
 The width starts at `_WIDTH` bits, or wider when an input degree needs
 it.  Each reduction step and each S-polynomial first checks that no term
@@ -27,18 +26,19 @@ restarts at twice the width.  Under LEX or a block order degrees grow
 inside one reduction (x^200 reduced by x − y^200 gives y^40000).  Reduced
 bases and normal forms are unique, so a restart returns the same result.
 
-Critical pairs live on packed monomials too (the pair criteria are
-Gebauer & Möller's, JSC 6, 1988).  Each basis element keeps the
-exponent word of its leading monomial; a pair keeps the word of its lcm,
-`_Packing.lcm`, a fieldwise maximum in three big-int operations, and that
-lcm packed, `_Packing.pack`, as its sort key.  An lcm has degree below
-2^w, so no field carries and integer order on the packed lcm is still
-the monomial order.  Coprimality is `lcm == ea + eb`, and the chain
+Critical pairs live on packed monomials too.  Each basis element keeps
+the exponent word of its leading monomial; a pair keeps the word of its
+lcm, `_Packing.lcm`, a fieldwise maximum in three big-int operations, and
+that lcm packed, `_Packing.pack`, as its sort key.  An lcm has degree
+below 2^w, so no field carries and integer order on the packed lcm is
+still the monomial order.  Coprimality is `lcm == ea + eb`; the new pairs
+of an element are installed per distinct lcm, tested in packed order
+(a proper divisor comes first) against the lcms kept, and the chain
 criterion and the pruning of the basis are guard-bit tests on words.
 A monomial ideal skips Buchberger: its generators are packed and sorted
 by degree, and each one divisible by one of lower degree is dropped.
-The seed interreduction returns as soon as a constant appears, since the
-ideal is then the unit ideal.
+The seed interreduction reduces each generator against those kept before
+it, in one pass, and returns as soon as a constant appears.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -49,13 +49,17 @@ positive leading coefficient over QQ.  A reduction step over GF(p) is
 `(cur - c*bc) % p`.  Over QQ it is fraction-free: with g = gcd(c, lb),
 the work and the remainder found so far are multiplied by lb // g and
 (c // g) times the shifted reducer is subtracted; an S-polynomial
-cross-multiplies the two leading coefficients.  Each element of the
-reduced basis is converted back once on exit: over QQ to monic
-Fractions, over GF(p) through the Polynomial constructor.  Since reduced
-bases are unique and pair selection reads only leading monomials, the
-pair sequence and the basis are those of field arithmetic.
-`normal_form` over QQ passes the monic Fraction basis through the same
-loop, where no step scales, so its remainder is exact.
+cross-multiplies the two leading coefficients.  Since reduced bases are
+unique and pair selection reads only leading monomials, the pair sequence
+and the basis are those of field arithmetic.
+
+The reduced basis stays packed in its `GroebnerBasis`, monic Fractions
+over QQ.  `basis` converts it to Polynomials on its first read, each
+monomial decoded straight to a `Monomial`; `is_unit` and `krull_dimension`
+read the packed leading monomials.  `normal_form` reuses the basis's
+`_Reducer`s, built once, and re-packs from `basis` only when p needs a
+wider packing.  Over QQ the monic basis goes through the same loop,
+where no step scales, so the remainder is exact.
 
 `power_ideal` builds each k-fold product from its (k-1)-fold prefix, in
 the generator order of `combinations_with_replacement`.
@@ -68,13 +72,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
-from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial
+from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, _trusted
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
@@ -424,66 +428,74 @@ def _spoly_t(f, g, k, p, pk):
 
 
 def _update(G, B, ih, words, pk):
-    # critical-pair maintenance with the coprime and chain criteria,
-    # following Becker-Weispfenning p. 230.  words[i] is the exponent word
-    # of the leading monomial of basis element i.  A critical pair is the
-    # tuple (packed lcm, i, j, lcm word), so min(B) is the normal strategy
-    # with ties broken on (i, j).  Each divisibility test is the guard-bit
-    # test of `_Packing.divides`, inlined.
-    guard, lcm = pk.guard, pk.lcm
+    # Gebauer & Möller's installation (JSC 6, 1988) of basis element ih: the
+    # (G, B) of Becker & Weispfenning's update (p. 230), B changed in place.
+    # words[i] is the exponent word of lm(i); a pair is (packed lcm, i, j,
+    # lcm word), so min(B) is the normal strategy with ties broken on (i, j).
+    # An old pair goes when lm(ih) divides its lcm and that is neither
+    # lcm(i, ih) nor lcm(j, ih).  One new pair (ih, g) survives per lcm that no
+    # other new lcm divides, that of the largest g, and none if some g is
+    # coprime to ih; a proper divisor comes first in the order, so the lcms
+    # are tested in packed order.  `_Packing.divides` and `.lcm` are inlined.
+    guard, shift, mask = pk.guard, pk.guard_shift, pk.mask
     eh = words[ih]
-    C = sorted(G)
-    lcms = [lcm(eh, words[ig]) for ig in C]
-    D = []  # (ig, lcm word, coprime) for the pairs (ih, ig) that survive
-    for t, ig in enumerate(C):
-        l_hg = lcms[t]
-        coprime = l_hg == eh + words[ig]
-        x = l_hg | guard
-        if coprime or not (
-            any((x - l) & guard == guard for l in lcms[t + 1:])
-            or any((x - l) & guard == guard for _, l, _ in D)
-        ):
-            D.append((ig, l_hg, coprime))
-    B_new = set()
+    xh = eh | guard
+    drop = []
     for pair in B:
-        _, i, j, l_ij = pair
-        if (
-            ((l_ij | guard) - eh) & guard != guard
-            or lcm(words[i], eh) == l_ij
-            or lcm(words[j], eh) == l_ij
-        ):
-            B_new.add(pair)
-    B_new.update((pk.pack(l), ih, ig, l) for ig, l, coprime in D if not coprime)
+        _, i, j, l = pair
+        if ((l | guard) - eh) & guard == guard:  # lm(ih) divides the lcm
+            e = words[i]
+            take = ((((e | guard) - eh) & guard) >> shift) * mask
+            if e & take | eh & ~take != l:
+                e = words[j]
+                take = ((((e | guard) - eh) & guard) >> shift) * mask
+                if e & take | eh & ~take != l:
+                    drop.append(pair)
+    B.difference_update(drop)
+    new = {}  # lcm word -> the largest g with it, None when some g is coprime
+    for g in sorted(G, reverse=True):
+        e = words[g]
+        take = (((xh - e) & guard) >> shift) * mask
+        l = eh & take | e & ~take
+        if l == eh + e:
+            new[l] = None
+        elif l not in new:
+            new[l] = g
+    kept = []
+    for k, l, g in sorted([(pk.pack(l), l, g) for l, g in new.items()]):
+        x = l | guard
+        if not any((x - f) & guard == guard for f in kept):
+            kept.append(l)
+            if g is not None:
+                B.add((k, ih, g, l))
     G_new = {g for g in G if ((words[g] | guard) - eh) & guard != guard}
     G_new.add(ih)
-    return G_new, B_new
+    return G_new, B
 
 
 def _interreduce_seed(gens, p, pk):
     """`_Reducer`s of the kernel term maps `gens`, normalized, each reduced
-    against the ones before it until a round changes nothing.
+    in one pass against the ones kept before it; those that reduce to zero
+    are dropped.
 
     A constant leading monomial, in the input or after a reduction, ends
     the work at once: the ideal is the unit ideal, and that one reducer is
     returned.
     """
-    f1 = [_entry(*_normalize(g, p), pk) for g in gens if g]
-    for e in f1:
+    entries = [_entry(*_normalize(g, p), pk) for g in gens if g]
+    for e in entries:
         if not e.lm:
             return [e]
-    while True:
-        f = f1
-        f1 = f[:1]
-        for i in range(1, len(f)):
-            r = _reduce(f[i].terms, f[:i], p, pk)
-            if r == f[i].terms:  # unchanged: keep its reducer
-                f1.append(f[i])
-            elif r:
-                f1.append(_entry(*_normalize(r, p), pk))
-                if not f1[-1].lm:
-                    return f1[-1:]
-        if [e.terms for e in f] == [e.terms for e in f1]:
-            return f
+    kept = entries[:1]
+    for e in entries[1:]:
+        r = _reduce(e.terms, kept, p, pk)
+        if r == e.terms:  # unchanged: keep its reducer
+            kept.append(e)
+        elif r:
+            kept.append(_entry(*_normalize(r, p), pk))
+            if not kept[-1].lm:
+                return kept[-1:]
+    return kept
 
 
 def _buchberger(gens, p, limit, pk):
@@ -561,17 +573,38 @@ def _monomial_basis(gens, pk):
 # public surface
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its order and source ideal."""
+    """A reduced Groebner basis together with its order and source ideal.
 
-    basis: tuple
-    order: MonomialOrder
-    source: Ideal
+    It keeps the kernel's reduced basis: (lm, term map) pairs packed by
+    `_pk`, descending, residues over GF(p) and monic Fractions over QQ.
+    `basis` converts it to Polynomials on first read; `is_unit`,
+    `normal_form` and `krull_dimension` read the packed form.
+    """
+
+    def __init__(self, reduced: list, pk: _Packing, order: MonomialOrder, source: Ideal):
+        self._reduced = reduced
+        self._pk = pk
+        self.order = order
+        self.source = source
+
+    @cached_property
+    def basis(self) -> tuple:
+        nvars, fld, mono = self.source.nvars, self.source.field, self._pk.monomial
+        coerce = fld.coerce
+        return tuple(
+            _trusted(nvars, fld, {mono(m): coerce(c) for m, c in d.items()})
+            for _, d in self._reduced
+        )
+
+    @cached_property
+    def _reducers(self) -> list:
+        """The `_Reducer`s of the packed basis, built for the first normal form."""
+        return [_entry(lm, d, self._pk) for lm, d in self._reduced]
 
     @property
     def is_unit(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].is_constant
+        return len(self._reduced) == 1 and not self._reduced[0][0]
 
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero
@@ -582,7 +615,8 @@ class GroebnerBasis:
         Checks that every basis element is monic, that the basis is reduced
         (no leading monomial divides any monomial of another element), that
         every S-polynomial of a basis pair reduces to zero, and that every
-        generator of the source ideal reduces to zero.
+        generator of the source ideal reduces to zero.  It reads `basis`,
+        so it audits what callers read, not the packed form.
         """
         terms = [g._terms for g in self.basis + self.source.generators]
         _packed(self.order, self.source.nvars, _degree(terms), self._verify)
@@ -631,25 +665,17 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 
     def run(pk):
         if all(len(g) == 1 for g in gens):
-            basis = _monomial_basis(gens, pk)
-        else:
-            basis = _buchberger([_kernel_terms(g, p, pk.weights) for g in gens], p, limit, pk)
-        # back to monic Fractions over QQ; the constructor takes the
-        # residues, and the ints of a QQ element whose leading
-        # coefficient is already 1
-        mono = pk.monomial
-        out = []
-        for lm, d in basis:
-            lc = d[lm]
-            if lc == 1:
-                terms = {mono(m): c for m, c in d.items()}
-            else:
-                terms = {mono(m): Fraction(c, lc) for m, c in d.items()}
-            out.append(Polynomial(nvars, fld, terms))
-        return tuple(out)
+            return _monomial_basis(gens, pk), pk
+        basis = _buchberger([_kernel_terms(g, p, pk.weights) for g in gens], p, limit, pk)
+        if not p:  # monic over QQ
+            basis = [
+                (lm, d) if d[lm] == 1 else (lm, {m: Fraction(c, d[lm]) for m, c in d.items()})
+                for lm, d in basis
+            ]
+        return basis, pk
 
-    polys = _packed(order, nvars, degree, run)
-    gb = GroebnerBasis(polys, order, ideal)
+    reduced, pk = _packed(order, nvars, degree, run)
+    gb = GroebnerBasis(reduced, pk, order, ideal)
     hook = _audit_var.get()
     if hook is not None:
         hook(gb)
@@ -659,27 +685,33 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of `p` under multivariate division by the basis.
 
-    Zero exactly when p lies in the ideal.
+    Zero exactly when p lies in the ideal.  The basis's own reducers serve
+    when p fits its packing; a wider packing re-packs the basis from `basis`.
     """
     if p.nvars != gb.source.nvars:
         raise StructuralError("polynomial does not live in the basis ring")
     if p.field != gb.source.field:
         raise StructuralError("polynomial over a different field than the basis")
-    char = p.field.characteristic
-    maps = [p._terms] + [g._terms for g in gb.basis]
+    fld = p.field
+    char = fld.characteristic
+
+    def pack(d, w):
+        if char:
+            return _kernel_terms(d, char, w)
+        return {sum(map(mul, m, w)): c for m, c in d.items()}  # QQ: as it is, exact
 
     def run(pk):
         w = pk.weights
-        if char:
-            target, *basis = (_kernel_terms(d, char, w) for d in maps)
+        if pk is gb._pk:
+            reducers = gb._reducers
         else:
-            # the monic Fraction basis goes through the loop as it is: no
-            # step scales, so the remainder is exact
-            target, *basis = ({sum(map(mul, m, w)): c for m, c in d.items()} for d in maps)
-        rem = _reduce(target, [_entry(max(d), d, pk) for d in basis], char, pk)
-        return Polynomial(p.nvars, p.field, {pk.monomial(m): c for m, c in rem.items()})
+            reducers = [_entry(max(d), d, pk) for d in (pack(g._terms, w) for g in gb.basis)]
+        rem = _reduce(pack(p._terms, w), reducers, char, pk)
+        mono, coerce = pk.monomial, fld.coerce
+        return _trusted(p.nvars, fld, {mono(m): coerce(c) for m, c in rem.items()})
 
-    return _packed(gb.order, p.nvars, _degree(maps), run)
+    # no narrower than the basis's own packing
+    return _packed(gb.order, p.nvars, max(_degree([p._terms]), gb._pk.bound - 1), run)
 
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:
@@ -749,10 +781,9 @@ def krull_dimension(ideal: Ideal) -> Optional[int]:
     if gb.is_unit:
         return None
     n = ideal.nvars
-    supports = {
-        sum(1 << i for i, e in enumerate(g.leading_monomial(ideal.order)) if e)
-        for g in gb.basis
-    }
+    pk = gb._pk
+    words = [pk.exponents(lm) for lm, _ in gb._reduced]
+    supports = {sum(1 << v for v, s in enumerate(pk.shifts) if e >> s & pk.mask) for e in words}
     # the supports to test when variable v joins the chosen set
     touching = [[s for s in supports if s >> v & 1] for v in range(n)]
     best = -1

@@ -253,12 +253,12 @@ class Polynomial:
                 merged[m] = val
             elif cur is not None:
                 del merged[m]
-        return Polynomial(self.nvars, self.field, merged)
+        return _trusted(self.nvars, self.field, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, self.field, {m: -c for m, c in self._terms.items()})
+        return _trusted(self.nvars, self.field, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -273,7 +273,7 @@ class Polynomial:
             scalar = self.field.coerce(other)
             if not scalar:
                 return Polynomial.zero(self.nvars, self.field)
-            return Polynomial(
+            return _trusted(
                 self.nvars, self.field, {m: c * scalar for m, c in self._terms.items()}
             )
         self._check_compatible(other)
@@ -288,7 +288,7 @@ class Polynomial:
                     acc[m] = val
                 elif cur is not None:
                     del acc[m]
-        return Polynomial(self.nvars, self.field, acc)
+        return _trusted(self.nvars, self.field, acc)
 
     __rmul__ = __mul__
 
@@ -339,7 +339,7 @@ class Polynomial:
             coeff = c * e
             if coeff:
                 acc[_new(Monomial, m[:index] + (e - 1,) + m[index + 1:])] = coeff
-        return Polynomial(self.nvars, self.field, acc)
+        return _trusted(self.nvars, self.field, acc)
 
     def extended(self, nvars: int) -> "Polynomial":
         """The same polynomial viewed in a larger ring (zero-padded exponents)."""
@@ -348,7 +348,7 @@ class Polynomial:
         if nvars == self.nvars:
             return self
         pad = (0,) * (nvars - self.nvars)
-        return Polynomial(
+        return _trusted(
             nvars, self.field, {_new(Monomial, m + pad): c for m, c in self._terms.items()}
         )
 
@@ -356,7 +356,7 @@ class Polynomial:
         """Sum of the terms whose total degree in `indices` is exactly k."""
         indices = tuple(indices)
         acc = {m: c for m, c in self._terms.items() if m.degree_in(indices) == k}
-        return Polynomial(self.nvars, self.field, acc)
+        return _trusted(self.nvars, self.field, acc)
 
     # ----- rendering --------------------------------------------------------
 
@@ -391,3 +391,12 @@ class Polynomial:
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
         return f"Polynomial({self.render(names)})"
+
+
+def _trusted(nvars: int, field, terms: dict) -> Polynomial:
+    """The Polynomial of a term map canonical by construction (Monomial keys
+    of length `nvars`, nonzero `field` scalars), not validated: for ring
+    operations, charts and the Groebner kernel; `Polynomial(...)` validates."""
+    poly = object.__new__(Polynomial)
+    poly.nvars, poly.field, poly._terms, poly._hash = nvars, field, terms, None
+    return poly

@@ -4,7 +4,9 @@ Deliberately dumb: textbook Buchberger with a FIFO pair queue and no
 criteria, no interreduction of the result, and membership decided by
 dividing against every permutation of the computed basis (all answers must
 be unanimous).  Shares no code with the package kernel beyond the public
-Polynomial type.
+Polynomial type.  `naive_update` is the kernel's critical-pair update in
+Becker & Weispfenning's form; it reads the packed words through the
+kernel's packing, which the caller passes in.
 """
 
 from __future__ import annotations
@@ -158,3 +160,44 @@ def naive_substitute(p, images):
             term = term * image**e
         result = result + term
     return result
+
+
+def naive_update(G, B, ih, words, pk):
+    """Critical-pair update of the Groebner kernel before its Gebauer-Möller
+    installation, kept as the oracle the installation must agree with.
+
+    Leaves G and B unchanged and returns the new (G, B).
+    """
+    # critical-pair maintenance with the coprime and chain criteria,
+    # following Becker-Weispfenning p. 230.  words[i] is the exponent word
+    # of the leading monomial of basis element i.  A critical pair is the
+    # tuple (packed lcm, i, j, lcm word), so min(B) is the normal strategy
+    # with ties broken on (i, j).  Each divisibility test is the guard-bit
+    # test of `_Packing.divides`, inlined.
+    guard, lcm = pk.guard, pk.lcm
+    eh = words[ih]
+    C = sorted(G)
+    lcms = [lcm(eh, words[ig]) for ig in C]
+    D = []  # (ig, lcm word, coprime) for the pairs (ih, ig) that survive
+    for t, ig in enumerate(C):
+        l_hg = lcms[t]
+        coprime = l_hg == eh + words[ig]
+        x = l_hg | guard
+        if coprime or not (
+            any((x - l) & guard == guard for l in lcms[t + 1:])
+            or any((x - l) & guard == guard for _, l, _ in D)
+        ):
+            D.append((ig, l_hg, coprime))
+    B_new = set()
+    for pair in B:
+        _, i, j, l_ij = pair
+        if (
+            ((l_ij | guard) - eh) & guard != guard
+            or lcm(words[i], eh) == l_ij
+            or lcm(words[j], eh) == l_ij
+        ):
+            B_new.add(pair)
+    B_new.update((pk.pack(l), ih, ig, l) for ig, l, coprime in D if not coprime)
+    G_new = {g for g in G if ((words[g] | guard) - eh) & guard != guard}
+    G_new.add(ih)
+    return G_new, B_new

@@ -7,7 +7,7 @@ from operator import add, le, mul
 
 import pytest
 
-from strictsmooth.errors import DegreeLimitError, StructuralError
+from strictsmooth.errors import DegreeLimitError, InternalCheckError, StructuralError
 from strictsmooth.geometry import Center, Scene, analyze
 from strictsmooth.groebner import (
     GroebnerBasis,
@@ -28,6 +28,7 @@ from strictsmooth.parsing import parse_expression
 from strictsmooth.poly import GREVLEX, LEX, BlockOrder, Monomial, MonomialOrder, Polynomial
 from strictsmooth.report import build_report, render_structured
 from strictsmooth.scalars import QQ, ModularInt, PrimeField
+from strictsmooth.selftest import FIXTURES, route_agreement_suite
 
 from _naive import (
     divide,
@@ -36,6 +37,7 @@ from _naive import (
     naive_krull_dimension,
     naive_member,
     naive_reduced_basis,
+    naive_update,
 )
 
 # the kernel module itself: the package re-exports its `groebner` function
@@ -903,8 +905,30 @@ def katsura_ideal(n, fld):
     return Ideal(tuple(gens), n + 1, fld)
 
 
+def cyclic_ideal(n, fld):
+    """cyclic-n: the elementary symmetric sums of n cyclically consecutive
+    unknowns, and their product minus 1."""
+    x = [Polynomial.variable(i, n, fld) for i in range(n)]
+    gens = []
+    for k in range(1, n):
+        total = Polynomial.zero(n, fld)
+        for i in range(n):
+            term = Polynomial.constant(fld.one, n, fld)
+            for j in range(k):
+                term = term * x[(i + j) % n]
+            total = total + term
+        gens.append(total)
+    product = Polynomial.constant(fld.one, n, fld)
+    for v in x:
+        product = product * v
+    gens.append(product - 1)
+    return Ideal(tuple(gens), n, fld)
+
+
 def test_prime_field_kernel_builds_scalars_only_for_its_output(monkeypatch):
-    ideal = katsura_ideal(5, PrimeField(32003))
+    fld = PrimeField(32003)
+    ideal = katsura_ideal(5, fld)
+    member = ideal.generators[0] * ideal.generators[1] + 3 * ideal.generators[2]
     built = []
     real = ModularInt.__init__
 
@@ -914,9 +938,125 @@ def test_prime_field_kernel_builds_scalars_only_for_its_output(monkeypatch):
 
     monkeypatch.setattr(ModularInt, "__init__", counting_init)
     gb = groebner(ideal)
-    monkeypatch.undo()
-    assert len(gb.basis) == 22
-    assert len(built) == sum(len(g.terms()) for g in gb.basis)
+    # the kernel, the unit test and membership read the packed basis only
+    assert not gb.is_unit
+    assert gb.contains(member)
+    assert built == []
+    # the first read of `basis` builds one scalar per output term
+    basis = gb.basis
+    assert len(basis) == 22
+    assert len(built) == sum(len(g.terms()) for g in basis)
+    # and a second read builds none
+    built.clear()
+    assert gb.basis is basis
+    assert built == []
+
+
+def test_pair_installation_matches_the_becker_weispfenning_update(monkeypatch):
+    """Every `_update` of the route corpus and of katsura-5 and cyclic-5
+    over QQ and GF(32003) gives the (G, B) of the update it replaced."""
+    real = kernel._update
+    agree = []
+
+    def both(G, B, ih, words, pk):
+        want = naive_update(G, B, ih, words, pk)
+        got = real(G, B, ih, words, pk)
+        agree.append(got == want)
+        return got
+
+    monkeypatch.setattr(kernel, "_update", both)
+    for fixture in FIXTURES:
+        analyze(fixture.build())
+    for _ in route_agreement_suite(200, 0):
+        pass
+    for fld in (QQ, PrimeField(32003)):
+        groebner(katsura_ideal(5, fld))
+        groebner(cyclic_ideal(5, fld))
+    assert len(agree) > 2000
+    assert all(agree), agree.count(False)
+
+
+def test_normal_form_matches_division():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def polys(fld, nvars, max_terms):
+        term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), st.integers(-3, 3))
+        return st.lists(term, min_size=1, max_size=max_terms).map(
+            lambda terms: sum(
+                (Polynomial(nvars, fld, {Monomial(e): fld.from_int(c)}) for e, c in terms),
+                Polynomial.zero(nvars, fld),
+            )
+        )
+
+    def cases(fld):
+        return st.integers(1, 3).flatmap(
+            lambda n: st.tuples(st.lists(polys(fld, n, 3), min_size=1, max_size=3), polys(fld, n, 5))
+        )
+
+    for fld in (QQ, PrimeField(7)):
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cases(fld))
+        def check(case):
+            gens, p = case
+            gens = [g for g in gens if not g.is_zero]
+            hypothesis.assume(gens)
+            gb = groebner(Ideal(tuple(gens), p.nvars, fld))
+            want = divide(p, list(gb.basis))
+            # twice on one basis, and membership from the same reducers
+            assert normal_form(p, gb) == want
+            assert normal_form(p, gb) == want
+            assert gb.contains(p) == want.is_zero
+            assert gb.contains(p - want)
+
+        check()
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_normal_form_repacks_when_the_degree_overflows_the_basis(fld, monkeypatch):
+    x, y = (Polynomial.variable(i, 2, fld) for i in range(2))
+    gb = groebner(Ideal((x - y, y**3 - 2 * y + 1), 2, fld))
+    width = gb._pk.mask.bit_length()
+    widths, entries = [], []
+    real_packing, real_entry = kernel._packing, kernel._entry
+    monkeypatch.setattr(kernel, "_packing", lambda *key: widths.append(key[2]) or real_packing(*key))
+    monkeypatch.setattr(kernel, "_entry", lambda *args: entries.append(1) or real_entry(*args))
+    seen_small = False
+    for p in (x * y + 1, x**300 + y, x**2 - 5, x**300 - y**299, x * y + 1):
+        widths.clear()
+        entries.clear()
+        assert normal_form(p, gb) == divide(p, list(gb.basis)), p
+        if p.total_degree() < 2 ** (width - 1):
+            # the basis's own packing and reducers, built on the first call only
+            assert widths == [width]
+            assert len(entries) == (0 if seen_small else len(gb.basis))
+            seen_small = True
+        else:
+            # x^300 needs a wider packing: the basis is packed again for it
+            assert widths[0] > width
+            assert len(entries) >= len(gb.basis)
+    assert gb.contains((x**300 - y**300) * (x + 1))
+
+
+def test_verify_audits_the_polynomials_callers_read():
+    x, y = variables(2)
+    gb = groebner(Ideal((x**2 - y, x * y - 1), 2))
+    gb.verify()
+    good = gb.basis
+    assert len(good) > 1
+    corrupt = (
+        good[:-1],                          # an element missing
+        (good[0] * 2,) + good[1:],          # not monic
+        (good[0] + good[1],) + good[1:],    # not reduced
+        good + (x**5,),                     # not reduced either
+    )
+    for bad in corrupt:
+        gb.basis = bad  # the packed form stays as the kernel left it
+        with pytest.raises(InternalCheckError):
+            gb.verify()
+    gb.basis = good
+    gb.verify()
 
 
 # ----- guardrail and audit hook ---------------------------------------------------
