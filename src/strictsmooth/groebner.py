@@ -38,7 +38,12 @@ criterion and the pruning of the basis are guard-bit tests on words.
 A monomial ideal skips Buchberger: its generators are packed and sorted
 by degree, and each one divisible by one of lower degree is dropped.
 The seed interreduction reduces each generator against those kept before
-it, in one pass, and returns as soon as a constant appears.
+it, in one pass, and returns as soon as a constant appears.  So the seed
+of J plus one more generator is J's seed followed by that generator
+reduced against it: `radical_membership` lifts and seeds its ideal once
+per packing, and each of its Rabinowitsch ideals resumes from that seed.
+The memo holds one ideal, matched by identity (equal ideals of two
+routes share no work), and the next ideal tested replaces it.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -74,7 +79,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import is_, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -82,6 +87,9 @@ from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, _trusted
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
+# the ideal `radical_membership` tested last: (ideal, its generators lifted
+# to one more variable, {packing: their seed})
+_seed_var: ContextVar[Optional[tuple]] = ContextVar("radical_seed", default=None)
 
 _new = tuple.__new__
 
@@ -473,22 +481,25 @@ def _update(G, B, ih, words, pk):
     return G_new, B
 
 
-def _interreduce_seed(gens, p, pk):
+def _interreduce_seed(gens, p, pk, kept=()):
     """`_Reducer`s of the kernel term maps `gens`, normalized, each reduced
-    in one pass against the ones kept before it; those that reduce to zero
-    are dropped.
+    in one pass against the ones kept before it, starting from `kept`, the
+    seed of the generators before `gens`; those that reduce to zero are
+    dropped.
 
-    A constant leading monomial, in the input or after a reduction, ends
-    the work at once: the ideal is the unit ideal, and that one reducer is
-    returned.
+    A constant leading monomial, in `kept`, in the input or after a
+    reduction, ends the work at once: the ideal is the unit ideal, and
+    that one reducer is returned.
     """
+    if kept and not kept[0].lm:
+        return list(kept)
     entries = [_entry(*_normalize(g, p), pk) for g in gens if g]
     for e in entries:
         if not e.lm:
             return [e]
-    kept = entries[:1]
-    for e in entries[1:]:
-        r = _reduce(e.terms, kept, p, pk)
+    kept = list(kept)
+    for e in entries:
+        r = _reduce(e.terms, kept, p, pk) if kept else e.terms
         if r == e.terms:  # unchanged: keep its reducer
             kept.append(e)
         elif r:
@@ -498,10 +509,10 @@ def _interreduce_seed(gens, p, pk):
     return kept
 
 
-def _buchberger(gens, p, limit, pk):
-    """The reduced basis of the kernel term maps `gens` as normalized
-    (lm, dict) pairs, descending in the order."""
-    entries = _interreduce_seed(gens, p, pk)
+def _buchberger(entries, p, limit, pk):
+    """The reduced basis of the ideal of the seed `entries`
+    (`_interreduce_seed`) as normalized (lm, dict) pairs, descending in the
+    order."""
     if not entries:
         return []
     for e in entries:
@@ -662,11 +673,21 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     gens = [g._terms for g in ideal.generators]
     degree = _degree(gens)
     _check_degree(degree, limit)
+    # the seeds of a generator prefix: that of a radical test, or none
+    memo = _seed_var.get()
+    base, seeds = (), {}
+    if memo and len(memo[1]) <= len(gens) and all(map(is_, memo[1], ideal.generators)):
+        base, seeds = memo[1:]
 
     def run(pk):
         if all(len(g) == 1 for g in gens):
             return _monomial_basis(gens, pk), pk
-        basis = _buchberger([_kernel_terms(g, p, pk.weights) for g in gens], p, limit, pk)
+        w, kept = pk.weights, seeds.get(pk)
+        if kept is None:
+            packed = [_kernel_terms(g._terms, p, w) for g in base]
+            kept = seeds[pk] = _interreduce_seed(packed, p, pk)
+        rest = [_kernel_terms(g, p, w) for g in gens[len(base):]]
+        basis = _buchberger(_interreduce_seed(rest, p, pk, kept), p, limit, pk)
         if not p:  # monic over QQ
             basis = [
                 (lm, d) if d[lm] == 1 else (lm, {m: Fraction(c, d[lm]) for m, c in d.items()})
@@ -751,17 +772,27 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     """Whether g vanishes on the whole vanishing locus of the ideal.
 
     Decided with one extra variable t: g is in the radical exactly when
-    the ideal together with 1 - t*g has empty vanishing locus.
+    the ideal together with 1 - t*g has empty vanishing locus.  Tests on
+    one ideal object in a row share its lifted generators and their seed
+    (see the module docstring); the next ideal object tested drops them.
     """
     if g.nvars != ideal.nvars or g.field != ideal.field:
         raise StructuralError("radical membership requires a polynomial of the same ring")
     if g.is_zero:
         return True
     n = ideal.nvars
-    lifted = [p.extended(n + 1) for p in ideal.generators]
+    memo = _seed_var.get()
+    if memo is None or memo[0] is not ideal:
+        memo = _lift(ideal)
+        _seed_var.set(memo)
     t = Polynomial.variable(n, n + 1, ideal.field)
     witness = Polynomial.constant(ideal.field.one, n + 1, ideal.field) - t * g.extended(n + 1)
-    return is_empty_affine(Ideal(tuple(lifted) + (witness,), n + 1, ideal.field))
+    return is_empty_affine(Ideal(memo[1] + (witness,), n + 1, ideal.field))
+
+
+def _lift(ideal: Ideal) -> tuple:
+    """The radical-test memo of `ideal`, no seed built yet."""
+    return ideal, tuple(p.extended(ideal.nvars + 1) for p in ideal.generators), {}
 
 
 def krull_dimension(ideal: Ideal) -> Optional[int]:

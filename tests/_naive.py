@@ -201,3 +201,13 @@ def naive_update(G, B, ih, words, pk):
     G_new = {g for g in G if ((words[g] | guard) - eh) & guard != guard}
     G_new.add(ih)
     return G_new, B_new
+
+
+def naive_radical_member(g, generators, max_steps=2000):
+    """Rabinowitsch's test: g vanishes on the locus of the generators exactly
+    when they and 1 - t*g, t one more variable, have the reduced basis {1}."""
+    n, fld = g.nvars, g.field
+    one = Polynomial.constant(fld.one, n + 1, fld)
+    witness = one - Polynomial.variable(n, n + 1, fld) * g.extended(n + 1)
+    gens = [p.extended(n + 1) for p in generators] + [witness]
+    return naive_reduced_basis(gens, max_steps=max_steps) == [one]

@@ -22,6 +22,7 @@ from strictsmooth.geometry import (
     singular_locus_in_centers,
 )
 from strictsmooth.groebner import Ideal, krull_dimension, radical_membership
+from strictsmooth.parsing import parse_expression
 from strictsmooth.poly import Polynomial
 from strictsmooth.report import build_report
 from strictsmooth.scalars import QQ, PrimeField
@@ -381,6 +382,29 @@ def test_oracle_detects_cusp_that_needs_more_blowups():
     verdict = chart_oracle(sc)
     assert verdict.status is Status.SINGULAR
     assert verdict.chart == ("O", 1)
+
+
+# the A3 surface x^2 + y^2 + z^4 at the origin, and its two permutations that
+# move the quartic to x and to y: smooth away from the center, and the blow-up
+# leaves an A1 point on the exceptional divisor, in the chart of the quartic
+# variable only
+EXCEPTIONAL_ONLY = (("x^2 + y^2 + z^4", 2), ("x^4 + y^2 + z^2", 0), ("x^2 + y^4 + z^2", 1))
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(32003)], ids=["QQ", "GF7", "GF32003"]
+)
+@pytest.mark.parametrize(
+    "text, chart", EXCEPTIONAL_ONLY, ids=["quartic-z", "quartic-x", "quartic-y"]
+)
+def test_oracle_finds_singularities_only_on_the_exceptional_divisor(field, text, chart):
+    names = ("x", "y", "z")
+    analysis = analyze(scene2(parse_expression(text, names, field), names, names, "O"))
+    assert analysis.singular_containment.status is Status.SMOOTH
+    assert analysis.section_route.status is Status.INCONCLUSIVE
+    assert analysis.oracle.status is Status.SINGULAR
+    assert analysis.oracle.chart == ("O", chart)
+    assert analysis.consistent
 
 
 # ----- scene validation ----------------------------------------------------------

@@ -3,10 +3,12 @@ import importlib
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from operator import add, le, mul
 
 import pytest
 
+from strictsmooth import geometry
 from strictsmooth.errors import DegreeLimitError, InternalCheckError, StructuralError
 from strictsmooth.geometry import Center, Scene, analyze
 from strictsmooth.groebner import (
@@ -28,7 +30,7 @@ from strictsmooth.parsing import parse_expression
 from strictsmooth.poly import GREVLEX, LEX, BlockOrder, Monomial, MonomialOrder, Polynomial
 from strictsmooth.report import build_report, render_structured
 from strictsmooth.scalars import QQ, ModularInt, PrimeField
-from strictsmooth.selftest import FIXTURES, route_agreement_suite
+from strictsmooth.selftest import FIXTURES, pairing_scene, route_agreement_suite
 
 from _naive import (
     divide,
@@ -36,6 +38,7 @@ from _naive import (
     naive_is_empty,
     naive_krull_dimension,
     naive_member,
+    naive_radical_member,
     naive_reduced_basis,
     naive_update,
 )
@@ -729,11 +732,132 @@ QUINTIC = "a^5 + b^5 + c^5 + d^5 + e^5 + a*b*c*d*e"
 QUINTIC_REPORT_SHA256 = "0da304999e3d15bf2fd9e2d82259af833983796d081b89a5c13cb08f9ba00a3a"
 
 
-def test_quintic_report_bytes_are_unchanged():
+def quintic_scene():
     names = tuple("abcde")
-    scene = Scene(5, names, parse_expression(QUINTIC, names, QQ), (Center("O", tuple(range(5))),))
-    text = render_structured(build_report(analyze(scene)))
+    return Scene(5, names, parse_expression(QUINTIC, names, QQ), (Center("O", tuple(range(5))),))
+
+
+def test_quintic_report_bytes_are_unchanged():
+    text = render_structured(build_report(analyze(quintic_scene())))
     assert hashlib.sha256(text.encode()).hexdigest() == QUINTIC_REPORT_SHA256
+
+
+# ----- radical tests share the seed of their ideal -------------------------------
+
+# the sha256 of the structured report of pairing_scene(20, "subspace")
+PAIRING_20_REPORT_SHA256 = "341bade22efd6fe696aa4351b3c6c14e0620871de11f84d76864cf90448b7cc6"
+
+RADICAL_FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
+
+
+def counting(monkeypatch, module, name, seen):
+    """Replace module.name by a wrapper that appends each call's result to `seen`."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: seen.append(real(*args)) or seen[-1])
+
+
+@cache
+def radical_cases(fld):
+    """(ideal, [(probe, naive answer), ...]) for seeded Jacobian ideals
+    (h, its nonzero partials) in two variables, probed at every variable
+    and at x + y, and for bases of their own: one whose seed is {1} by a
+    constant generator, one whose seed reduces to {1}, one with no
+    generators, and two whose pair loop overflows the narrowest packing
+    after their seed is built."""
+    rng = random.Random(18)
+    x, y = (Polynomial.variable(i, 2, fld) for i in range(2))
+    ideals = [
+        Ideal((x + y, 2 + 0 * x), 2, fld),
+        Ideal((x, x * y - 1), 2, fld),
+        Ideal((), 2, fld),
+        Ideal((x**3 - y,), 2, fld),
+        Ideal((x * y**2 - y, x**3), 2, fld),
+    ]
+    while len(ideals) < 13:
+        h = sparse_poly(rng, 2, fld, 3)
+        if not h.is_constant:
+            partials = (d for d in (h.partial(0), h.partial(1)) if not d.is_zero)
+            ideals.append(Ideal((h, *partials), 2, fld))
+    cases = []
+    for ideal in ideals:
+        try:
+            want = [(g, naive_radical_member(g, ideal.generators, 400)) for g in (x, y, x + y)]
+        except RuntimeError:
+            continue  # the naive Buchberger ran out of steps
+        cases.append((ideal, want))
+    return cases
+
+
+@pytest.mark.parametrize("width", [kernel._WIDTH, 2], ids=["default-width", "width-2"])
+@pytest.mark.parametrize("fld", RADICAL_FIELDS, ids=["QQ", "GF7", "GF32003"])
+def test_radical_tests_on_one_ideal_match_the_naive_test(fld, width, monkeypatch):
+    cases = radical_cases(fld)
+    assert {answer for _, want in cases for _, answer in want} == {True, False}
+    monkeypatch.setattr(kernel, "_WIDTH", width)
+    lifts, packings = [], []
+    counting(monkeypatch, kernel, "_lift", lifts)
+    real_packing = kernel._packing
+
+    def packing(*key):
+        # a seed read in the wrong packing is garbage that restarts without
+        # end; each of these tests needs at most one restart
+        packings.append(key)
+        assert len(packings) <= 2, packings
+        return real_packing(*key)
+
+    monkeypatch.setattr(kernel, "_packing", packing)
+    for ideal, want in cases:
+        # in a row on one object, then on an equal but distinct one
+        for base in (ideal, Ideal(ideal.generators, 2, fld)):
+            for g, answer in want:
+                packings.clear()
+                assert radical_membership(g, base) is answer, (base.generators, g)
+            assert lifts[-1][0] is base
+    # each object lifted once
+    assert len(lifts) == 2 * len(cases)
+    if width == 2:  # a restart seeds the base again, at its wider packing
+        assert {len(seeds) for _, _, seeds in lifts} == {1, 2}
+
+
+def test_radical_tests_resume_from_the_seed_of_their_ideal(monkeypatch):
+    pk = kernel._packing(GREVLEX, 3, kernel._WIDTH)
+    for fld in RADICAL_FIELDS:
+        p = fld.characteristic
+        for ideal, want in radical_cases(fld):
+            lifted = [g.extended(3)._terms for g in ideal.generators]
+            base = [kernel._kernel_terms(d, p, pk.weights) for d in lifted]
+            seed = kernel._interreduce_seed(base, p, pk)
+            for g, _ in want:
+                witness = rabinowitsch((), g)[-1]
+                rest = [kernel._kernel_terms(witness._terms, p, pk.weights)]
+                resumed = kernel._interreduce_seed(rest, p, pk, seed)
+                assert resumed == kernel._interreduce_seed(base + rest, p, pk)
+    # the witness is reduced against the seed: 1 - t*x is 1 modulo x, so no
+    # pair is ever formed
+    x, y = variables(2)
+    updates = []
+    counting(monkeypatch, kernel, "_update", updates)
+    ideal = Ideal((x, y), 2)
+    assert radical_membership(x, ideal) and radical_membership(y, ideal)
+    assert updates == []
+
+
+def test_radical_tests_of_the_pipeline_share_work_only_within_one_route(monkeypatch):
+    reduces, radicals, lifts = [], [], []
+    counting(monkeypatch, kernel, "_reduce", reduces)
+    counting(monkeypatch, geometry, "radical_membership", radicals)
+    counting(monkeypatch, kernel, "_lift", lifts)
+    text = render_structured(build_report(analyze(pairing_scene(20, "subspace"))))
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIRING_20_REPORT_SHA256
+    assert len(radicals) == 40
+    # 1,643 while each radical test interreduced its ideal again
+    assert len(reduces) <= 150
+    # quintic-5: the section and containment routes test equal Jacobians
+    # (its leading form is f itself), each lifted and seeded by its own route
+    lifts.clear()
+    analyze(quintic_scene())
+    (section, _, _), (containment, _, _) = lifts
+    assert section == containment and section is not containment
 
 
 # ----- agreement with sympy --------------------------------------------------------

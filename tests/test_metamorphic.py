@@ -8,7 +8,9 @@ a scene.  Witness ideals and rendered polynomials move with the
 coordinates, so analyses are compared by those fields, not by report bytes.
 
 The maps, each applied with `_naive.naive_substitute` (ring operations
-only) to route-corpus scenes over QQ, GF(7) and GF(32003):
+only) to route-corpus scenes over QQ, GF(7) and GF(32003), and to the A3
+surface x^2 + y^2 + z^4 and its permutations, whose only singular point
+after the blow-up lies on the exceptional divisor:
 - a permutation times a unitriangular integer map on the normal variables;
 - the same kind of map on the tangent variables, plus constants;
 - a shear u -> u + y_a*y_b of one tangent variable by normal ones.
@@ -22,7 +24,8 @@ import pytest
 
 from _naive import naive_substitute
 from strictsmooth.errors import StrictSmoothError
-from strictsmooth.geometry import Scene, analyze
+from strictsmooth.geometry import Center, Scene, analyze
+from strictsmooth.parsing import parse_expression
 from strictsmooth.poly import Polynomial
 from strictsmooth.scalars import QQ, PrimeField
 from strictsmooth.selftest import random_pairing_like_scene, random_scene
@@ -49,6 +52,17 @@ def _route_corpus(count: int):
             continue
         out.append(scene)
     return out
+
+
+def _exceptional_only():
+    """x^2 + y^2 + z^4 at the origin, and with the quartic on x and on y,
+    over each field."""
+    names = ("x", "y", "z")
+    return [
+        Scene(3, names, parse_expression(text, names, field), (Center("O", (0, 1, 2)),))
+        for text in ("x^2 + y^2 + z^4", "x^4 + y^2 + z^2", "x^2 + y^4 + z^2")
+        for field in FIELDS
+    ]
 
 
 def _var(scene, i):
@@ -121,12 +135,18 @@ def _invariants(analysis):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return [(scene, _invariants(analyze(scene))) for scene in _route_corpus(SCENES)]
+    scenes = _route_corpus(SCENES) + _exceptional_only()
+    return [(scene, _invariants(analyze(scene))) for scene in scenes]
 
 
 def test_corpus_covers_every_field_and_both_verdicts(corpus):
     assert {scene.field for scene, _ in corpus} == set(FIELDS)
     assert {want["oracle"].value for _, want in corpus} == {"smooth", "singular"}
+    # and singular only on the exceptional divisor: containment smooth
+    assert any(
+        want["routes"][0].value == "smooth" and want["oracle"].value == "singular"
+        for _, want in corpus
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(MAPS))
