@@ -2,12 +2,14 @@
 
 Commands: analyze (full pipeline), charts (blow-up chart dump), sod
 (derived-category ledger only), oracle (chart route only), selftest
-(fixture corpus plus seeded property suites).  The report goes to stdout,
-a short human summary to stderr unless --quiet.
+(fixture corpus plus seeded property suites); a scene command runs only
+the stages its report reads.  The report goes to stdout, and unless --quiet
+a summary to stderr: each center's k and d, then the report's verdicts.
 
 Exit codes: 0 analysis completed (whatever the verdict), 3 internal
-invariant violation (InternalCheckError), 2 any other StrictSmoothError:
-input or validation errors, including the --max-degree guardrail.
+invariant violation (InternalCheckError, or under analyze routes that
+disagree), 2 any other StrictSmoothError: input or validation errors,
+including the --max-degree guardrail.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import sys
 
 from .errors import InternalCheckError, StrictSmoothError
-from .geometry import analyze
+from .geometry import Analysis, analyze
 from .groebner import degree_limit
 from .report import build_report, render_plain, render_structured, summary_line
 from .scene_io import load_scene
@@ -71,15 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_scene_command(args) -> int:
     with degree_limit(args.max_degree):
-        analysis = analyze(load_scene(args.scene))
-    report = build_report(analysis, command=args.command)
+        analysis = (analyze if args.command == "analyze" else Analysis)(load_scene(args.scene))
+        report = build_report(analysis, command=args.command)  # runs the stages it reads
     if args.format == "structured":
         sys.stdout.write(render_structured(report))
     else:
         sys.stdout.write(render_plain(report))
     if not args.quiet:
-        sys.stderr.write(summary_line(analysis) + "\n")
-    if not analysis.consistent:
+        sys.stderr.write(summary_line(analysis, args.command) + "\n")
+    if args.command == "analyze" and not analysis.consistent:
         sys.stderr.write(
             "internal invariant violation: the smoothness routes disagree\n"
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .errors import InternalCheckError, SceneError, StructuralError
@@ -176,21 +177,6 @@ class BlowupChart:
     exceptional_exponent: int
 
 
-@dataclass(frozen=True)
-class Analysis:
-    scene: Scene
-    centers: tuple                 # CenterAnalysis per center, input order
-    singular_containment: Verdict
-    section_route: Verdict
-    base_locus_route: Optional[Verdict]
-    oracle: Verdict
-    consistent: bool
-    notes: tuple
-    warnings: tuple
-    charts: tuple                  # tuple of chart tuples, parallel to centers
-    ledger: dict                   # the report's divisor_classes section
-
-
 # --------------------------------------------------------------------------
 # per-center computations
 
@@ -322,24 +308,6 @@ def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusRe
     return BaseLocusResult(equations, dim_b, expected, False, verdict)
 
 
-def analyze_center(scene: Scene, center: Center) -> CenterAnalysis:
-    k = multiplicity(scene.f, center)
-    phi = leading_form(scene.f, center, k)
-    section = section_smoothness(center, phi)
-    base = base_locus_check(center, phi, scene.nvars) if k == 1 else None
-    if base is not None and base.verdict.witness is not None:
-        # the witness lives in the tangent ring, like the equations
-        names = tuple(scene.names[i] for i in center.tangent(scene.nvars))
-        base = replace(base, verdict=replace(base.verdict, witness_names=names))
-    return CenterAnalysis(
-        center=center,
-        multiplicity=k,
-        leading_form=phi,
-        section_verdict=section,
-        base_locus=base,
-    )
-
-
 # --------------------------------------------------------------------------
 # global checks
 
@@ -391,7 +359,7 @@ def chart_names(scene_names, center: Center, variable: int) -> tuple:
     return fresh_names(scene_names, center, bases)
 
 
-def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
+def charts(scene: Scene, center: Center, k: int) -> tuple:
     """All affine blow-up charts of one center, with strict transforms.
 
     In the chart of y_j the blow-up sets y_j = t and y_l = t*u_l for the
@@ -403,8 +371,6 @@ def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
     least normal degree of a term of f, the same in every chart; it is at
     least k, and the strict transform is the pullback divided by t^valuation.
     """
-    if k is None:
-        k = multiplicity(scene.f, center)
     normal = center.vanishing
     terms = [(m, m.degree_in(normal), c) for m, c in scene.f.terms()]
     valuation = min(d for _, d, _ in terms)
@@ -429,25 +395,17 @@ def charts(scene: Scene, center: Center, k: Optional[int] = None) -> tuple:
     return tuple(out)
 
 
-def chart_oracle(
-    scene: Scene,
-    containment: Optional[Verdict] = None,
-    center_charts: Optional[tuple] = None,
-) -> Verdict:
+def chart_oracle(scene: Scene, containment: Verdict, center_charts: tuple) -> Verdict:
     """Direct smoothness decision for the strict transform, chart by chart.
 
     Singular points away from every exceptional locus correspond one to one
     to singular points of the hypersurface away from the centers, so they
     are covered by the containment check; each chart then only needs the
-    Jacobian criterion on the exceptional locus t = 0.  `center_charts`
-    holds the `charts` of each center, parallel to `scene.centers` (the
-    shape of `Analysis.charts`); both optional arguments are computed when
-    omitted.  The verdict is never Inconclusive.
+    Jacobian criterion on the exceptional locus t = 0.  `containment` is
+    the `singular_locus_in_centers` verdict and `center_charts` holds the
+    `charts` of each center, parallel to `scene.centers` (the shape of
+    `Analysis.charts`).  The verdict is never Inconclusive.
     """
-    if containment is None:
-        containment = singular_locus_in_centers(scene)
-    if center_charts is None:
-        center_charts = tuple(charts(scene, center) for center in scene.centers)
     for chart_list in center_charts:
         for chart in chart_list:
             strict = chart.strict_transform
@@ -576,63 +534,102 @@ def _route(containment: Verdict, verdicts) -> Verdict:
     )
 
 
-def analyze(scene: Scene) -> Analysis:
-    """Run the hypothesis routes and the chart oracle and reconcile them."""
-    scene.validate()
-    analyses = tuple(analyze_center(scene, c) for c in scene.centers)
-    containment = singular_locus_in_centers(scene)
-    center_charts = tuple(charts(scene, a.center, a.multiplicity) for a in analyses)
+class Analysis:
+    """The pipeline over one scene: `Analysis(scene)` validates the scene
+    and runs nothing else; each stage runs, once, when first read."""
 
-    section_route = _route(containment, [a.section_verdict for a in analyses])
-    base_route = None
-    if analyses and all(a.multiplicity == 1 for a in analyses):
-        base_route = _route(containment, [a.base_locus.verdict for a in analyses])
+    def __init__(self, scene: Scene):
+        scene.validate()
+        self.scene = scene
 
-    oracle = chart_oracle(scene, containment, center_charts)
+    @cached_property
+    def multiplicities(self) -> tuple:
+        """The vanishing order k of each center, parallel to `scene.centers`."""
+        return tuple(multiplicity(self.scene.f, c) for c in self.scene.centers)
 
-    # the routes are sufficient criteria: only a Smooth route can contradict
-    # the oracle
-    claims = [r.status for r in (section_route, base_route) if r is not None]
-    consistent = oracle.status is Status.SMOOTH or Status.SMOOTH not in claims
+    @cached_property
+    def centers(self) -> tuple:
+        """CenterAnalysis per center; a base-locus witness is in the tangent ring."""
+        scene, out = self.scene, []
+        for center, k in zip(scene.centers, self.multiplicities):
+            phi = leading_form(scene.f, center, k)
+            section = section_smoothness(center, phi)
+            base = base_locus_check(center, phi, scene.nvars) if k == 1 else None
+            if base is not None and base.verdict.witness is not None:
+                names = tuple(scene.names[i] for i in center.tangent(scene.nvars))
+                base = replace(base, verdict=replace(base.verdict, witness_names=names))
+            out.append(CenterAnalysis(center, k, phi, section, base))
+        return tuple(out)
 
-    notes = []
-    if section_route.status is Status.INCONCLUSIVE and oracle.status is Status.SMOOTH:
-        notes.append(
-            "the smoothness criterion is sufficient only: the chart oracle "
-            "certifies smoothness although a hypothesis fails"
-        )
-    for a in analyses:
-        if a.base_locus is not None and a.base_locus.vacuous:
+    @cached_property
+    def singular_containment(self) -> Verdict:
+        return singular_locus_in_centers(self.scene)
+
+    @cached_property
+    def charts(self) -> tuple:
+        """The `charts` of each center, parallel to `scene.centers`."""
+        pairs = zip(self.scene.centers, self.multiplicities)
+        return tuple(charts(self.scene, center, k) for center, k in pairs)
+
+    @cached_property
+    def oracle(self) -> Verdict:
+        return chart_oracle(self.scene, self.singular_containment, self.charts)
+
+    @cached_property
+    def section_route(self) -> Verdict:
+        return _route(self.singular_containment, [a.section_verdict for a in self.centers])
+
+    @cached_property
+    def base_locus_route(self) -> Optional[Verdict]:
+        if self.centers and all(a.multiplicity == 1 for a in self.centers):
+            return _route(self.singular_containment, [a.base_locus.verdict for a in self.centers])
+        return None
+
+    @cached_property
+    def consistent(self) -> bool:
+        """Only a Smooth route, a sufficient criterion, can contradict the oracle."""
+        claims = [r.status for r in (self.section_route, self.base_locus_route) if r is not None]
+        return self.oracle.status is Status.SMOOTH or Status.SMOOTH not in claims
+
+    @cached_property
+    def notes(self) -> tuple:
+        notes = []
+        if (self.section_route.status is Status.INCONCLUSIVE
+                and self.oracle.status is Status.SMOOTH):
             notes.append(
-                f"center {a.center.name!r}: empty base locus accepted vacuously "
-                f"(expected dimension {a.base_locus.expected_dimension})"
+                "the smoothness criterion is sufficient only: the chart oracle "
+                "certifies smoothness although a hypothesis fails"
             )
+        for a in self.centers:
+            if a.base_locus is not None and a.base_locus.vacuous:
+                notes.append(
+                    f"center {a.center.name!r}: empty base locus accepted vacuously "
+                    f"(expected dimension {a.base_locus.expected_dimension})"
+                )
+        return tuple(notes)
 
-    warnings = []
-    p = scene.field.characteristic
-    if p:
-        threshold = max(
-            [a.multiplicity for a in analyses] + [scene.f.total_degree()]
+    @cached_property
+    def warnings(self) -> tuple:
+        p = self.scene.field.characteristic
+        threshold = max((*self.multiplicities, self.scene.f.total_degree()))
+        if not p or p > threshold:
+            return ()
+        return (
+            f"prime characteristic {p} is at most max(multiplicity, deg f) = "
+            f"{threshold}: Jacobian-based verdicts certify smoothness of the "
+            f"hypersurface scheme over the algebraic closure and may differ "
+            f"from characteristic-zero behaviour",
         )
-        if p <= threshold:
-            warnings.append(
-                f"prime characteristic {p} is at most max(multiplicity, deg f) = "
-                f"{threshold}: Jacobian-based verdicts certify smoothness of the "
-                f"hypersurface scheme over the algebraic closure and may differ "
-                f"from characteristic-zero behaviour"
-            )
 
-    ledger = adjunction_ledger(analyses)
-    return Analysis(
-        scene=scene,
-        centers=analyses,
-        singular_containment=containment,
-        section_route=section_route,
-        base_locus_route=base_route,
-        oracle=oracle,
-        consistent=consistent,
-        notes=tuple(notes),
-        warnings=tuple(warnings),
-        charts=center_charts,
-        ledger=ledger,
-    )
+    @cached_property
+    def ledger(self) -> dict:
+        return adjunction_ledger(self.centers)
+
+
+def analyze(scene: Scene) -> Analysis:
+    """`Analysis(scene)` with every stage read, in pipeline order."""
+    analysis = Analysis(scene)
+    for stage in ("centers", "singular_containment", "charts", "section_route",
+                  "base_locus_route", "oracle", "consistent", "notes", "warnings", "ledger"):
+        getattr(analysis, stage)
+    return analysis

@@ -210,18 +210,16 @@ def render_plain(report: dict) -> str:
              f" a={center['discrepancy']}")
         push(f"  leading form: {center['leading_form']}")
         push(f"  section: {center['section']}")
-        if "section_smooth" in center:
-            push(f"  exceptional divisor: {_plain_verdict(center['section_smooth'])}")
-        base = center.get("base_locus")
-        if base is not None:
-            if base["applicable"]:
-                push(
-                    "  base locus: "
-                    f"{_plain_verdict(base['verdict'])}, dimension {base['dimension']}"
-                    f" (expected {base['expected_dimension']})"
-                )
-            else:
-                push(f"  base locus: not applicable ({base['reason']})")
+        push(f"  exceptional divisor: {_plain_verdict(center['section_smooth'])}")
+        base = center["base_locus"]
+        if base["applicable"]:
+            push(
+                "  base locus: "
+                f"{_plain_verdict(base['verdict'])}, dimension {base['dimension']}"
+                f" (expected {base['expected_dimension']})"
+            )
+        else:
+            push(f"  base locus: not applicable ({base['reason']})")
     verdicts = report.get("verdicts")
     if verdicts:
         for key in (
@@ -261,14 +259,14 @@ def render_plain(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_line(analysis: Analysis) -> str:
-    parts = []
-    for a in analysis.centers:
-        parts.append(f"{a.center.name}: k={a.multiplicity} d={a.center.codimension}")
-    routes = (
-        f"section={analysis.section_route.status.value}"
-        f" oracle={analysis.oracle.status.value}"
-        f" consistent={'yes' if analysis.consistent else 'NO'}"
-    )
-    prefix = "; ".join(parts)
-    return f"{prefix} | {routes}" if prefix else routes
+def summary_line(analysis: Analysis, command: str) -> str:
+    """Each center's k and d, then the verdicts the command's report holds."""
+    pairs = zip(analysis.scene.centers, analysis.multiplicities)
+    parts = ["; ".join(f"{c.name}: k={k} d={c.codimension}" for c, k in pairs)]
+    if command == "analyze":
+        parts.append(f"section={analysis.section_route.status.value}"
+                     f" oracle={analysis.oracle.status.value}"
+                     f" consistent={'yes' if analysis.consistent else 'NO'}")
+    elif command == "oracle":
+        parts.append(f"oracle={analysis.oracle.status.value}")
+    return " | ".join(filter(None, parts)) or "no centers"

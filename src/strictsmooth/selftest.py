@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .geometry import Center, Scene, Status, analyze, analyze_center
+from .geometry import Analysis, Center, Scene, Status, analyze
 from .parsing import parse_expression
 from .poly import Monomial, Polynomial
 from .scalars import QQ
@@ -227,8 +227,7 @@ def equivalence_suite(count: int, seed: int):
     rng = random.Random(seed)
     for produced in range(count):
         scene = random_scene(rng, force_k1=True)
-        scene.validate()
-        stages = analyze_center(scene, scene.centers[0])
+        (stages,) = Analysis(scene).centers
         yield produced, scene, stages.section_verdict, stages.base_locus
 
 

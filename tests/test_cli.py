@@ -8,6 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from conftest import STAGES
 
 from strictsmooth.cli import main
 from strictsmooth.errors import SceneError
@@ -16,6 +17,8 @@ from strictsmooth.parsing import parse_expression
 from strictsmooth.report import _section_names, build_report
 from strictsmooth.scalars import PRIME_BOUND
 from strictsmooth.scene_io import load_scene, report_schema, scene_from_document, scene_schema
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 # built once: `jsonschema.validate` checks the schema itself on every call
 REPORT_VALIDATOR = jsonschema.Draft202012Validator(report_schema())
@@ -529,6 +532,73 @@ def test_scene_command_validates_once(capsys, pairing_file, monkeypatch, command
     code, _, _ = run(capsys, [command, pairing_file])
     assert code == 0
     assert len(calls) == 1
+
+
+CHART_STAGES = ["validate", "multiplicity", "charts"]
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("charts", CHART_STAGES),
+    ("oracle", CHART_STAGES + ["singular_locus_in_centers", "chart_oracle"]),
+    ("sod", ["validate", "multiplicity", "leading_form", "section_smoothness",
+             "base_locus_check", "adjunction_ledger"]),
+    ("analyze", ["validate", *STAGES]),
+], ids=["charts", "oracle", "sod", "analyze"])
+def test_scene_command_runs_only_its_stages(capsys, pairing_file, stage_log, command, stages):
+    # a k = 1 scene, so the sod and analyze sets hold the base-locus check
+    code, _, _ = run(capsys, [command, pairing_file])
+    assert code == 0
+    assert sorted(stage_log) == sorted(stages)
+
+
+@pytest.mark.parametrize("stem, summary", [
+    ("cusp", "O: k=2 d=2 | section=inconclusive oracle=smooth consistent=yes"),
+    ("pairing-n2-origin", "O: k=2 d=4 | section=smooth oracle=smooth consistent=yes"),
+    ("pairing-n2-subspace", "X: k=1 d=2 | section=smooth oracle=smooth consistent=yes"),
+], ids=["cusp", "pairing-n2-origin", "pairing-n2-subspace"])
+def test_summary_lists_the_verdicts_of_the_report(capsys, stem, summary):
+    path = str(SCENES / f"{stem}.yaml")
+    shape, routes = summary.split(" | ")
+    oracle = next(word for word in routes.split() if word.startswith("oracle="))
+    for command, want in (("analyze", summary), ("oracle", f"{shape} | {oracle}"),
+                          ("charts", shape), ("sod", shape)):
+        code, _, err = run(capsys, [command, path])
+        assert (code, err) == (0, want + "\n"), command
+
+
+def test_summary_without_centers_is_not_empty(capsys, tmp_path):
+    scene = tmp_path / "line.yaml"
+    scene.write_text(
+        "schema: strictsmooth-scene/1\n"
+        "variables: [x, y]\n"
+        'hypersurface: "x"\n'
+        "centers: []\n"
+    )
+    for command, want in (("analyze", "section=smooth oracle=smooth consistent=yes"),
+                          ("oracle", "oracle=smooth"), ("charts", "no centers"),
+                          ("sod", "no centers")):
+        code, _, err = run(capsys, [command, str(scene)])
+        assert (code, err) == (0, want + "\n"), command
+
+
+def test_disagreeing_routes_exit_three_only_under_analyze(capsys, monkeypatch):
+    from strictsmooth import geometry
+
+    def singular(scene, containment, center_charts):
+        return geometry.Verdict(geometry.Status.SINGULAR, detail="synthetic")
+
+    monkeypatch.setattr(geometry, "chart_oracle", singular)
+    path = str(SCENES / "pairing-n2-subspace.yaml")
+    code, _, err = run(capsys, ["analyze", path])
+    assert code == 3
+    assert err == (
+        "X: k=1 d=2 | section=smooth oracle=singular consistent=NO\n"
+        "internal invariant violation: the smoothness routes disagree\n"
+    )
+    code, out, err = run(capsys, ["oracle", path])
+    assert code == 0
+    assert json.loads(out)["verdicts"]["chart_oracle"]["status"] == "singular"
+    assert err == "X: k=1 d=2 | oracle=singular\n"
 
 
 def test_singular_verdict_still_exits_zero(capsys, tmp_path):

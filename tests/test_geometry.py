@@ -7,14 +7,13 @@ import pytest
 from strictsmooth import geometry, selftest
 from strictsmooth.errors import InternalCheckError, SceneError, StructuralError
 from strictsmooth.geometry import (
+    Analysis,
     Center,
     Scene,
     Status,
     adjunction_ledger,
     analyze,
-    analyze_center,
     base_locus_check,
-    chart_oracle,
     charts,
     leading_form,
     multiplicity,
@@ -240,7 +239,7 @@ def test_smooth_hypersurface_without_centers_passes():
 def test_chart_strict_transforms():
     x, y = variables(2)
     sc = scene2(x * y, ("x", "y"), ("x", "y"), "O")
-    chs = charts(sc, sc.centers[0])
+    (chs,) = Analysis(sc).charts
     by_var = {ch.variable: ch for ch in chs}
     u = Polynomial.variable(1, 2)
     assert by_var[0].strict_transform == u           # x-chart: f~ = u
@@ -249,14 +248,14 @@ def test_chart_strict_transforms():
     x1, x2, y1, y2 = variables(4)
     f = x1 * y1 + x2 * y2
     sc = scene2(f, ("x1", "x2", "y1", "y2"), ("y1", "y2"), "X")
-    chs = charts(sc, sc.centers[0])
+    (chs,) = Analysis(sc).charts
     by_var = {ch.variable: ch for ch in chs}
     u2 = Polynomial.variable(3, 4)
     assert by_var[2].strict_transform == x1 + x2 * u2
     assert by_var[2].exceptional_exponent == 1
 
     sc = scene2(y1, ("x1", "x2", "y1", "y2"), ("y1", "y2"), "X")
-    chs = charts(sc, sc.centers[0])
+    (chs,) = Analysis(sc).charts
     by_var = {ch.variable: ch for ch in chs}
     assert by_var[2].strict_transform == Polynomial.constant(1, 4)
 
@@ -346,7 +345,7 @@ def test_report_substitutions_with_names_that_clash_with_chart_names():
         orders |= _report_substitution_orders(scene)
         renamed = renamed or any(
             name.startswith("_") and name not in names
-            for ch in charts(scene, scene.centers[0])
+            for ch in Analysis(scene).charts[0]
             for name in ch.names
         )
     assert renamed
@@ -358,20 +357,20 @@ def test_report_substitutions_with_names_that_clash_with_chart_names():
 
 def test_oracle_pairing_smooth():
     for kind in ("subspace", "origin"):
-        verdict = chart_oracle(pairing_scene(2, kind))
+        verdict = Analysis(pairing_scene(2, kind)).oracle
         assert verdict.status is Status.SMOOTH
 
 
 def test_oracle_cusp_resolves():
     x, y = variables(2)
     sc = scene2(x**2 - y**3, ("x", "y"), ("x", "y"), "O")
-    assert chart_oracle(sc).status is Status.SMOOTH
+    assert Analysis(sc).oracle.status is Status.SMOOTH
 
 
 def test_oracle_double_cone_stays_singular():
     x, y, z = variables(3)
     sc = scene2(x**2 - y**2 * z**2, ("x", "y", "z"), ("x", "y", "z"), "O")
-    verdict = chart_oracle(sc)
+    verdict = Analysis(sc).oracle
     assert verdict.status is Status.SINGULAR
     assert verdict.chart is not None and verdict.witness is not None
 
@@ -379,7 +378,7 @@ def test_oracle_double_cone_stays_singular():
 def test_oracle_detects_cusp_that_needs_more_blowups():
     x, y = variables(2)
     sc = scene2(x**2 - y**5, ("x", "y"), ("x", "y"), "O")
-    verdict = chart_oracle(sc)
+    verdict = Analysis(sc).oracle
     assert verdict.status is Status.SINGULAR
     assert verdict.chart == ("O", 1)
 
@@ -584,7 +583,7 @@ def test_divisor_class_lattice_arithmetic():
 
 def test_adjunction_ledger_raises_when_routes_disagree(monkeypatch):
     scene = pairing_scene(2, "origin")  # discrepancy 1
-    analyses = tuple(analyze_center(scene, c) for c in scene.centers)
+    analyses = Analysis(scene).centers
     real = geometry._divisor_class
     # a lattice sum that drops every summand but the first loses the E:O terms
     monkeypatch.setattr(geometry, "_divisor_class", lambda *summands: real(summands[0]))
@@ -600,8 +599,7 @@ def test_discrepancy_routes_agree_on_random_scenes():
             scene.validate()
         except SceneError:
             continue
-        analyses = tuple(analyze_center(scene, c) for c in scene.centers)
-        ledger = adjunction_ledger(analyses)
+        ledger = adjunction_ledger(Analysis(scene).centers)
         for record in ledger["per_center"]:
             assert record["discrepancy_formula"] == record["discrepancy_lattice"]
             assert record["agree"] is True
@@ -647,7 +645,7 @@ def test_equivalence_sample():
         assert left == right, scene.f
 
 
-def test_equivalence_suite_runs_the_stages_of_analyze_center():
+def test_equivalence_suite_runs_the_center_stages():
     # the stages composed by hand on the same seeded draws
     rng = random.Random(9)
     expected = []
@@ -664,10 +662,22 @@ def test_equivalence_suite_runs_the_stages_of_analyze_center():
     assert [idx for idx, *_ in got] == list(range(20))
     for (_, scene, section, base), (want_scene, want_section, want_base) in zip(got, expected):
         assert scene == want_scene and section == want_section
-        # analyze_center names the witness's variables; nothing else differs
+        # the centers stage names the witness's variables; nothing else differs
         assert base == replace(
             want_base, verdict=replace(want_base.verdict, witness_names=base.verdict.witness_names)
         )
+
+
+@pytest.mark.parametrize("kind, base", [("subspace", ["base_locus_check"]), ("origin", [])],
+                         ids=["k=1", "k=2"])
+def test_analyze_runs_the_stages_in_pipeline_order(stage_log, kind, base):
+    # the kernel sees the same call sequence, so its seed memo and the
+    # benchmark's pinned counts hold
+    analyze(pairing_scene(2, kind))
+    assert stage_log == [
+        "validate", "multiplicity", "leading_form", "section_smoothness", *base,
+        "singular_locus_in_centers", "charts", "chart_oracle", "adjunction_ledger",
+    ]
 
 
 SELFTEST_SEED_0 = """\
@@ -733,6 +743,34 @@ def test_editing_a_report_leaves_the_analysis_alone():
     assert render_structured(build_report(analysis)) == text
 
 
+def test_threads_sharing_an_analysis_write_the_same_report():
+    # a stage that two threads read first may run twice; stages are pure,
+    # so every thread still reads the report of one analyze()
+    import sys
+    import threading
+
+    from strictsmooth.report import render_structured
+
+    want = render_structured(build_report(analyze(pairing_scene(2, "origin"))))
+    shared = Analysis(pairing_scene(2, "origin"))
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(render_structured(build_report(shared))))
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * len(threads)
+
+
 def _brute_force_smooth(scene):
     # independent complete decision: the charts cover the whole blow-up, so
     # the strict transform is smooth iff every chart's full Jacobian locus is
@@ -773,10 +811,10 @@ def test_oracle_agrees_with_brute_force_chart_decision():
             scene.validate()
         except SceneError:
             continue
-        mine = chart_oracle(scene).status is Status.SMOOTH
+        mine = Analysis(scene).oracle.status is Status.SMOOTH
         assert mine == _brute_force_smooth(scene), scene.f
         checked += 1
     for fixture in FIXTURES:
         scene = fixture.build()
-        mine = chart_oracle(scene).status is Status.SMOOTH
+        mine = Analysis(scene).oracle.status is Status.SMOOTH
         assert mine == _brute_force_smooth(scene), fixture.name
