@@ -75,12 +75,14 @@ def _run_scene_command(args) -> int:
     with degree_limit(args.max_degree):
         analysis = (analyze if args.command == "analyze" else Analysis)(load_scene(args.scene))
         report = build_report(analysis, command=args.command)  # runs the stages it reads
+        # the summary reads k, which charts and oracle reports do not
+        summary = None if args.quiet else summary_line(analysis, args.command)
     if args.format == "structured":
         sys.stdout.write(render_structured(report))
     else:
         sys.stdout.write(render_plain(report))
-    if not args.quiet:
-        sys.stderr.write(summary_line(analysis, args.command) + "\n")
+    if summary is not None:
+        sys.stderr.write(summary + "\n")
     if args.command == "analyze" and not analysis.consistent:
         sys.stderr.write(
             "internal invariant violation: the smoothness routes disagree\n"

@@ -196,16 +196,18 @@ def _inside(jac: Ideal, center: Center) -> bool:
 
 
 def multiplicity(f: Polynomial, center: Center) -> int:
-    """Largest k such that f lies in the k-th power of the center ideal."""
+    """Largest k with f in the k-th power of the center ideal: the least
+    normal degree of a term of f, since the powers of an ideal of variables
+    are monomial ideals.  The kernel confirms f in I^k and not in I^(k+1)."""
     ideal = center.ideal(f.nvars, f.field)
     if not ideal_power_membership(f, ideal, 1):
         raise SceneError(
             f"center {center.name!r} is not contained in the hypersurface"
         )
-    bound = f.total_degree()
-    k = 1
-    while k <= bound and ideal_power_membership(f, ideal, k + 1):
-        k += 1
+    k = min(m.degree_in(center.vanishing) for m in f.monomials())
+    inside = k == 1 or ideal_power_membership(f, ideal, k)
+    if not inside or ideal_power_membership(f, ideal, k + 1):
+        raise InternalCheckError(f"the kernel does not confirm k={k} at center {center.name!r}")
     return k
 
 
@@ -359,7 +361,7 @@ def chart_names(scene_names, center: Center, variable: int) -> tuple:
     return fresh_names(scene_names, center, bases)
 
 
-def charts(scene: Scene, center: Center, k: int) -> tuple:
+def charts(scene: Scene, center: Center) -> tuple:
     """All affine blow-up charts of one center, with strict transforms.
 
     In the chart of y_j the blow-up sets y_j = t and y_l = t*u_l for the
@@ -368,16 +370,12 @@ def charts(scene: Scene, center: Center, k: int) -> tuple:
     monomial whose j-th exponent is the normal degree sum_{l in V} m_l, with
     every other exponent unchanged.  That map is injective, so no two terms
     merge, over QQ and GF(p) alike.  The t-valuation of the pullback is the
-    least normal degree of a term of f, the same in every chart; it is at
-    least k, and the strict transform is the pullback divided by t^valuation.
+    least normal degree of a term of f, the same in every chart: the k of
+    `multiplicity`.  The strict transform is the pullback divided by t^k.
     """
     normal = center.vanishing
     terms = [(m, m.degree_in(normal), c) for m, c in scene.f.terms()]
     valuation = min(d for _, d, _ in terms)
-    if valuation < k:
-        raise InternalCheckError(
-            f"chart valuation {valuation} below the vanishing order {k}"
-        )
     out = []
     for j in normal:
         strict = _trusted(scene.nvars, scene.field, {
@@ -567,9 +565,8 @@ class Analysis:
 
     @cached_property
     def charts(self) -> tuple:
-        """The `charts` of each center, parallel to `scene.centers`."""
-        pairs = zip(self.scene.centers, self.multiplicities)
-        return tuple(charts(self.scene, center, k) for center, k in pairs)
+        """The `charts` of each center, parallel to `scene.centers`; reads no multiplicity."""
+        return tuple(charts(self.scene, center) for center in self.scene.centers)
 
     @cached_property
     def oracle(self) -> Verdict:
@@ -611,7 +608,7 @@ class Analysis:
     @cached_property
     def warnings(self) -> tuple:
         p = self.scene.field.characteristic
-        threshold = max((*self.multiplicities, self.scene.f.total_degree()))
+        threshold = self.scene.f.total_degree()  # = max(k, deg f), as 1 <= k <= deg f
         if not p or p > threshold:
             return ()
         return (

@@ -513,8 +513,6 @@ def _buchberger(entries, p, limit, pk):
     """The reduced basis of the ideal of the seed `entries`
     (`_interreduce_seed`) as normalized (lm, dict) pairs, descending in the
     order."""
-    if not entries:
-        return []
     for e in entries:
         _check_degree((e.lm & pk.mask) + e.reach, limit)
         if not e.lm:

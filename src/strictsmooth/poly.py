@@ -153,7 +153,7 @@ class Polynomial:
     and equal fields, otherwise a StructuralError is raised.
     """
 
-    __slots__ = ("nvars", "field", "_terms", "_hash")
+    __slots__ = ("nvars", "field", "_terms")
 
     def __init__(self, nvars: int, field=QQ, terms: Mapping | None = None):
         self.nvars = nvars
@@ -172,7 +172,6 @@ class Polynomial:
                 if coeff:
                     cleaned[mono] = coeff
         self._terms = cleaned
-        self._hash = None
 
     # ----- constructors -------------------------------------------------
 
@@ -315,11 +314,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.nvars, self.field, frozenset(self._terms.items()))
-            )
-        return self._hash
+        return hash((self.nvars, self.field, frozenset(self._terms.items())))
 
     # ----- calculus -------------------------------------------------------
 
@@ -398,5 +393,5 @@ def _trusted(nvars: int, field, terms: dict) -> Polynomial:
     of length `nvars`, nonzero `field` scalars), not validated: for ring
     operations, charts and the Groebner kernel; `Polynomial(...)` validates."""
     poly = object.__new__(Polynomial)
-    poly.nvars, poly.field, poly._terms, poly._hash = nvars, field, terms, None
+    poly.nvars, poly.field, poly._terms = nvars, field, terms
     return poly

@@ -4,15 +4,19 @@ Deliberately dumb: textbook Buchberger with a FIFO pair queue and no
 criteria, no interreduction of the result, and membership decided by
 dividing against every permutation of the computed basis (all answers must
 be unanimous).  Shares no code with the package kernel beyond the public
-Polynomial type.  `naive_update` is the kernel's critical-pair update in
-Becker & Weispfenning's form; it reads the packed words through the
-kernel's packing, which the caller passes in.
+Polynomial type, with two exceptions.  `naive_update` is the kernel's
+critical-pair update in Becker & Weispfenning's form; it reads the packed
+words through the kernel's packing, which the caller passes in.
+`naive_multiplicity` searches for the vanishing order with the kernel's
+ideal-power membership, one candidate k at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from strictsmooth.errors import SceneError
+from strictsmooth.groebner import ideal_power_membership
 from strictsmooth.poly import GREVLEX, Polynomial
 
 
@@ -160,6 +164,22 @@ def naive_substitute(p, images):
             term = term * image**e
         result = result + term
     return result
+
+
+def naive_multiplicity(f, center):
+    """Largest k such that f lies in the k-th power of the center ideal,
+    searched k by k: the package's search before it read k off the
+    exponents, kept as the oracle the term scan must agree with."""
+    ideal = center.ideal(f.nvars, f.field)
+    if not ideal_power_membership(f, ideal, 1):
+        raise SceneError(
+            f"center {center.name!r} is not contained in the hypersurface"
+        )
+    bound = f.total_degree()
+    k = 1
+    while k <= bound and ideal_power_membership(f, ideal, k + 1):
+        k += 1
+    return k
 
 
 def naive_update(G, B, ih, words, pk):

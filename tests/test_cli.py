@@ -179,6 +179,39 @@ def test_non_decimal_digit_exit_two(capsys, tmp_path):
     assert err == "error: hypersurface expression: unexpected character '²' (line 1, column 3)\n"
 
 
+@pytest.mark.parametrize("expression, message, column", [
+    ("1/x", "'/' is only allowed between integer literals", 3),
+    ("(x", "expected ')'", 3),
+    ("x +", "unexpected end of expression", 4),
+    ("x + )", "unexpected token ')'", 5),
+], ids=["slash-name", "open-paren", "dangling-plus", "stray-paren"])
+def test_malformed_expression_exit_two(capsys, tmp_path, expression, message, column):
+    scene = tmp_path / "malformed.yaml"
+    scene.write_text(
+        "schema: strictsmooth-scene/1\n"
+        "variables: [x, y]\n"
+        f'hypersurface: "{expression}"\n'
+        "centers: []\n"
+    )
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert code == 2 and out == ""
+    assert err == f"error: hypersurface expression: {message} (line 1, column {column})\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]\n", "scene file must be a mapping"),
+    ("", "scene file must be a mapping"),
+    ("hello\n", "scene file must be a mapping"),
+    ("a: [1, 2\n", "scene file is not valid YAML: while parsing a flow sequence"),
+], ids=["list", "empty", "string", "unclosed-list"])
+def test_scene_file_that_is_no_mapping_exit_two(capsys, tmp_path, text, message):
+    scene = tmp_path / "shape.yaml"
+    scene.write_text(text)
+    code, out, err = run(capsys, ["analyze", str(scene)])
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == f"error: {message}"
+
+
 def test_unknown_vanishing_variable_exit_two(capsys, tmp_path):
     scene = tmp_path / "unknown.yaml"
     scene.write_text(
@@ -305,6 +338,18 @@ def test_max_degree_guardrail_exit_two(capsys, pairing_file):
     code, _, err = run(capsys, ["analyze", pairing_file, "--max-degree", "1"])
     assert code == 2
     assert "guardrail" in err
+
+
+@pytest.mark.parametrize("command", ["charts", "oracle"])
+def test_max_degree_guardrail_bounds_summary(capsys, command):
+    # k = 2 at the origin: the report stays within degree 2, but the summary's k
+    # confirms I^3, which the guardrail must stop before anything reaches stdout
+    scene = str(SCENES / "pairing-n2-origin.yaml")
+    code, out, err = run(capsys, [command, scene, "--max-degree", "2"])
+    assert code == 2 and out == ""
+    assert "guardrail" in err
+    code, out, err = run(capsys, [command, scene, "--max-degree", "2", "--quiet"])
+    assert code == 0 and out and err == ""
 
 
 def test_max_degree_bounds_parsing(capsys, tmp_path):
@@ -505,6 +550,27 @@ def test_small_characteristic_warning_in_report(capsys, tmp_path):
     assert any("characteristic 2" in w for w in report["warnings"])
 
 
+def test_small_characteristic_warning_in_plain_report(capsys, tmp_path):
+    scene = tmp_path / "char2-cusp.yaml"
+    scene.write_text(
+        "schema: strictsmooth-scene/1\n"
+        "field: {kind: prime, p: 2}\n"
+        "variables: [x, y]\n"
+        'hypersurface: "x^2 + y^3"\n'
+        "centers:\n"
+        "  - name: O\n"
+        "    vanishing: [x, y]\n"
+    )
+    want = "prime characteristic 2 is at most max(multiplicity, deg f) = 3"
+    code, out, _ = run(capsys, ["analyze", "--format", "plain", str(scene)])
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("warning: ")]
+    assert line.startswith("warning: " + want)
+    code, out, _ = run(capsys, ["analyze", str(scene)])
+    assert code == 0
+    assert json.loads(out)["warnings"] == [line.removeprefix("warning: ")]
+
+
 def test_internal_invariant_violation_exits_three(capsys, pairing_file, monkeypatch):
     from strictsmooth.errors import InternalCheckError
     import strictsmooth.cli as cli_module
@@ -543,10 +609,13 @@ CHART_STAGES = ["validate", "multiplicity", "charts"]
     ("sod", ["validate", "multiplicity", "leading_form", "section_smoothness",
              "base_locus_check", "adjunction_ledger"]),
     ("analyze", ["validate", *STAGES]),
-], ids=["charts", "oracle", "sod", "analyze"])
+    # without the summary's k the chart commands read no multiplicity
+    ("charts --quiet", ["validate", "charts"]),
+    ("oracle --quiet", ["validate", "charts", "singular_locus_in_centers", "chart_oracle"]),
+], ids=["charts", "oracle", "sod", "analyze", "charts-quiet", "oracle-quiet"])
 def test_scene_command_runs_only_its_stages(capsys, pairing_file, stage_log, command, stages):
     # a k = 1 scene, so the sod and analyze sets hold the base-locus check
-    code, _, _ = run(capsys, [command, pairing_file])
+    code, _, _ = run(capsys, [*command.split(), pairing_file])
     assert code == 0
     assert sorted(stage_log) == sorted(stages)
 

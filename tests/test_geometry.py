@@ -1,10 +1,12 @@
 import io
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from strictsmooth import geometry, selftest
+from strictsmooth.cli import main
 from strictsmooth.errors import InternalCheckError, SceneError, StructuralError
 from strictsmooth.geometry import (
     Analysis,
@@ -34,7 +36,7 @@ from strictsmooth.selftest import (
     run_selftest,
 )
 
-from _naive import naive_substitute
+from _naive import naive_multiplicity, naive_substitute
 
 
 def variables(nvars, field=QQ):
@@ -73,13 +75,61 @@ def test_multiplicity_brute_force_case():
     assert min(m.degree_in((0, 1)) for m in f.monomials()) == 2
 
 
-def test_multiplicity_matches_minimal_normal_degree_on_random_scenes():
-    rng = random.Random(1009)
-    for _ in range(25):
-        scene = random_scene(rng)
-        center = scene.centers[0]
-        k = multiplicity(scene.f, center)
-        assert k == min(m.degree_in(center.vanishing) for m in scene.f.monomials())
+def test_multiplicity_matches_the_k_by_k_search_on_random_scenes():
+    """random_scene draws, their integer coefficients read in each field:
+    those are nonzero and at most 3 in size, so every field keeps every term."""
+    for field in (QQ, PrimeField(7), PrimeField(32003)):
+        rng = random.Random(1009)
+        for _ in range(25):
+            scene = random_scene(rng)
+            f = Polynomial(scene.nvars, field, {
+                m: field.from_int(c.numerator) for m, c in scene.f.terms()
+            })
+            assert set(f.monomials()) == set(scene.f.monomials())
+            center = scene.centers[0]
+            assert multiplicity(f, center) == naive_multiplicity(f, center)
+
+
+FERMAT_6 = tuple(f"x{i}" for i in range(1, 7))
+
+
+@pytest.mark.parametrize("scene, powers", [
+    (lambda: pairing_scene(2, "subspace"), (1, 2)),
+    (lambda: pairing_scene(2, "origin"), (1, 2, 3)),
+    (lambda: scene2(sum(v**6 for v in variables(6)), FERMAT_6, FERMAT_6), (1, 6, 7)),
+    (lambda: scene2(parse_expression("x*y^1500", "xy", QQ), "xy", "y"), (1, 1500, 1501)),
+], ids=["pairing-n2-subspace", "pairing-n2-origin", "fermat-6", "x*y^1500"])
+def test_multiplicity_asks_the_kernel_at_one_k_and_k_plus_one(monkeypatch, scene, powers):
+    scene, seen = scene(), []
+    member = geometry.ideal_power_membership
+
+    def recording(g, ideal, k):
+        seen.append(k)
+        return member(g, ideal, k)
+
+    monkeypatch.setattr(geometry, "ideal_power_membership", recording)
+    multiplicity(scene.f, scene.centers[0])
+    assert tuple(seen) == powers
+
+
+@pytest.mark.parametrize("lie_at", ["k+1", "k"])
+def test_multiplicity_raises_when_the_kernel_disagrees(monkeypatch, capsys, lie_at):
+    scene = pairing_scene(2, "origin")
+    member = geometry.ideal_power_membership
+
+    def lying(g, ideal, k):
+        if k == 3 and lie_at == "k+1":
+            return True
+        if k == 2 and lie_at == "k":
+            return False
+        return member(g, ideal, k)
+
+    monkeypatch.setattr(geometry, "ideal_power_membership", lying)
+    with pytest.raises(InternalCheckError, match="does not confirm k=2"):
+        multiplicity(scene.f, scene.centers[0])
+    path = Path(__file__).parent.parent / "scenes" / "pairing-n2-origin.yaml"
+    assert main(["analyze", str(path)]) == 3
+    assert "internal invariant violation" in capsys.readouterr().err
 
 
 def test_multiplicity_rejects_center_not_in_hypersurface():
@@ -275,7 +325,7 @@ def chart_images(scene, ch):
 def _assert_chart_invariants(scene):
     center = scene.centers[0]
     k = multiplicity(scene.f, center)
-    chart_list = charts(scene, center, k)
+    chart_list = charts(scene, center)
     assert len(chart_list) == center.codimension
     hit_exact = False
     for ch in chart_list:
@@ -785,8 +835,7 @@ def _brute_force_smooth(scene):
         ]
         return empty(Ideal(tuple(gens), scene.nvars, scene.field))
     for center in scene.centers:
-        k = multiplicity(scene.f, center)
-        for ch in charts(scene, center, k):
+        for ch in charts(scene, center):
             gens = [ch.strict_transform]
             for i in range(scene.nvars):
                 dp = ch.strict_transform.partial(i)

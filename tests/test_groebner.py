@@ -375,6 +375,17 @@ def test_two_by_two_determinant():
     assert determinant(matrix) == y1 * x2 - x1 * y2
 
 
+def test_zero_first_row_has_zero_determinant_and_no_minors():
+    x, y, z = variables(3)
+    zero = Polynomial.zero(3)
+    matrix = [[zero, zero, zero], [x, y, z], [y, z, x]]
+    assert determinant(matrix).is_zero
+    assert determinant([row[:2] for row in matrix[:2]]).is_zero
+    # the minors of rows (0, 1) and (0, 2) are zero and left out
+    ideal = minors_ideal(matrix, 2)
+    assert ideal.generators == (x * z - y * y, x * x - z * y, y * x - z * z)
+
+
 def test_one_by_n_minors_are_the_entries():
     x, y, z = variables(3)
     jac = [[x, y**2, z]]
