@@ -14,7 +14,7 @@ from .errors import (
     StructuralError,
 )
 from .scalars import QQ, ModularInt, PrimeField, RationalField
-from .poly import BlockOrder, GREVLEX, LEX, Monomial, MonomialOrder, Polynomial
+from .poly import Monomial, Polynomial
 from .groebner import (
     GroebnerBasis,
     Ideal,

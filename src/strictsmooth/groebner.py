@@ -7,23 +7,21 @@ is lexicographic on internal indices, so results repeat bit for bit.
 
 Monomials inside the kernel are packed ints K (Bachmann & Schönemann,
 "Monomial representations for Gröbner bases computations", ISSAC 1998;
-Monagan & Pearce, CASC 2007), laid out by `_Packing`.  Under grevlex in n
-variables with w-bit fields and B = 2^w, K = deg·B^n − Σ e_i·B^i, plus a
-low field holding the total degree.  A product is `Ka + Kb`, integer
-order is the monomial order, so the leading term of a term map is
-`max(d)`, and divisibility is one guard-bit test, which the reducer scan
-of `_reduce` makes once per reducer.  An order is packed block by block,
-grevlex on each of the blocks its `blocks` method states (LEX has one
-block per variable); an order without `blocks` raises
-StructuralError.  `_kernel_terms` packs each monomial in the pass that
-converts its coefficient, and each basis element's `_Reducer` is built
-once, when it joins the basis.
+Monagan & Pearce, CASC 2007), laid out by `_Packing`.  The one monomial
+order is grevlex: in n variables with w-bit fields and B = 2^w,
+K = deg·B^(n+1) − Σ e_i·B^(i+1), plus a low field holding the total
+degree.  A product is `Ka + Kb`, integer order is grevlex, so the leading
+term of a term map is `max(d)`, and divisibility is one guard-bit test,
+which the reducer scan of `_reduce` makes once per reducer.
+`_kernel_terms` packs each monomial in the pass that converts its
+coefficient, and each basis element's `_Reducer` is built once, when it
+joins the basis.
 
 The width starts at `_WIDTH` bits, or wider when an input degree needs
-it.  Each reduction step and each S-polynomial first checks that no term
-it makes can reach degree 2^(w-1), the guard bit; if one could, the call
-restarts at twice the width.  Under LEX or a block order degrees grow
-inside one reduction (x^200 reduced by x − y^200 gives y^40000).  Reduced
+it.  Each S-polynomial first checks that the degree of its lcm stays
+below 2^(w-1), the guard bit; if not, the call restarts at twice the
+width.  Grevlex is graded, so no reduction step makes a term of higher
+degree than the term it reduces, and reductions need no check.  Reduced
 bases and normal forms are unique, so a restart returns the same result.
 
 Critical pairs live on packed monomials too.  Each basis element keeps
@@ -31,7 +29,7 @@ the exponent word of its leading monomial; a pair keeps the word of its
 lcm, `_Packing.lcm`, a fieldwise maximum in three big-int operations, and
 that lcm packed, `_Packing.pack`, as its sort key.  An lcm has degree
 below 2^w, so no field carries and integer order on the packed lcm is
-still the monomial order.  Coprimality is `lcm == ea + eb`; the new pairs
+still grevlex.  Coprimality is `lcm == ea + eb`; the new pairs
 of an element are installed per distinct lcm, tested in packed order
 (a proper divisor comes first) against the lcms kept, and the chain
 criterion and the pruning of the basis are guard-bit tests on words.
@@ -75,7 +73,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
@@ -83,7 +81,7 @@ from operator import is_, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
-from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, _trusted
+from .poly import Monomial, Polynomial, _trusted
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
@@ -130,7 +128,6 @@ class Ideal:
     generators: tuple
     nvars: int
     field: object = None
-    order: MonomialOrder = dc_field(default=GREVLEX)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -152,7 +149,7 @@ class Ideal:
     def join(self, other: "Ideal") -> "Ideal":
         if other.nvars != self.nvars or other.field != self.field:
             raise StructuralError("cannot join ideals of different rings")
-        return Ideal(self.generators + other.generators, self.nvars, self.field, self.order)
+        return Ideal(self.generators + other.generators, self.nvars, self.field)
 
 
 # --------------------------------------------------------------------------
@@ -168,82 +165,54 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Monomials as ints K: a product is `Ka + Kb`, the order is `<`.
+    """Grevlex monomials as ints K: a product is `Ka + Kb`, the order is `<`.
 
-    K is made of w-bit fields, B = 2^w.  Field 0 holds the total degree.
-    Above it come the blocks of the order (`order.blocks`), the least
-    significant first.  A block of m variables takes m fields, its last
-    variable highest, and one field above them, and holds
-    deg·B^m − Σ e_i·B^i: its degree, then its exponents negated, which is
-    grevlex on the block.  So variable v adds the weight
-    1 + B^top − B^pos to K, where pos is its field and top its block's
-    degree field.  While every total degree stays below `bound` = 2^(w-1),
-    no field carries into the next, K is the sum of its monomial's
-    exponents times the weights, and integer order on K is the monomial
-    order.
+    K is made of n + 2 w-bit fields, B = 2^w.  Field 0 holds the total
+    degree.  Variable v has field v + 1, so the last variable is highest,
+    and field n + 1 holds the degree again: K = deg·(1 + B^(n+1)) −
+    Σ e_v·B^(v+1), its degree, then its exponents negated, which is
+    grevlex.  So variable v adds the weight 1 + B^(n+1) − B^(v+1) to K.
+    While every total degree stays below `bound` = 2^(w-1), no field
+    carries into the next, K is the sum of its monomial's exponents times
+    the weights, and integer order on K is grevlex.
 
-    The exponent word E = `exponents(K)` holds e_v in field pos: the
-    exponent fields of K hold −E mod B^m per block, and one blockwise
-    negation recovers it.  a divides b exactly when
-    `((Eb | guard) - Ea) & guard == guard`, where `guard` has the top bit
-    of each exponent field set: that bit survives the subtraction in a
-    field exactly when e_a <= e_b there, and no field borrows from the next.
-    These tests and `lcm` need only each exponent below `bound`, so they
-    also take an lcm of two such words, whose degree is at most
-    2·bound − 2 < B: `pack` of an lcm carries no field either.
+    The exponent word E = `exponents(K)` holds e_v in field v + 1: the
+    exponent fields of K hold −E mod B^(n+1), and one negation recovers it.
+    a divides b exactly when `((Eb | guard) - Ea) & guard == guard`, where
+    `guard` has the top bit of each exponent field set: that bit survives
+    the subtraction in a field exactly when e_a <= e_b there, and no field
+    borrows from the next.  These tests and `lcm` need only each exponent
+    below `bound`, so they also take an lcm of two such words, whose degree
+    is at most 2·bound − 2 < B: `pack` of an lcm carries no field either.
     """
 
     __slots__ = (
-        "weights", "bound", "mask", "fields", "ones", "guard", "guard_shift", "shifts", "sums",
-        "graded",
+        "weights", "bound", "mask", "fields", "ones", "guard", "guard_shift", "shifts", "top",
+        "spread",
     )
 
-    def __init__(self, order, nvars, width):
-        self.mask = (1 << width) - 1  # k & mask is the total degree of k
-        self.bound = 1 << (width - 1)
+    def __init__(self, nvars, width):
+        self.mask = mask = (1 << width) - 1  # k & mask is the total degree of k
+        self.bound = bound = 1 << (width - 1)
         self.guard_shift = width - 1  # the guard bit's place in its field
-        weights = [0] * nvars
-        shifts = [0] * nvars
-        sums = []  # per block: its exponent fields, and how `pack` sums them
-        fields = ones = guard = 0
-        blocks = order.blocks(nvars)
-        self.graded = len(blocks) <= 1
-        pos = 1
-        for block in reversed(blocks):
-            top = (pos + len(block)) * width
-            ones |= 1 << (pos * width)
-            block_fields = spread = 0
-            for v in block:
-                shift = pos * width
-                weights[v] = 1 + (1 << top) - (1 << shift)
-                shifts[v] = shift
-                block_fields |= self.mask << shift
-                guard |= self.bound << shift
-                # times `spread` every exponent lands in the block's last field
-                spread |= 1 << (top - width - shift)
-                pos += 1
-            fields |= block_fields
-            sums.append((block_fields, spread, top - width, 1 + (1 << top)))
-            pos += 1  # the block's degree field
-        self.weights = tuple(weights)
-        self.shifts = tuple(shifts)
-        self.sums = tuple(sums)
-        self.fields, self.ones, self.guard = fields, ones, guard
+        self.top = top = (nvars + 1) * width  # the place of the high degree field
+        self.shifts = shifts = tuple(range(width, top, width))
+        self.weights = tuple(1 + (1 << top) - (1 << s) for s in shifts)
+        self.fields = sum(mask << s for s in shifts)
+        self.guard = sum(bound << s for s in shifts)
+        self.ones = 1 << width
+        # times `spread` every exponent lands in the high degree field
+        self.spread = sum(1 << (top - s) for s in shifts)
 
     def exponents(self, k):
         """The exponent word E of the packed monomial k."""
         return ((~k & self.fields) + self.ones) & self.fields
 
     def pack(self, e):
-        """The packed monomial K of the exponent word e.
-
-        K = Σ deg·(1 + B^top) − e over the blocks, each block degree a
-        horizontal sum of its fields in one multiplication.
-        """
-        k, mask = -e, self.mask
-        for block_fields, spread, shift, weight in self.sums:
-            k += ((e & block_fields) * spread >> shift & mask) * weight
-        return k
+        """The packed monomial K of the exponent word e: deg·(1 + B^(n+1)) − e,
+        the degree a horizontal sum of the fields in one multiplication."""
+        deg = e * self.spread >> self.top & self.mask
+        return (deg << self.top | deg) - e
 
     def lcm(self, ea, eb):
         """The exponent word of the lcm of the words ea and eb: their
@@ -266,13 +235,13 @@ class _Packing:
 
 
 @cache
-def _packing(order, nvars, width):
-    """The `_Packing` of (order, nvars, width), built once per process;
-    a run meets only a handful of these triples."""
-    return _Packing(order, nvars, width)
+def _packing(nvars, width):
+    """The `_Packing` of (nvars, width), built once per process; a run
+    meets only a handful of these pairs."""
+    return _Packing(nvars, width)
 
 
-def _packed(order, nvars, degree, run):
+def _packed(nvars, degree, run):
     """`run(packing)` at width `_WIDTH`, or wider when the input degree
     `degree` needs it, restarted at twice the width while a degree
     overflows.
@@ -283,7 +252,7 @@ def _packed(order, nvars, degree, run):
     width = max(_WIDTH, degree.bit_length() + 1)
     while True:
         try:
-            return run(_packing(order, nvars, width))
+            return run(_packing(nvars, width))
         except _Overflow:
             width *= 2
 
@@ -345,21 +314,17 @@ class _Reducer(NamedTuple):
     lm: int
     lc: int  # a Fraction when normal_form reduces over QQ
     tail: list  # the other terms, as (monomial, coefficient) pairs
-    reach: int  # the largest term degree less the degree of lm
     terms: dict
 
 
 def _entry(lm, d, pk):
     """The `_Reducer` of the term map d with leading monomial lm.
 
-    Under a graded order no term outranks the leading one in degree.
     Built with `tuple.__new__`, which skips the named tuple's Python-level
     constructor: the seed and `normal_form` build one per element per call.
     """
-    mask = pk.mask
-    reach = 0 if pk.graded else max(map(mask.__and__, d)) - (lm & mask)
     tail = [(m, c) for m, c in d.items() if m != lm]
-    return _new(_Reducer, (pk.exponents(lm), lm, d[lm], tail, reach, d))
+    return _new(_Reducer, (pk.exponents(lm), lm, d[lm], tail, d))
 
 
 def _reduce(target, reducers, p, pk):
@@ -373,10 +338,13 @@ def _reduce(target, reducers, p, pk):
     the shifted reducer is subtracted.  The result is then a positive
     integer multiple of the remainder; it is the remainder itself when
     every reducer has leading coefficient 1, which also holds for Fraction
-    coefficients.  Raises `_Overflow` before a step would make a term of
-    degree `pk.bound` or more.
+    coefficients.
     """
-    fields, ones, guard, mask, bound = pk.fields, pk.ones, pk.guard, pk.mask, pk.bound
+    # no overflow check: grevlex is graded, so a step never makes a term of
+    # higher degree than the work term it reduces, and every target fits
+    # its packing (inputs by the width `_packed` picks, S-polynomials by
+    # the check in `_spoly_t`)
+    fields, ones, guard = pk.fields, pk.ones, pk.guard
     work = dict(target)
     rem = {}
     while work:
@@ -389,9 +357,7 @@ def _reduce(target, reducers, p, pk):
         else:
             rem[lm] = c
             continue
-        _, blm, lb, tail, reach, _ = r
-        if (lm & mask) + reach >= bound:
-            raise _Overflow
+        _, blm, lb, tail, _ = r
         if lb != 1:
             g = gcd(c, lb)
             scale = lb // g
@@ -417,8 +383,8 @@ def _spoly_t(f, g, k, p, pk):
     """S-polynomial of two `_Reducer`s, each scaled by the other's leading
     coefficient (over GF(p) both are monic).  `k` is the packed lcm of
     their leading monomials; the two leading terms cancel and are never
-    formed.  Raises `_Overflow` when a term could reach degree `pk.bound`."""
-    if (k & pk.mask) + max(f.reach, g.reach) >= pk.bound:
+    formed.  Raises `_Overflow` when the lcm's degree reaches `pk.bound`."""
+    if k & pk.mask >= pk.bound:
         raise _Overflow
     a, b, lf, lg = k - f.lm, k - g.lm, f.lc, g.lc
     out = {m + a: lg * c for m, c in f.tail}
@@ -514,7 +480,7 @@ def _buchberger(entries, p, limit, pk):
     (`_interreduce_seed`) as normalized (lm, dict) pairs, descending in the
     order."""
     for e in entries:
-        _check_degree((e.lm & pk.mask) + e.reach, limit)
+        _check_degree(e.lm & pk.mask, limit)
         if not e.lm:
             return [(0, {0: 1})]
 
@@ -536,7 +502,7 @@ def _buchberger(entries, p, limit, pk):
         if not r:
             continue
         e = _entry(*_normalize(r, p), pk)
-        _check_degree((e.lm & pk.mask) + e.reach, limit)
+        _check_degree(e.lm & pk.mask, limit)
         if not e.lm:
             return [(0, {0: 1})]
         entries.append(e)
@@ -583,7 +549,7 @@ def _monomial_basis(gens, pk):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis together with its order and source ideal.
+    """A reduced grevlex Groebner basis together with its source ideal.
 
     It keeps the kernel's reduced basis: (lm, term map) pairs packed by
     `_pk`, descending, residues over GF(p) and monic Fractions over QQ.
@@ -591,10 +557,9 @@ class GroebnerBasis:
     `normal_form` and `krull_dimension` read the packed form.
     """
 
-    def __init__(self, reduced: list, pk: _Packing, order: MonomialOrder, source: Ideal):
+    def __init__(self, reduced: list, pk: _Packing, source: Ideal):
         self._reduced = reduced
         self._pk = pk
-        self.order = order
         self.source = source
 
     @cached_property
@@ -628,7 +593,7 @@ class GroebnerBasis:
         so it audits what callers read, not the packed form.
         """
         terms = [g._terms for g in self.basis + self.source.generators]
-        _packed(self.order, self.source.nvars, _degree(terms), self._verify)
+        _packed(self.source.nvars, _degree(terms), self._verify)
 
     def _verify(self, pk):
         fld = self.source.field
@@ -658,14 +623,12 @@ class GroebnerBasis:
 
 
 def groebner(ideal: Ideal) -> GroebnerBasis:
-    """Reduced Groebner basis of `ideal` with respect to its monomial order.
+    """Reduced grevlex Groebner basis of `ideal`.
 
     Deterministic: identical inputs produce the identical basis, and the
-    reduced basis itself is mathematically unique for the given order.
-    The order must state its `blocks` (GREVLEX, LEX and the block orders
-    do); any other raises StructuralError.
+    reduced basis itself is mathematically unique.
     """
-    order, nvars, fld = ideal.order, ideal.nvars, ideal.field
+    nvars, fld = ideal.nvars, ideal.field
     p = fld.characteristic
     limit = _degree_limit_var.get()
     gens = [g._terms for g in ideal.generators]
@@ -693,8 +656,8 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
             ]
         return basis, pk
 
-    reduced, pk = _packed(order, nvars, degree, run)
-    gb = GroebnerBasis(reduced, pk, order, ideal)
+    reduced, pk = _packed(nvars, degree, run)
+    gb = GroebnerBasis(reduced, pk, ideal)
     hook = _audit_var.get()
     if hook is not None:
         hook(gb)
@@ -730,7 +693,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         return _trusted(p.nvars, fld, {mono(m): coerce(c) for m, c in rem.items()})
 
     # no narrower than the basis's own packing
-    return _packed(gb.order, p.nvars, max(_degree([p._terms]), gb._pk.bound - 1), run)
+    return _packed(p.nvars, max(_degree([p._terms]), gb._pk.bound - 1), run)
 
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:
@@ -746,7 +709,7 @@ def power_ideal(ideal: Ideal, k: int) -> Ideal:
     prods = list(enumerate(gens))  # (index of the last generator, product)
     for _ in range(k - 1):
         prods = [(j, p * gens[j]) for i, p in prods for j in range(i, len(gens))]
-    return Ideal(tuple(p for _, p in prods), ideal.nvars, ideal.field, ideal.order)
+    return Ideal(tuple(p for _, p in prods), ideal.nvars, ideal.field)
 
 
 def ideal_power_membership(p: Polynomial, ideal: Ideal, k: int) -> bool:

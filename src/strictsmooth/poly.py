@@ -4,8 +4,8 @@ A polynomial is an immutable map from exponent vectors to nonzero
 coefficients.  All ring operations are exact; there is no floating point
 anywhere.  The term map is keyed by Monomials, which are exponent
 tuples, and is the same map the Groebner kernel reads.  Terms are stored
-in no particular order; rendering and `sorted_terms` sort them by a
-monomial order, so the text form is deterministic.
+in no particular order; rendering and `sorted_terms` sort them by
+grevlex, so the text form is deterministic.
 """
 
 from __future__ import annotations
@@ -70,79 +70,9 @@ class Monomial(tuple):
 
 
 def _grevlex_key(exps):
+    """The sort key of grevlex, the one monomial order: total degree first,
+    then the smaller exponent in the last variable where they differ."""
     return sum(exps), tuple(map(neg, reversed(exps)))
-
-
-class MonomialOrder:
-    """A global monomial order, exposed as a sort key on exponent vectors and,
-    to the Groebner kernel, as variable blocks; equal by class and name."""
-
-    name = "order"
-
-    def key(self, exps):
-        raise NotImplementedError
-
-    def blocks(self, nvars):
-        """The nonempty variable blocks of the order in `nvars` variables,
-        most significant first: the order is grevlex on each block, and the
-        blocks are compared in turn."""
-        raise StructuralError(
-            f"the Groebner kernel supports grevlex, lex and block orders, not {self!r}"
-        )
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.name == self.name
-
-    def __hash__(self):
-        return hash((type(self), self.name))
-
-    def __repr__(self):
-        return f"<{self.name}>"
-
-
-class GrevlexOrder(MonomialOrder):
-    name = "grevlex"
-
-    def key(self, exps):
-        return _grevlex_key(exps)
-
-    def blocks(self, nvars):
-        return [range(nvars)] if nvars else []
-
-
-class LexOrder(MonomialOrder):
-    name = "lex"
-
-    def key(self, exps):
-        return exps
-
-    def blocks(self, nvars):
-        return [range(v, v + 1) for v in range(nvars)]
-
-
-class BlockOrder(MonomialOrder):
-    """Elimination order: the first `split` variables dominate.
-
-    Both blocks are compared by grevlex; a Groebner basis under this order
-    intersected with the second block eliminates the first block.
-    """
-
-    def __init__(self, split: int):
-        if split < 0:
-            raise StructuralError("split index must be nonnegative")
-        self.split = split
-        self.name = f"block[{split}]"
-
-    def key(self, exps):
-        return _grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split:])
-
-    def blocks(self, nvars):
-        s = min(self.split, nvars)
-        return [b for b in (range(s), range(s, nvars)) if b]
-
-
-GREVLEX = GrevlexOrder()
-LEX = LexOrder()
 
 
 class Polynomial:
@@ -219,16 +149,17 @@ class Polynomial:
     def monomials(self):
         return self._terms.keys()
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        return sorted(self._terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+    def sorted_terms(self):
+        """The (monomial, coefficient) pairs, descending in grevlex."""
+        return sorted(self._terms.items(), key=lambda kv: _grevlex_key(kv[0]), reverse=True)
 
     def coefficient(self, mono):
         return self._terms.get(mono, self.field.zero)
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self._terms:
             raise StructuralError("the zero polynomial has no leading monomial")
-        return max(self._terms, key=order.key)
+        return max(self._terms, key=_grevlex_key)
 
     # ----- ring operations ------------------------------------------------
 
@@ -355,14 +286,14 @@ class Polynomial:
 
     # ----- rendering --------------------------------------------------------
 
-    def render(self, names, order: MonomialOrder = GREVLEX) -> str:
-        """Canonical text form: terms descending in `order`, explicit `*` and `^`."""
+    def render(self, names) -> str:
+        """Canonical text form: terms descending in grevlex, explicit `*` and `^`."""
         if len(names) != self.nvars:
             raise StructuralError("name list does not match variable count")
         if not self._terms:
             return "0"
         chunks = []
-        for m, c in self.sorted_terms(order):
+        for m, c in self.sorted_terms():
             text = str(c)
             negative = text.startswith("-")
             magnitude = text.removeprefix("-")

@@ -17,23 +17,19 @@ import itertools
 
 from strictsmooth.errors import SceneError
 from strictsmooth.groebner import ideal_power_membership
-from strictsmooth.poly import GREVLEX, Polynomial
+from strictsmooth.poly import Polynomial
 
 
-def _lead(p, order=GREVLEX):
-    return p.leading_monomial(order)
-
-
-def _divide_once(p, divisors, order=GREVLEX):
+def _divide_once(p, divisors):
     """One pass of multivariate division; returns (remainder, changed)."""
     remainder = Polynomial.zero(p.nvars, p.field)
     changed = False
     while not p.is_zero:
-        lm = _lead(p, order)
+        lm = p.leading_monomial()
         lc = p.coefficient(lm)
         hit = None
         for g in divisors:
-            glm = _lead(g, order)
+            glm = g.leading_monomial()
             if glm.divides(lm):
                 hit = (g, glm)
                 break
@@ -50,12 +46,12 @@ def _divide_once(p, divisors, order=GREVLEX):
     return remainder, changed
 
 
-def divide(p, divisors, order=GREVLEX):
-    remainder, _ = _divide_once(p, divisors, order)
+def divide(p, divisors):
+    remainder, _ = _divide_once(p, divisors)
     return remainder
 
 
-def naive_groebner(generators, order=GREVLEX, max_steps=2000):
+def naive_groebner(generators, max_steps=2000):
     """Unoptimized Buchberger: process every pair, first in first out."""
     basis = [g for g in generators if not g.is_zero]
     if not basis:
@@ -68,30 +64,30 @@ def naive_groebner(generators, order=GREVLEX, max_steps=2000):
             raise RuntimeError("naive Buchberger exceeded the step budget")
         i, j = queue.pop(0)
         gi, gj = basis[i], basis[j]
-        lmi, lmj = _lead(gi, order), _lead(gj, order)
+        lmi, lmj = gi.leading_monomial(), gj.leading_monomial()
         lcm = lmi.lcm(lmj)
         ti = Polynomial(gi.nvars, gi.field, {lcm.quotient(lmi): gi.field.one})
         tj = Polynomial(gj.nvars, gj.field, {lcm.quotient(lmj): gj.field.one})
         spoly = ti * gi * (gi.field.one / gi.coefficient(lmi)) - tj * gj * (
             gj.field.one / gj.coefficient(lmj)
         )
-        remainder = divide(spoly, basis, order)
+        remainder = divide(spoly, basis)
         if not remainder.is_zero:
             basis.append(remainder)
             queue.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
     return basis
 
 
-def naive_reduced_basis(generators, order=GREVLEX, max_steps=2000):
+def naive_reduced_basis(generators, max_steps=2000):
     """The reduced Groebner basis, from `naive_groebner` by the textbook steps.
 
     Make every element monic, drop each element whose leading monomial is
     divisible by that of another (of two equal ones the first stays), then
     replace each survivor by its remainder against the others.
     """
-    basis = naive_groebner(list(generators), order, max_steps)
-    monic = [g * (g.field.one / g.coefficient(_lead(g, order))) for g in basis]
-    leads = [_lead(g, order) for g in monic]
+    basis = naive_groebner(list(generators), max_steps)
+    monic = [g * (g.field.one / g.coefficient(g.leading_monomial())) for g in basis]
+    leads = [g.leading_monomial() for g in monic]
     minimal = [
         g
         for i, g in enumerate(monic)
@@ -101,12 +97,10 @@ def naive_reduced_basis(generators, order=GREVLEX, max_steps=2000):
             if j != i
         )
     ]
-    return [
-        divide(g, [h for h in minimal if h is not g], order) for g in minimal
-    ]
+    return [divide(g, [h for h in minimal if h is not g]) for g in minimal]
 
 
-def naive_member(p, basis, order=GREVLEX, permutation_cap=720):
+def naive_member(p, basis, permutation_cap=720):
     """Membership by division against every ordering of the basis.
 
     All orderings must agree (the basis is a Groebner basis, so remainders
@@ -119,7 +113,7 @@ def naive_member(p, basis, order=GREVLEX, permutation_cap=720):
     for count, perm in enumerate(perms):
         if count >= permutation_cap:
             break
-        answers.add(divide(p, list(perm), order).is_zero)
+        answers.add(divide(p, list(perm)).is_zero)
     if len(answers) != 1:
         raise AssertionError("division answers depend on the basis ordering")
     return answers.pop()
@@ -129,19 +123,17 @@ def naive_is_empty(basis) -> bool:
     return any((not g.is_zero) and g.is_constant for g in basis)
 
 
-def naive_krull_dimension(generators, nvars, order=GREVLEX):
+def naive_krull_dimension(generators, nvars):
     """Dimension of the vanishing locus by exhaustive subset search.
 
     None when the locus is empty.  Otherwise the largest variable subset
     that contains the support of no leading monomial of a Groebner basis,
     found by trying every subset from the largest size down (2^n subsets).
     """
-    basis = naive_groebner(list(generators), order)
+    basis = naive_groebner(list(generators))
     if naive_is_empty(basis):
         return None
-    supports = [
-        frozenset(i for i, e in enumerate(_lead(g, order).exps) if e) for g in basis
-    ]
+    supports = [frozenset(i for i, e in enumerate(g.leading_monomial().exps) if e) for g in basis]
     for size in range(nvars, -1, -1):
         for subset in itertools.combinations(range(nvars), size):
             chosen = frozenset(subset)

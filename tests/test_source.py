@@ -1,6 +1,8 @@
-"""Source checks that need no linter, run over the package and the tests."""
+"""Source checks that need no linter, run over the package and the tests,
+and the package's public names."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -30,3 +32,33 @@ def test_no_module_binds_a_top_level_name_twice():
         if names:
             repeated[str(path.relative_to(ROOT))] = names
     assert repeated == {}
+
+
+# the public names of `strictsmooth`: a change to the package's API updates
+# this list and says so
+PUBLIC_API = [
+    "Analysis", "BlowupChart", "Center", "CenterAnalysis", "DegreeLimitError", "GroebnerBasis",
+    "Ideal", "InternalCheckError", "ModularInt", "Monomial", "ParseError", "Polynomial",
+    "PrimeField", "QQ", "RationalField", "Scene", "SceneError", "Status", "StrictSmoothError",
+    "StructuralError", "Verdict", "adjunction_ledger", "analyze", "base_locus_check",
+    "basis_audit", "build_report", "chart_oracle", "charts", "degree_limit", "determinant",
+    "groebner", "ideal_power_membership", "is_empty_affine", "krull_dimension", "leading_form",
+    "lefschetz", "minors_ideal", "multiplicity", "normal_form", "parse_expression",
+    "power_ideal", "radical_membership", "render_plain", "render_structured",
+    "section_smoothness", "serre_vanishing_record", "singular_locus_in_centers", "sod",
+]
+
+
+def test_the_public_api_is_pinned():
+    import strictsmooth
+
+    # submodules are bound on import, so they are not part of the list
+    names = sorted(
+        name
+        for name, value in vars(strictsmooth).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert names == PUBLIC_API
+    # loaded on first use, outside the package namespace
+    for name in ("load_scene", "scene_from_document"):
+        assert callable(getattr(strictsmooth, name))
