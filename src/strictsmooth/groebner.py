@@ -2,8 +2,8 @@
 
 The kernel is a Buchberger loop with the normal pair-selection strategy and
 the coprime / chain criteria: the pairs of Becker & Weispfenning's update
-(p. 230), installed in Gebauer & Möller's form (JSC 6, 1988).  Tie-breaking
-is lexicographic on internal indices, so results repeat bit for bit.
+(p. 230), in Gebauer & Möller's form (JSC 6, 1988).  Tie-breaking is
+lexicographic on internal indices, so results repeat bit for bit.
 
 Monomials inside the kernel are packed ints K (Bachmann & Schönemann,
 "Monomial representations for Gröbner bases computations", ISSAC 1998;
@@ -27,12 +27,20 @@ bases and normal forms are unique, so a restart returns the same result.
 Critical pairs live on packed monomials too.  Each basis element keeps
 the exponent word of its leading monomial; a pair keeps the word of its
 lcm, `_Packing.lcm`, a fieldwise maximum in three big-int operations, and
-that lcm packed, `_Packing.pack`, as its sort key.  An lcm has degree
-below 2^w, so no field carries and integer order on the packed lcm is
-still grevlex.  Coprimality is `lcm == ea + eb`; the new pairs
+that lcm packed, `_Packing.pack`, as its key on a heap.  An lcm has
+degree below 2^w, so no field carries and integer order on the packed
+lcm is still grevlex.  Coprimality is `lcm == ea + eb`; the new pairs
 of an element are installed per distinct lcm, tested in packed order
-(a proper divisor comes first) against the lcms kept, and the chain
-criterion and the pruning of the basis are guard-bit tests on words.
+(a proper divisor comes first) against the lcms kept.  Gebauer &
+Möller's B criterion, which drops an old pair when a later element's
+leading monomial divides its lcm and makes a pair of the same lcm with
+neither end, is not applied to every pending pair at every installation:
+a pair carries the number of elements installed when it was made, and is
+tested against the ones installed after it when it is popped.  It meets
+the same elements in either form, so the same pairs are formed in the
+same order, and the pairs still pending when 1 ends a run are never
+tested.  These tests and the pruning of the basis are guard-bit tests
+on words.
 A monomial ideal skips Buchberger: its generators are packed and sorted
 by degree, and each one divisible by one of lower degree is dropped.
 The seed interreduction reduces each generator against those kept before
@@ -71,13 +79,15 @@ the generator order of `combinations_with_replacement`.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import is_, mul
+from operator import attrgetter, is_, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -90,6 +100,7 @@ _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=N
 _seed_var: ContextVar[Optional[tuple]] = ContextVar("radical_seed", default=None)
 
 _new = tuple.__new__
+_lead = attrgetter("lm")
 
 
 @contextmanager
@@ -401,31 +412,24 @@ def _spoly_t(f, g, k, p, pk):
     return out
 
 
-def _update(G, B, ih, words, pk):
-    # Gebauer & Möller's installation (JSC 6, 1988) of basis element ih: the
-    # (G, B) of Becker & Weispfenning's update (p. 230), B changed in place.
-    # words[i] is the exponent word of lm(i); a pair is (packed lcm, i, j,
-    # lcm word), so min(B) is the normal strategy with ties broken on (i, j).
-    # An old pair goes when lm(ih) divides its lcm and that is neither
-    # lcm(i, ih) nor lcm(j, ih).  One new pair (ih, g) survives per lcm that no
-    # other new lcm divides, that of the largest g, and none if some g is
-    # coprime to ih; a proper divisor comes first in the order, so the lcms
-    # are tested in packed order.  `_Packing.divides` and `.lcm` are inlined.
+def _update(G, CP, ih, words, pk, stamp):
+    # Gebauer & Möller's installation (JSC 6, 1988) of basis element ih: its
+    # new pairs pushed on the heap CP, and G pruned in place of the elements
+    # whose leading monomial lm(ih) divides.  words[i] is the exponent word of
+    # lm(i); a pair is (packed lcm, i, j, lcm word, stamp), where `stamp` is
+    # the number of elements installed so far, ih included.  (k, i, j) is
+    # unique, so the heap pops the normal strategy with ties broken on
+    # (i, j) and never compares a stamp.  One new pair (ih, g) survives per
+    # lcm that no other new lcm divides, that of the largest g, and none if
+    # some g is coprime to ih; a proper divisor comes first in the order, so
+    # the lcms are tested in packed order.  The old pairs are not visited
+    # here: the B criterion tests a pair against the elements installed
+    # after it when it is popped (`_dropped`).  `_Packing.lcm`, `.pack` and
+    # `.divides` are inlined.
     guard, shift, mask = pk.guard, pk.guard_shift, pk.mask
+    spread, top = pk.spread, pk.top
     eh = words[ih]
     xh = eh | guard
-    drop = []
-    for pair in B:
-        _, i, j, l = pair
-        if ((l | guard) - eh) & guard == guard:  # lm(ih) divides the lcm
-            e = words[i]
-            take = ((((e | guard) - eh) & guard) >> shift) * mask
-            if e & take | eh & ~take != l:
-                e = words[j]
-                take = ((((e | guard) - eh) & guard) >> shift) * mask
-                if e & take | eh & ~take != l:
-                    drop.append(pair)
-    B.difference_update(drop)
     new = {}  # lcm word -> the largest g with it, None when some g is coprime
     for g in sorted(G, reverse=True):
         e = words[g]
@@ -436,15 +440,38 @@ def _update(G, B, ih, words, pk):
         elif l not in new:
             new[l] = g
     kept = []
-    for k, l, g in sorted([(pk.pack(l), l, g) for l, g in new.items()]):
+    packed = []
+    for l, g in new.items():
+        deg = l * spread >> top & mask
+        packed.append(((deg << top | deg) - l, l, g))
+    for k, l, g in sorted(packed):
         x = l | guard
-        if not any((x - f) & guard == guard for f in kept):
+        for f in kept:
+            if (x - f) & guard == guard:
+                break
+        else:
             kept.append(l)
             if g is not None:
-                B.add((k, ih, g, l))
-    G_new = {g for g in G if ((words[g] | guard) - eh) & guard != guard}
-    G_new.add(ih)
-    return G_new, B
+                heappush(CP, (k, ih, g, l, stamp))
+    G.difference_update([g for g in G if ((words[g] | guard) - eh) & guard == guard])
+    G.add(ih)
+
+
+def _dropped(l, ei, ej, later, pk):
+    """Whether Gebauer & Möller's B criterion drops the pair of exponent
+    words ei, ej with lcm word l: some word eh of `later`, the elements
+    installed after the pair was made, divides l, and l is neither
+    lcm(ei, eh) nor lcm(ej, eh).  `_Packing.divides` and `.lcm` are inlined."""
+    guard, shift, mask = pk.guard, pk.guard_shift, pk.mask
+    x = l | guard
+    for eh in later:
+        if (x - eh) & guard == guard:  # lm(h) divides the lcm
+            take = ((((ei | guard) - eh) & guard) >> shift) * mask
+            if ei & take | eh & ~take != l:
+                take = ((((ej | guard) - eh) & guard) >> shift) * mask
+                if ej & take | eh & ~take != l:
+                    return True
+    return False
 
 
 def _interreduce_seed(gens, p, pk, kept=()):
@@ -484,17 +511,29 @@ def _buchberger(entries, p, limit, pk):
         if not e.lm:
             return [(0, {0: 1})]
 
+    guard = pk.guard
     words = [e.word for e in entries]
+    installed = []  # the exponent words of the elements, in the order installed
     G: set = set()
-    CP: set = set()
+    CP: list = []  # the pending pairs, a heap
+    reducers = []  # the elements of G, ascending in the order
+
+    def install(ih):
+        e = entries[ih]
+        eh = e.word
+        installed.append(eh)
+        _update(G, CP, ih, words, pk, len(installed))
+        # the reducers lm(ih) divides go, as in G
+        reducers[:] = [r for r in reducers if ((r[0] | guard) - eh) & guard != guard]
+        insort(reducers, e, key=_lead)
+
     for ih in sorted(range(len(entries)), key=lambda i: (entries[i].lm, i)):
-        G, CP = _update(G, CP, ih, words, pk)
-    reducers = _reducers(G, entries)
+        install(ih)
 
     while CP:
-        pair = min(CP)
-        CP.remove(pair)
-        k, i, j, _ = pair
+        k, i, j, l, stamp = heappop(CP)
+        if _dropped(l, words[i], words[j], installed[stamp:], pk):
+            continue
         s = _spoly_t(entries[i], entries[j], k, p, pk)
         if not s:
             continue
@@ -507,8 +546,7 @@ def _buchberger(entries, p, limit, pk):
             return [(0, {0: 1})]
         entries.append(e)
         words.append(e.word)
-        G, CP = _update(G, CP, len(entries) - 1, words, pk)
-        reducers = _reducers(G, entries)
+        install(len(entries) - 1)
 
     out = []
     for t, e in enumerate(reducers):
@@ -517,11 +555,6 @@ def _buchberger(entries, p, limit, pk):
             out.append(_normalize(r, p))
     out.sort(reverse=True)
     return out
-
-
-def _reducers(G, entries):
-    """The reducers of G, ascending in the order."""
-    return [entries[g] for g in sorted(G, key=lambda g: entries[g].lm)]
 
 
 def _monomial_basis(gens, pk):

@@ -14,13 +14,14 @@ scene-file code.
 from __future__ import annotations
 
 import copy
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .geometry import Analysis, Scene, Verdict, fresh_names
 from .sod import lefschetz, serre_vanishing_record, sod
 
 REPORT_SCHEMA_ID = "strictsmooth-report/1"
+_INFINITY = float("inf")
 
 
 def echo_input(scene: Scene) -> dict:
@@ -179,8 +180,70 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
 
 
 def render_structured(report: dict) -> str:
-    """Canonical JSON: byte-identical for identical inputs and tool version."""
-    return json.dumps(report, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Canonical JSON: byte-identical for identical inputs and tool version.
+
+    The text is that of `json.dumps(report, sort_keys=True, indent=2,
+    separators=(",", ": "))` plus a newline.  `json` falls back to its
+    pure-Python encoder when it indents, so `_write_json` writes the same
+    bytes with one call per value and C-coded string escapes.
+    """
+    out = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, newline, out):
+    """Append the JSON text of o to `out`, its inner lines indented two
+    spaces past `newline`.  Raises TypeError where `json.dumps` would, and
+    on a key that is not a str, which `json` would convert."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + _quote(k) + ": ")  # TypeError unless k is a str
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_float(x) -> str:
+    """A float as `json` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _plain_verdict(doc) -> str:

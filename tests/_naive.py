@@ -4,9 +4,12 @@ Deliberately dumb: textbook Buchberger with a FIFO pair queue and no
 criteria, no interreduction of the result, and membership decided by
 dividing against every permutation of the computed basis (all answers must
 be unanimous).  Shares no code with the package kernel beyond the public
-Polynomial type, with two exceptions.  `naive_update` is the kernel's
+Polynomial type, with three exceptions.  `naive_update` is the kernel's
 critical-pair update in Becker & Weispfenning's form; it reads the packed
 words through the kernel's packing, which the caller passes in.
+`naive_pair_sequence` is the kernel's pair loop with that update run
+eagerly on a set of pairs, and forms S-polynomials and reduces with the
+kernel's own arithmetic, so that only the pair bookkeeping differs.
 `naive_multiplicity` searches for the vanishing order with the kernel's
 ideal-power membership, one candidate k at a time.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from strictsmooth.errors import SceneError
-from strictsmooth.groebner import ideal_power_membership
+from strictsmooth.groebner import _entry, _normalize, _reduce, _spoly_t, ideal_power_membership
 from strictsmooth.poly import Polynomial
 
 
@@ -213,6 +216,42 @@ def naive_update(G, B, ih, words, pk):
     G_new = {g for g in G if ((words[g] | guard) - eh) & guard != guard}
     G_new.add(ih)
     return G_new, B_new
+
+
+def naive_pair_sequence(entries, p, pk, formed):
+    """The pair loop of the Groebner kernel before its pairs moved to a heap,
+    kept as the oracle of the order in which the kernel forms S-polynomials.
+
+    `entries` is a seed of `_Reducer`s, left unchanged.  Appends (packed
+    lcm, i, j) to `formed` before forming each S-polynomial, i and j
+    indices into the seed followed by the elements found.  Every pending
+    pair sits in a set and is pruned by `naive_update` each time an
+    element joins; the next pair is `min(B)`.  Stops at the unit ideal.
+    """
+    if any(not e.lm for e in entries):
+        return
+    entries = list(entries)
+    words = [e.word for e in entries]
+    G, B = set(), set()
+    for ih in sorted(range(len(entries)), key=lambda i: (entries[i].lm, i)):
+        G, B = naive_update(G, B, ih, words, pk)
+    while B:
+        pair = min(B)
+        B.remove(pair)
+        k, i, j, _ = pair
+        formed.append((k, i, j))
+        s = _spoly_t(entries[i], entries[j], k, p, pk)
+        if not s:
+            continue
+        r = _reduce(s, sorted((entries[g] for g in G), key=lambda e: e.lm), p, pk)
+        if not r:
+            continue
+        e = _entry(*_normalize(r, p), pk)
+        if not e.lm:
+            return
+        entries.append(e)
+        words.append(e.word)
+        G, B = naive_update(G, B, len(entries) - 1, words, pk)
 
 
 def naive_radical_member(g, generators, max_steps=2000):

@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -130,6 +131,67 @@ def test_fixture_reports_need_no_scene_stack():
     for fixture, command, fmt, text in out["reports"]:
         name = _golden_name(f"fixture-{fixture}", command, fmt)
         assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+
+
+# ----- the structured writer writes the bytes of json.dumps ------------------
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".json")))
+def test_structured_writer_rewrites_each_golden(name):
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert render_structured(doc) == _dumps(doc) == text
+
+
+def test_structured_writer_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = (
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+        | st.integers(-(10**30), 10**30)
+    )
+    docs = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=20,
+    )
+
+    inf = float("inf")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(docs)
+    @hypothesis.example([float("nan"), inf, -inf, -0.0, 1e300, 2.5, True, False, None])
+    @hypothesis.example({"\u00e9\n\"": "\ud83d\ude00\x00", "": [[], {}, ()]})
+    def check(doc):
+        assert render_structured(doc) == _dumps(doc)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1, 2}, b"x", 1j, Fraction(1, 2), object(), {"a": [1, {"b": {2}}]}, {(1, 2): 3},
+     {"a": 1, 2: 3}],
+    ids=["set", "bytes", "complex", "Fraction", "object", "nested set", "tuple key",
+         "mixed keys"],
+)
+def test_structured_writer_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        _dumps(doc)
+    with pytest.raises(TypeError):
+        render_structured(doc)
+
+
+def test_structured_writer_takes_str_keys_only():
+    # json would write {"1": 2}; a report's keys are all str
+    with pytest.raises(TypeError):
+        render_structured({1: 2})
 
 
 if __name__ == "__main__":

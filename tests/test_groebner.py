@@ -40,7 +40,7 @@ from _naive import (
     naive_member,
     naive_radical_member,
     naive_reduced_basis,
-    naive_update,
+    naive_pair_sequence,
 )
 
 # the kernel module itself: the package re-exports its `groebner` function
@@ -1040,18 +1040,33 @@ def test_prime_field_kernel_builds_scalars_only_for_its_output(monkeypatch):
 
 
 def test_pair_installation_matches_the_becker_weispfenning_update(monkeypatch):
-    """Every `_update` of the route corpus and of katsura-5 and cyclic-5
-    over QQ and GF(32003) gives the (G, B) of the update it replaced."""
-    real = kernel._update
-    agree = []
+    """Every Buchberger run of the route corpus and of katsura-5 and cyclic-5
+    over QQ and GF(32003) forms its S-polynomials in the order of the eager
+    update it replaced: `naive_update` on a set of pairs, the next pair
+    taken by `min`."""
+    real_loop, real_spoly = kernel._buchberger, kernel._spoly_t
+    formed, runs = [], []
 
-    def both(G, B, ih, words, pk):
-        want = naive_update(G, B, ih, words, pk)
-        got = real(G, B, ih, words, pk)
-        agree.append(got == want)
-        return got
+    def spoly(f, g, k, p, pk):
+        formed.append((k, f, g))
+        return real_spoly(f, g, k, p, pk)
 
-    monkeypatch.setattr(kernel, "_update", both)
+    def both(entries, p, limit, pk):
+        want = []
+        try:
+            naive_pair_sequence(entries, p, pk, want)
+        except kernel._Overflow:
+            pass
+        formed.clear()
+        try:
+            return real_loop(entries, p, limit, pk)
+        finally:
+            # the kernel appends the elements it finds to `entries`
+            index = {id(e): t for t, e in enumerate(entries)}
+            runs.append(([(k, index[id(f)], index[id(g)]) for k, f, g in formed], want))
+
+    monkeypatch.setattr(kernel, "_buchberger", both)
+    monkeypatch.setattr(kernel, "_spoly_t", spoly)
     for fixture in FIXTURES:
         analyze(fixture.build())
     for _ in route_agreement_suite(200, 0):
@@ -1059,8 +1074,40 @@ def test_pair_installation_matches_the_becker_weispfenning_update(monkeypatch):
     for fld in (QQ, PrimeField(32003)):
         groebner(katsura_ideal(5, fld))
         groebner(cyclic_ideal(5, fld))
-    assert len(agree) > 2000
-    assert all(agree), agree.count(False)
+    assert len(runs) > 1000 and sum(len(got) for got, _ in runs) > 1800
+    assert sum(got != want for got, want in runs) == 0
+
+
+def fermat_scene(n):
+    names = tuple(f"x{i + 1}" for i in range(n))
+    f = parse_expression(" + ".join(f"{v}^{n}" for v in names), names, QQ)
+    return Scene(n, names, f, (Center("O", tuple(range(n))),))
+
+
+GF32003 = PrimeField(32003)
+
+# (S-polynomials formed, `_reduce` calls) of the items of the benchmark's
+# `hard-scenes` and `kernel-ideals` workloads that run Buchberger's loop: a
+# change to the pair queue or to the criteria that changes the work fails
+# here, without any timing
+KERNEL_WORK = {
+    "quintic-5": (lambda: analyze(quintic_scene()), (962, 921)),
+    "fermat-6": (lambda: analyze(fermat_scene(6)), (66, 130)),
+    "katsura-5-QQ": (lambda: groebner(katsura_ideal(5, QQ)), (66, 95)),
+    "katsura-5-GF32003": (lambda: groebner(katsura_ideal(5, GF32003)), (66, 95)),
+    "cyclic-5-QQ": (lambda: groebner(cyclic_ideal(5, QQ)), (102, 126)),
+    "cyclic-5-GF32003": (lambda: groebner(cyclic_ideal(5, GF32003)), (102, 126)),
+}
+
+
+@pytest.mark.parametrize("item", KERNEL_WORK)
+def test_kernel_work_per_item_is_pinned(item, monkeypatch):
+    run, want = KERNEL_WORK[item]
+    spolys, reduces = [], []
+    counting(monkeypatch, kernel, "_spoly_t", spolys)
+    counting(monkeypatch, kernel, "_reduce", reduces)
+    run()
+    assert (len(spolys), len(reduces)) == want
 
 
 def test_normal_form_matches_division():
