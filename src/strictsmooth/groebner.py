@@ -41,8 +41,10 @@ the same elements in either form, so the same pairs are formed in the
 same order, and the pairs still pending when 1 ends a run are never
 tested.  These tests and the pruning of the basis are guard-bit tests
 on words.
-A monomial ideal skips Buchberger: its generators are packed and sorted
-by degree, and each one divisible by one of lower degree is dropped.
+A monomial ideal skips Buchberger: its generators are packed and walked
+one degree at a time, each one divisible by one kept at a lower degree is
+dropped, and the one-term `_Reducer`s of the basis are built from the
+exponent words of that walk.
 The seed interreduction reduces each generator against those kept before
 it, in one pass, and returns as soon as a constant appears.  So the seed
 of J plus one more generator is J's seed followed by that generator
@@ -73,7 +75,14 @@ wider packing.  Over QQ the monic basis goes through the same loop,
 where no step scales, so the remainder is exact.
 
 `power_ideal` builds each k-fold product from its (k-1)-fold prefix, in
-the generator order of `combinations_with_replacement`.
+the generator order of `combinations_with_replacement`.  When every
+generator is one term with coefficient one, as the ideal of a center is,
+a product is one sum of exponent tuples and every product shares
+`field.one`; other generators are multiplied as Polynomials.  So a power
+of a center stays on exponent vectors from `power_ideal` to its normal
+form, with no coefficient arithmetic (Cox, Little & O'Shea, Ch. 2 §4,
+Lemmas 2 and 3: membership in a monomial ideal is a divisibility test
+on each term).
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import attrgetter, is_, mul
+from operator import add, attrgetter, is_, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -324,7 +333,7 @@ class _Reducer(NamedTuple):
     word: int  # the exponent word of the leading monomial
     lm: int
     lc: int  # a Fraction when normal_form reduces over QQ
-    tail: list  # the other terms, as (monomial, coefficient) pairs
+    tail: Sequence  # the other terms, as (monomial, coefficient) pairs
     terms: dict
 
 
@@ -559,22 +568,31 @@ def _buchberger(entries, p, limit, pk):
 
 def _monomial_basis(gens, pk):
     """The reduced basis of the one-term term maps `gens` (exponent
-    tuples), as packed (lm, {lm: 1}) pairs descending in the order.
+    tuples) as the `_Reducer`s of its elements, each {lm: 1}, descending
+    in the order.
 
-    A proper divisor has a lower degree, so in order of degree each
-    monomial is tested only against those kept at lower degrees.
+    Packed order is graded and a proper divisor has a lower degree, so
+    the monomials are walked one degree at a time, each tested only
+    against the words kept at lower degrees: none in the lowest degree.
     """
     guard, mask, w = pk.guard, pk.mask, pk.weights
-    kept = []  # (packed monomial, exponent word), by degree
-    lower = 0  # how many of them have a degree below the current one
-    for k in sorted({sum(map(mul, m, w)) for g in gens for m in g}, key=mask.__and__):
-        if kept and kept[-1][0] & mask < k & mask:
-            lower = len(kept)
-        e = pk.exponents(k)
-        x = e | guard
-        if not any((x - f) & guard == guard for _, f in kept[:lower]):
-            kept.append((k, e))
-    return [(k, {k: 1}) for k, _ in sorted(kept, reverse=True)]
+    fields, ones = pk.fields, pk.ones
+    monos = sorted({sum(map(mul, m, w)) for g in gens for m in g})
+    words = []  # the exponent words kept at lower degrees
+    kept = []  # (exponent word, packed monomial), ascending
+    for _, level in itertools.groupby(monos, mask.__and__):
+        new = []
+        for k in level:
+            e = ((~k & fields) + ones) & fields  # pk.exponents(k)
+            x = e | guard
+            for f in words:
+                if (x - f) & guard == guard:
+                    break
+            else:
+                new.append((e, k))
+        kept += new
+        words += [e for e, _ in new]
+    return [_new(_Reducer, (e, k, 1, (), {k: 1})) for e, k in reversed(kept)]
 
 
 # --------------------------------------------------------------------------
@@ -590,10 +608,12 @@ class GroebnerBasis:
     `normal_form` and `krull_dimension` read the packed form.
     """
 
-    def __init__(self, reduced: list, pk: _Packing, source: Ideal):
+    def __init__(self, reduced: list, pk: _Packing, source: Ideal, reducers=None):
         self._reduced = reduced
         self._pk = pk
         self.source = source
+        if reducers is not None:  # built with the basis: the cached `_reducers`
+            self._reducers = reducers
 
     @cached_property
     def basis(self) -> tuple:
@@ -675,7 +695,8 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 
     def run(pk):
         if all(len(g) == 1 for g in gens):
-            return _monomial_basis(gens, pk), pk
+            reducers = _monomial_basis(gens, pk)
+            return [(r.lm, r.terms) for r in reducers], pk, reducers
         w, kept = pk.weights, seeds.get(pk)
         if kept is None:
             packed = [_kernel_terms(g._terms, p, w) for g in base]
@@ -687,10 +708,10 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
                 (lm, d) if d[lm] == 1 else (lm, {m: Fraction(c, d[lm]) for m, c in d.items()})
                 for lm, d in basis
             ]
-        return basis, pk
+        return basis, pk, None
 
-    reduced, pk = _packed(nvars, degree, run)
-    gb = GroebnerBasis(reduced, pk, ideal)
+    reduced, pk, reducers = _packed(nvars, degree, run)
+    gb = GroebnerBasis(reduced, pk, ideal, reducers)
     hook = _audit_var.get()
     if hook is not None:
         hook(gb)
@@ -738,11 +759,22 @@ def power_ideal(ideal: Ideal, k: int) -> Ideal:
     # each level extends every product of the level before by each generator
     # from its last one on: the order of combinations_with_replacement, with
     # the same left-to-right products, and one multiplication per product
-    gens = ideal.generators
+    nvars, fld = ideal.nvars, ideal.field
+    gens, one = ideal.generators, fld.one
+    if all(len(g._terms) == 1 and one in g._terms.values() for g in gens):
+        # monomials with coefficient one: a product is one exponent sum
+        exps = [next(iter(g._terms)) for g in gens]
+        prods = list(enumerate(exps))
+        for _ in range(k - 1):
+            prods = [
+                (j, _new(Monomial, map(add, m, exps[j])))
+                for i, m in prods for j in range(i, len(exps))
+            ]
+        return Ideal(tuple(_trusted(nvars, fld, {m: one}) for _, m in prods), nvars, fld)
     prods = list(enumerate(gens))  # (index of the last generator, product)
     for _ in range(k - 1):
         prods = [(j, p * gens[j]) for i, p in prods for j in range(i, len(gens))]
-    return Ideal(tuple(p for _, p in prods), ideal.nvars, ideal.field)
+    return Ideal(tuple(p for _, p in prods), nvars, fld)
 
 
 def ideal_power_membership(p: Polynomial, ideal: Ideal, k: int) -> bool:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import random
 from dataclasses import replace
@@ -110,6 +111,38 @@ def test_multiplicity_asks_the_kernel_at_one_k_and_k_plus_one(monkeypatch, scene
     monkeypatch.setattr(geometry, "ideal_power_membership", recording)
     multiplicity(scene.f, scene.centers[0])
     assert tuple(seen) == powers
+
+
+def test_multiplicity_builds_center_powers_without_polynomial_products(monkeypatch):
+    # a center's ideal is generated by variables with coefficient one, so
+    # I^7 of Fermat-6 is built from exponent sums: the kernel still receives
+    # all 792 generators and confirms k = 6 with three membership tests
+    scene = scene2(sum(v**6 for v in variables(6)), FERMAT_6, FERMAT_6)
+    kernel = importlib.import_module("strictsmooth.groebner")
+    products, members, sizes = [], [], []
+    real_mul, real_member = Polynomial.__mul__, geometry.ideal_power_membership
+    real_groebner = kernel.groebner
+
+    def mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    def member(g, ideal, k):
+        members.append(k)
+        return real_member(g, ideal, k)
+
+    def groebner(ideal):
+        sizes.append(len(ideal.generators))
+        return real_groebner(ideal)
+
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", mul)
+    monkeypatch.setattr(geometry, "ideal_power_membership", member)
+    monkeypatch.setattr(kernel, "groebner", groebner)
+    assert multiplicity(scene.f, scene.centers[0]) == 6
+    assert products == []
+    assert members == [1, 6, 7]
+    assert sizes == [6, 462, 792]
 
 
 @pytest.mark.parametrize("lie_at", ["k+1", "k"])

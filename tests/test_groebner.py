@@ -529,28 +529,37 @@ def test_seed_ends_at_the_first_constant(monkeypatch):
 
 
 def test_power_ideal_keeps_the_generator_order():
+    # monomials with coefficient one take the exponent-sum path, every other
+    # tuple the Polynomial products: both give the products of
+    # combinations_with_replacement, coefficient for coefficient, in order
     rng = random.Random(12)
-    fld = PrimeField(32003)
-    x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
-    tuples = [
-        (x, y, z),  # monomial
-        (x * y, y**2, x**3 * z),
-        (x + y, x * z - y**2, z**3 + 1),  # non-monomial
-        (x - y, x - y, y * z),  # a repeated generator
-    ]
-    for _ in range(6):
-        gens = (field_poly(rng, 3, fld, 3, 3) for _ in range(rng.randint(1, 4)))
-        tuples.append(tuple(g for g in gens if not g.is_zero) or (x,))
-    for gens in tuples:
-        ideal = Ideal(gens, 3, fld)
-        for k in range(1, 5):
-            want = []
-            for combo in itertools.combinations_with_replacement(gens, k):
-                prod = combo[0]
-                for g in combo[1:]:
-                    prod = prod * g
-                want.append(prod)
-            assert power_ideal(ideal, k).generators == tuple(want)
+    for fld in (QQ, PrimeField(32003)):
+        x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
+        tuples = [
+            (x, y, z),  # monomial
+            (x * y, y**2, x**3 * z),
+            (2 * x, -y),  # monomials whose coefficient is not one
+            (x, x, y),  # a repeated variable
+            (x, y + z, y * z),  # monomial and non-monomial generators
+            (x + y, x * z - y**2, z**3 + 1),  # non-monomial
+            (x - y, x - y, y * z),  # a repeated generator
+        ]
+        for _ in range(6):
+            gens = (field_poly(rng, 3, fld, 3, 3) for _ in range(rng.randint(1, 4)))
+            tuples.append(tuple(g for g in gens if not g.is_zero) or (x,))
+        for gens in tuples:
+            ideal = Ideal(gens, 3, fld)
+            for k in range(1, 5):
+                want = []
+                for combo in itertools.combinations_with_replacement(gens, k):
+                    prod = combo[0]
+                    for g in combo[1:]:
+                        prod = prod * g
+                    want.append(prod)
+                got = power_ideal(ideal, k).generators
+                assert [list(g.terms()) for g in got] == [list(g.terms()) for g in want]
+                assert {type(c) for g in got for c in g._terms.values()} == {type(fld.one)}
+                assert all(type(m) is Monomial for g in got for m in g._terms)
 
 
 # ----- packed monomials -------------------------------------------------------------
@@ -1143,6 +1152,64 @@ def test_normal_form_matches_division():
             assert normal_form(p, gb) == want
             assert gb.contains(p) == want.is_zero
             assert gb.contains(p - want)
+
+        check()
+
+
+def test_monomial_bases_match_the_naive_oracles():
+    """Ideals shaped like a power of a center: monomials of one degree in
+    some variables, repeated, plus proper divisors of them at lower degrees,
+    with coefficients other than one.  The basis is the textbook reduced
+    basis, normal forms are remainders of division, membership agrees."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def polys(fld, nvars, degree):
+        term = st.tuples(st.tuples(*[st.integers(0, degree)] * nvars), st.integers(-3, 3))
+        return st.lists(term, min_size=1, max_size=4).map(
+            lambda terms: sum(
+                (Polynomial(nvars, fld, {Monomial(e): fld.from_int(c)}) for e, c in terms),
+                Polynomial.zero(nvars, fld),
+            )
+        )
+
+    @st.composite
+    def cases(draw, fld):
+        n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        center = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        top = [
+            tuple(combo.count(v) for v in range(n))
+            for combo in itertools.combinations_with_replacement(sorted(center), d)
+        ]
+        exps = draw(st.lists(st.sampled_from(top), min_size=1, max_size=min(2 * len(top), 20)))
+        for e in draw(st.lists(st.sampled_from(top), max_size=3)):
+            divisor = tuple(draw(st.integers(0, a)) for a in e)
+            if sum(divisor) < d:
+                exps.append(divisor)
+        coeff = st.tuples(st.sampled_from([1, 1, -1, 2, -3]), st.sampled_from([1, 1, 2]))
+        gens = [
+            Polynomial(n, fld, {Monomial(e): fld.from_rational(*draw(coeff))}) for e in exps
+        ]
+        gens = draw(st.permutations(gens))
+        targets = draw(st.lists(polys(fld, n, d + 1), min_size=1, max_size=3))
+        # multiples of generators, alone and on top of a target, lie in the ideal
+        for q, i in draw(st.lists(st.tuples(polys(fld, n, 2), st.integers(0, len(gens) - 1)),
+                                  max_size=2)):
+            targets += [q * gens[i], targets[0] + q * gens[i]]
+        return gens, targets
+
+    for fld in (QQ, PrimeField(7)):
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cases(fld))
+        def check(case):
+            gens, targets = case
+            gb = groebner(Ideal(tuple(gens), gens[0].nvars, fld))
+            want = naive_reduced_basis(gens)
+            assert term_sets(gb.basis) == term_sets(want)
+            for p in targets:
+                assert normal_form(p, gb) == divide(p, want)
+                assert gb.contains(p) == naive_member(p, want, permutation_cap=6)
 
         check()
 
