@@ -301,7 +301,7 @@ def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusRe
     else:
         jacobian = [[eq.partial(j) for j in range(tdim)] for eq in equations]
         rank_drop = minors_ideal(jacobian, d)
-        witness = b_ideal.join(rank_drop)
+        witness = Ideal(nonzero + rank_drop.generators, tdim, fld)
         # with every d x d minor identically zero the rank never reaches d
         if rank_drop.generators and is_empty_affine(witness):
             return BaseLocusResult(equations, dim_b, expected, False, Verdict(Status.SMOOTH))

@@ -66,13 +66,13 @@ cross-multiplies the two leading coefficients.  Since reduced bases are
 unique and pair selection reads only leading monomials, the pair sequence
 and the basis are those of field arithmetic.
 
-The reduced basis stays packed in its `GroebnerBasis`, monic Fractions
-over QQ.  `basis` converts it to Polynomials on its first read, each
-monomial decoded straight to a `Monomial`; `is_unit` and `krull_dimension`
-read the packed leading monomials.  `normal_form` reuses the basis's
-`_Reducer`s, built once, and re-packs from `basis` only when p needs a
-wider packing.  Over QQ the monic basis goes through the same loop,
-where no step scales, so the remainder is exact.
+A `GroebnerBasis` keeps one form of the reduced basis: the `_Reducer`s
+that `_buchberger` or `_monomial_basis` returns, monic Fractions over QQ.
+`basis` converts them to Polynomials on its first read, each monomial
+decoded straight to a `Monomial`; `is_unit`, `krull_dimension` and
+`normal_form` read the reducers, and `normal_form` re-packs their terms
+when p needs a wider packing.  Over QQ the monic basis goes through the
+same loop, where no step scales, so the remainder is exact.
 
 `power_ideal` builds each k-fold product from its (k-1)-fold prefix, in
 the generator order of `combinations_with_replacement`.  When every
@@ -165,11 +165,6 @@ class Ideal:
         if fld is None:
             raise StructuralError("a generator-free ideal needs an explicit field")
         object.__setattr__(self, "field", fld)
-
-    def join(self, other: "Ideal") -> "Ideal":
-        if other.nvars != self.nvars or other.field != self.field:
-            raise StructuralError("cannot join ideals of different rings")
-        return Ideal(self.generators + other.generators, self.nvars, self.field)
 
 
 # --------------------------------------------------------------------------
@@ -512,13 +507,11 @@ def _interreduce_seed(gens, p, pk, kept=()):
 
 
 def _buchberger(entries, p, limit, pk):
-    """The reduced basis of the ideal of the seed `entries`
-    (`_interreduce_seed`) as normalized (lm, dict) pairs, descending in the
-    order."""
-    for e in entries:
-        _check_degree(e.lm & pk.mask, limit)
-        if not e.lm:
-            return [(0, {0: 1})]
+    """The `_Reducer`s of the reduced basis of the ideal of the seed
+    `entries` (`_interreduce_seed`, which returns a unit seed as its only
+    entry), descending in the order."""
+    if not entries[0].lm:
+        return entries
 
     guard = pk.guard
     words = [e.word for e in entries]
@@ -552,7 +545,7 @@ def _buchberger(entries, p, limit, pk):
         e = _entry(*_normalize(r, p), pk)
         _check_degree(e.lm & pk.mask, limit)
         if not e.lm:
-            return [(0, {0: 1})]
+            return [e]
         entries.append(e)
         words.append(e.word)
         install(len(entries) - 1)
@@ -561,8 +554,8 @@ def _buchberger(entries, p, limit, pk):
     for t, e in enumerate(reducers):
         r = _reduce(e.terms, reducers[:t] + reducers[t + 1:], p, pk)
         if r:
-            out.append(_normalize(r, p))
-    out.sort(reverse=True)
+            out.append(_entry(*_normalize(r, p), pk))
+    out.sort(key=_lead, reverse=True)
     return out
 
 
@@ -602,36 +595,29 @@ def _monomial_basis(gens, pk):
 class GroebnerBasis:
     """A reduced grevlex Groebner basis together with its source ideal.
 
-    It keeps the kernel's reduced basis: (lm, term map) pairs packed by
-    `_pk`, descending, residues over GF(p) and monic Fractions over QQ.
-    `basis` converts it to Polynomials on first read; `is_unit`,
-    `normal_form` and `krull_dimension` read the packed form.
+    It keeps one form of the basis, the kernel's: the `_Reducer` of each
+    element, packed by `_pk`, descending, with residues over GF(p) and
+    monic Fractions over QQ.  `basis` converts them to Polynomials on first
+    read; `is_unit`, `normal_form` and `krull_dimension` read the reducers.
     """
 
-    def __init__(self, reduced: list, pk: _Packing, source: Ideal, reducers=None):
-        self._reduced = reduced
+    def __init__(self, reducers: list, pk: _Packing, source: Ideal):
+        self._reducers = reducers
         self._pk = pk
         self.source = source
-        if reducers is not None:  # built with the basis: the cached `_reducers`
-            self._reducers = reducers
 
     @cached_property
     def basis(self) -> tuple:
         nvars, fld, mono = self.source.nvars, self.source.field, self._pk.monomial
         coerce = fld.coerce
         return tuple(
-            _trusted(nvars, fld, {mono(m): coerce(c) for m, c in d.items()})
-            for _, d in self._reduced
+            _trusted(nvars, fld, {mono(m): coerce(c) for m, c in r.terms.items()})
+            for r in self._reducers
         )
-
-    @cached_property
-    def _reducers(self) -> list:
-        """The `_Reducer`s of the packed basis, built for the first normal form."""
-        return [_entry(lm, d, self._pk) for lm, d in self._reduced]
 
     @property
     def is_unit(self) -> bool:
-        return len(self._reduced) == 1 and not self._reduced[0][0]
+        return len(self._reducers) == 1 and not self._reducers[0].lm
 
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero
@@ -695,8 +681,7 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 
     def run(pk):
         if all(len(g) == 1 for g in gens):
-            reducers = _monomial_basis(gens, pk)
-            return [(r.lm, r.terms) for r in reducers], pk, reducers
+            return _monomial_basis(gens, pk), pk
         w, kept = pk.weights, seeds.get(pk)
         if kept is None:
             packed = [_kernel_terms(g._terms, p, w) for g in base]
@@ -705,13 +690,13 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
         basis = _buchberger(_interreduce_seed(rest, p, pk, kept), p, limit, pk)
         if not p:  # monic over QQ
             basis = [
-                (lm, d) if d[lm] == 1 else (lm, {m: Fraction(c, d[lm]) for m, c in d.items()})
-                for lm, d in basis
+                r if r.lc == 1
+                else _entry(r.lm, {m: Fraction(c, r.lc) for m, c in r.terms.items()}, pk)
+                for r in basis
             ]
-        return basis, pk, None
+        return basis, pk
 
-    reduced, pk, reducers = _packed(nvars, degree, run)
-    gb = GroebnerBasis(reduced, pk, ideal, reducers)
+    gb = GroebnerBasis(*_packed(nvars, degree, run), ideal)
     hook = _audit_var.get()
     if hook is not None:
         hook(gb)
@@ -722,7 +707,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of `p` under multivariate division by the basis.
 
     Zero exactly when p lies in the ideal.  The basis's own reducers serve
-    when p fits its packing; a wider packing re-packs the basis from `basis`.
+    when p fits its packing; a wider packing re-packs the reducers' terms.
     """
     if p.nvars != gb.source.nvars:
         raise StructuralError("polynomial does not live in the basis ring")
@@ -731,18 +716,18 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     fld = p.field
     char = fld.characteristic
 
-    def pack(d, w):
-        if char:
-            return _kernel_terms(d, char, w)
-        return {sum(map(mul, m, w)): c for m, c in d.items()}  # QQ: as it is, exact
-
     def run(pk):
         w = pk.weights
-        if pk is gb._pk:
-            reducers = gb._reducers
-        else:
-            reducers = [_entry(max(d), d, pk) for d in (pack(g._terms, w) for g in gb.basis)]
-        rem = _reduce(pack(p._terms, w), reducers, char, pk)
+        reducers = gb._reducers
+        if pk is not gb._pk:  # re-pack the reducers' own terms
+            old = gb._pk.monomial
+            repacked = ({sum(map(mul, old(m), w)): c for m, c in r.terms.items()} for r in reducers)
+            reducers = [_entry(max(d), d, pk) for d in repacked]
+        if char:
+            target = _kernel_terms(p._terms, char, w)
+        else:  # QQ: as it is, exact
+            target = {sum(map(mul, m, w)): c for m, c in p._terms.items()}
+        rem = _reduce(target, reducers, char, pk)
         mono, coerce = pk.monomial, fld.coerce
         return _trusted(p.nvars, fld, {mono(m): coerce(c) for m, c in rem.items()})
 
@@ -839,7 +824,7 @@ def krull_dimension(ideal: Ideal) -> Optional[int]:
         return None
     n = ideal.nvars
     pk = gb._pk
-    words = [pk.exponents(lm) for lm, _ in gb._reduced]
+    words = [r.word for r in gb._reducers]
     supports = {sum(1 << v for v, s in enumerate(pk.shifts) if e >> s & pk.mask) for e in words}
     # the supports to test when variable v joins the chosen set
     touching = [[s for s in supports if s >> v & 1] for v in range(n)]

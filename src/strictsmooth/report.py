@@ -21,7 +21,6 @@ from .geometry import Analysis, Scene, Verdict, fresh_names
 from .sod import lefschetz, serre_vanishing_record, sod
 
 REPORT_SCHEMA_ID = "strictsmooth-report/1"
-_INFINITY = float("inf")
 
 
 def echo_input(scene: Scene) -> dict:
@@ -185,7 +184,10 @@ def render_structured(report: dict) -> str:
     The text is that of `json.dumps(report, sort_keys=True, indent=2,
     separators=(",", ": "))` plus a newline.  `json` falls back to its
     pure-Python encoder when it indents, so `_write_json` writes the same
-    bytes with one call per value and C-coded string escapes.
+    bytes with one call per value and C-coded string escapes.  It writes
+    the value types of a report only: dicts with str keys, lists, strs,
+    ints, bools and None; anything else, a float or a tuple included,
+    raises TypeError.
     """
     out = []
     _write_json(report, "\n", out)
@@ -195,8 +197,8 @@ def render_structured(report: dict) -> str:
 
 def _write_json(o, newline, out):
     """Append the JSON text of o to `out`, its inner lines indented two
-    spaces past `newline`.  Raises TypeError where `json.dumps` would, and
-    on a key that is not a str, which `json` would convert."""
+    spaces past `newline`.  Raises TypeError on a value that is not a
+    report value (see `render_structured`)."""
     if isinstance(o, dict):
         if not o:
             out.append("{}")
@@ -210,7 +212,7 @@ def _write_json(o, newline, out):
         out.append(newline + "}")
     elif isinstance(o, str):
         out.append(_quote(o))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, list):
         if not o:
             out.append("[]")
             return
@@ -229,21 +231,8 @@ def _write_json(o, newline, out):
         out.append("false")
     elif isinstance(o, int):
         out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _json_float(x) -> str:
-    """A float as `json` writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
+        raise TypeError(f"Object of type {o.__class__.__name__} is not a report value")
 
 
 def _plain_verdict(doc) -> str:

@@ -139,7 +139,6 @@ class RationalField:
     """The rational numbers, with Fraction as the carrier type."""
 
     characteristic = 0
-    name = "rational"
 
     @property
     def zero(self):
@@ -183,7 +182,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.name = f"GF({p})"
 
     @property
     def characteristic(self):

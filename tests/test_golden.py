@@ -150,24 +150,19 @@ def test_structured_writer_rewrites_each_golden(name):
 def test_structured_writer_matches_json_dumps():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    # the value types of a report
     scalars = (
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-        | st.integers(-(10**30), 10**30)
+        st.none() | st.booleans() | st.integers() | st.text() | st.integers(-(10**30), 10**30)
     )
     docs = st.recursive(
         scalars,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(st.text(), inner, max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
         max_leaves=20,
     )
 
-    inf = float("inf")
-
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(docs)
-    @hypothesis.example([float("nan"), inf, -inf, -0.0, 1e300, 2.5, True, False, None])
-    @hypothesis.example({"\u00e9\n\"": "\ud83d\ude00\x00", "": [[], {}, ()]})
+    @hypothesis.example({"\u00e9\n\"": "\ud83d\ude00\x00", "": [[], {}]})
     def check(doc):
         assert render_structured(doc) == _dumps(doc)
 
@@ -189,9 +184,12 @@ def test_structured_writer_rejects_what_json_rejects(doc):
 
 
 def test_structured_writer_takes_str_keys_only():
-    # json would write {"1": 2}; a report's keys are all str
-    with pytest.raises(TypeError):
-        render_structured({1: 2})
+    # json would write each of these; a report's keys are all str, and it
+    # holds no float and no tuple
+    for doc in ({1: 2}, {"a": 1.5}, {"a": float("nan")}, {"a": (1,)}):
+        _dumps(doc)
+        with pytest.raises(TypeError):
+            render_structured(doc)
 
 
 if __name__ == "__main__":

@@ -1223,20 +1223,24 @@ def test_normal_form_repacks_when_the_degree_overflows_the_basis(fld, monkeypatc
     real_packing, real_entry = kernel._packing, kernel._entry
     monkeypatch.setattr(kernel, "_packing", lambda *key: widths.append(key[1]) or real_packing(*key))
     monkeypatch.setattr(kernel, "_entry", lambda *args: entries.append(1) or real_entry(*args))
-    seen_small = False
-    for p in (x * y + 1, x**300 + y, x**2 - 5, x**300 - y**299, x * y + 1):
+    targets = (x * y + 1, x**300 + y, x**2 - 5, x**300 - y**299, x * y + 1)
+    forms = []
+    for p in targets:
         widths.clear()
         entries.clear()
-        assert normal_form(p, gb) == divide(p, list(gb.basis)), p
+        forms.append(normal_form(p, gb))
         if p.total_degree() < 2 ** (width - 1):
-            # the basis's own packing and reducers, built on the first call only
+            # the basis's own packing and reducers: none is built
             assert widths == [width]
-            assert len(entries) == (0 if seen_small else len(gb.basis))
-            seen_small = True
+            assert entries == []
         else:
-            # x^300 needs a wider packing: the basis is packed again for it
+            # x^300 needs a wider packing: the reducers' terms are packed again for it
             assert widths[0] > width
-            assert len(entries) >= len(gb.basis)
+            assert len(entries) == len(gb._reducers)
+    # no normal form read the basis's Polynomials
+    assert "basis" not in vars(gb)
+    for p, form in zip(targets, forms):
+        assert form == divide(p, list(gb.basis)), p
     assert gb.contains((x**300 - y**300) * (x + 1))
 
 

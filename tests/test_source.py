@@ -62,3 +62,64 @@ def test_the_public_api_is_pinned():
     # loaded on first use, outside the package namespace
     for name in ("load_scene", "scene_from_document"):
         assert callable(getattr(strictsmooth, name))
+
+
+def private_definitions(tree):
+    """(name, node) of each module-level function, class or assigned
+    constant of `tree` whose name starts with `_` (dunders aside)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def loaded_names(node, skip=None):
+    """The names `node` reads outside the subtree `skip`: each name and
+    attribute loaded, and each name imported."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from loaded_names(child, skip)
+
+
+def orphaned_private_names(trees):
+    """{module: the private names no module of `trees` reads outside their
+    own definition}."""
+    everywhere = {path: set(loaded_names(tree)) for path, tree in trees.items()}
+    orphans = {}
+    for path, tree in trees.items():
+        elsewhere = set().union(*(names for p, names in everywhere.items() if p != path))
+        for name, node in private_definitions(tree):
+            if name not in elsewhere and name not in set(loaded_names(tree, skip=node)):
+                orphans.setdefault(path, []).append(name)
+    return orphans
+
+
+def test_every_private_helper_of_the_package_is_used():
+    # a deletion that leaves a helper behind leaves it dead
+    sample = {
+        "a": ast.parse(
+            "_K = 1\n_J: int = 2\ndef _f(): return _f()\nclass _C: pass\ndef g(): return _K\n"
+        ),
+        "b": ast.parse("from a import _C\n"),
+    }
+    assert orphaned_private_names(sample) == {"a": ["_J", "_f"]}
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "strictsmooth").glob("*.py"))
+    }
+    assert len(trees) > 10
+    assert orphaned_private_names(trees) == {}
