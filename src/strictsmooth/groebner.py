@@ -14,8 +14,8 @@ degree.  A product is `Ka + Kb`, integer order is grevlex, so the leading
 term of a term map is `max(d)`, and divisibility is one guard-bit test,
 which the reducer scan of `_reduce` makes once per reducer.
 `_kernel_terms` packs each monomial in the pass that converts its
-coefficient, and each basis element's `_Reducer` is built once, when it
-joins the basis.
+coefficient, and each basis element's `_Reducer`, which holds each term
+once, is built once, when it joins the basis.
 
 The width starts at `_WIDTH` bits, or wider when an input degree needs
 it.  Each S-polynomial first checks that the degree of its lcm stays
@@ -41,6 +41,9 @@ the same elements in either form, so the same pairs are formed in the
 same order, and the pairs still pending when 1 ends a run are never
 tested.  These tests and the pruning of the basis are guard-bit tests
 on words.
+The index set G of that update is the loop's only basis set, and the
+reducers are its elements by leading monomial; the seed's one-pass
+interreduction over that minimal basis, ascending, finishes the run.
 A monomial ideal skips Buchberger: its generators are packed and walked
 one degree at a time, each one divisible by one kept at a lower degree is
 dropped, and the one-term `_Reducer`s of the basis are built from the
@@ -88,7 +91,6 @@ on each term).
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -323,13 +325,13 @@ def _normalize(d, p):
 
 
 class _Reducer(NamedTuple):
-    """A normalized term map as the reduction loop reads it."""
+    """A normalized term map as the reduction loop reads it, each term
+    once: the whole map is `{lm: lc, **tail}`."""
 
     word: int  # the exponent word of the leading monomial
     lm: int
-    lc: int  # a Fraction when normal_form reduces over QQ
-    tail: Sequence  # the other terms, as (monomial, coefficient) pairs
-    terms: dict
+    lc: int  # 1 in a basis `groebner` returns, whose tails over QQ hold Fractions
+    tail: dict  # the other terms, monomial -> coefficient
 
 
 def _entry(lm, d, pk):
@@ -338,8 +340,8 @@ def _entry(lm, d, pk):
     Built with `tuple.__new__`, which skips the named tuple's Python-level
     constructor: the seed and `normal_form` build one per element per call.
     """
-    tail = [(m, c) for m, c in d.items() if m != lm]
-    return _new(_Reducer, (pk.exponents(lm), lm, d[lm], tail, d))
+    tail = dict(d)
+    return _new(_Reducer, (pk.exponents(lm), lm, tail.pop(lm), tail))
 
 
 def _reduce(target, reducers, p, pk):
@@ -372,7 +374,7 @@ def _reduce(target, reducers, p, pk):
         else:
             rem[lm] = c
             continue
-        _, blm, lb, tail, _ = r
+        _, blm, lb, tail = r
         if lb != 1:
             g = gcd(c, lb)
             scale = lb // g
@@ -381,7 +383,7 @@ def _reduce(target, reducers, p, pk):
                 work = {m: v * scale for m, v in work.items()}
                 rem = {m: v * scale for m, v in rem.items()}
         shift = lm - blm
-        for m, bc in tail:
+        for m, bc in tail.items():
             mm = m + shift
             cur = work.get(mm)
             val = -(c * bc) if cur is None else cur - c * bc
@@ -402,8 +404,8 @@ def _spoly_t(f, g, k, p, pk):
     if k & pk.mask >= pk.bound:
         raise _Overflow
     a, b, lf, lg = k - f.lm, k - g.lm, f.lc, g.lc
-    out = {m + a: lg * c for m, c in f.tail}
-    for m, c in g.tail:
+    out = {m + a: lg * c for m, c in f.tail.items()}
+    for m, c in g.tail.items():
         mm = m + b
         cur = out.get(mm)
         val = -(lf * c) if cur is None else cur - lf * c
@@ -490,16 +492,14 @@ def _interreduce_seed(gens, p, pk, kept=()):
     """
     if kept and not kept[0].lm:
         return list(kept)
-    entries = [_entry(*_normalize(g, p), pk) for g in gens if g]
-    for e in entries:
-        if not e.lm:
-            return [e]
+    normal = [_normalize(g, p) for g in gens if g]
+    for lm, d in normal:
+        if not lm:
+            return [_entry(lm, d, pk)]
     kept = list(kept)
-    for e in entries:
-        r = _reduce(e.terms, kept, p, pk) if kept else e.terms
-        if r == e.terms:  # unchanged: keep its reducer
-            kept.append(e)
-        elif r:
+    for _, d in normal:
+        r = _reduce(d, kept, p, pk) if kept else d
+        if r:
             kept.append(_entry(*_normalize(r, p), pk))
             if not kept[-1].lm:
                 return kept[-1:]
@@ -509,11 +509,12 @@ def _interreduce_seed(gens, p, pk, kept=()):
 def _buchberger(entries, p, limit, pk):
     """The `_Reducer`s of the reduced basis of the ideal of the seed
     `entries` (`_interreduce_seed`, which returns a unit seed as its only
-    entry), descending in the order."""
+    entry), descending in the order.  A tail term can only be divisible
+    by leading monomials below its element's, so the seed's one pass over
+    the minimal basis G, ascending, finishes the reduced basis."""
     if not entries[0].lm:
         return entries
 
-    guard = pk.guard
     words = [e.word for e in entries]
     installed = []  # the exponent words of the elements, in the order installed
     G: set = set()
@@ -521,13 +522,10 @@ def _buchberger(entries, p, limit, pk):
     reducers = []  # the elements of G, ascending in the order
 
     def install(ih):
-        e = entries[ih]
-        eh = e.word
-        installed.append(eh)
+        installed.append(words[ih])
         _update(G, CP, ih, words, pk, len(installed))
-        # the reducers lm(ih) divides go, as in G
-        reducers[:] = [r for r in reducers if ((r[0] | guard) - eh) & guard != guard]
-        insort(reducers, e, key=_lead)
+        # the leading monomials of G are distinct, so the order is total
+        reducers[:] = sorted((entries[g] for g in G), key=_lead)
 
     for ih in sorted(range(len(entries)), key=lambda i: (entries[i].lm, i)):
         install(ih)
@@ -550,13 +548,7 @@ def _buchberger(entries, p, limit, pk):
         words.append(e.word)
         install(len(entries) - 1)
 
-    out = []
-    for t, e in enumerate(reducers):
-        r = _reduce(e.terms, reducers[:t] + reducers[t + 1:], p, pk)
-        if r:
-            out.append(_entry(*_normalize(r, p), pk))
-    out.sort(key=_lead, reverse=True)
-    return out
+    return _interreduce_seed([{r.lm: r.lc, **r.tail} for r in reducers], p, pk)[::-1]
 
 
 def _monomial_basis(gens, pk):
@@ -585,7 +577,7 @@ def _monomial_basis(gens, pk):
                 new.append((e, k))
         kept += new
         words += [e for e, _ in new]
-    return [_new(_Reducer, (e, k, 1, (), {k: 1})) for e, k in reversed(kept)]
+    return [_new(_Reducer, (e, k, 1, {})) for e, k in reversed(kept)]
 
 
 # --------------------------------------------------------------------------
@@ -611,7 +603,7 @@ class GroebnerBasis:
         nvars, fld, mono = self.source.nvars, self.source.field, self._pk.monomial
         coerce = fld.coerce
         return tuple(
-            _trusted(nvars, fld, {mono(m): coerce(c) for m, c in r.terms.items()})
+            _trusted(nvars, fld, {mono(m): coerce(c) for m, c in {r.lm: r.lc, **r.tail}.items()})
             for r in self._reducers
         )
 
@@ -645,7 +637,7 @@ class GroebnerBasis:
                 raise InternalCheckError("basis element is not monic")
             entries.append(_entry(lm, d, pk))
         for i, e in enumerate(entries):
-            words = [pk.exponents(m) for m in e.terms]
+            words = [pk.exponents(m) for m in (e.lm, *e.tail)]
             for j, f in enumerate(entries):
                 if i != j and any(pk.divides(f.word, x) for x in words):
                     raise InternalCheckError("basis is not reduced")
@@ -691,7 +683,7 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
         if not p:  # monic over QQ
             basis = [
                 r if r.lc == 1
-                else _entry(r.lm, {m: Fraction(c, r.lc) for m, c in r.terms.items()}, pk)
+                else r._replace(lc=1, tail={m: Fraction(c, r.lc) for m, c in r.tail.items()})
                 for r in basis
             ]
         return basis, pk
@@ -721,7 +713,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         reducers = gb._reducers
         if pk is not gb._pk:  # re-pack the reducers' own terms
             old = gb._pk.monomial
-            repacked = ({sum(map(mul, old(m), w)): c for m, c in r.terms.items()} for r in reducers)
+            whole = ({r.lm: r.lc, **r.tail} for r in reducers)
+            repacked = ({sum(map(mul, old(m), w)): c for m, c in d.items()} for d in whole)
             reducers = [_entry(max(d), d, pk) for d in repacked]
         if char:
             target = _kernel_terms(p._terms, char, w)
@@ -849,6 +842,8 @@ def krull_dimension(ideal: Ideal) -> Optional[int]:
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant by cofactor expansion along the first row."""
     n = len(matrix)
+    if n == 0:
+        raise StructuralError("determinant of an empty matrix")
     if any(len(row) != n for row in matrix):
         raise StructuralError("determinant requires a square matrix")
     if n == 1:

@@ -254,6 +254,73 @@ def naive_pair_sequence(entries, p, pk, formed):
         G, B = naive_update(G, B, len(entries) - 1, words, pk)
 
 
+def naive_unit_certificate(generators, max_steps=2000):
+    """Cofactors h with 1 = sum h_i * f_i for the generators f, or None when
+    the ideal they generate is not the unit ideal.
+
+    `naive_groebner` that carries along, for each basis element, the
+    cofactors that write it in the generators (an extended Groebner basis:
+    Becker & Weispfenning, *Gröbner Bases*, 1993): a division step
+    g - t * b takes t times the cofactors of b off those of g.  It stops
+    at the first constant element c, whose cofactors divided by c are the
+    certificate; a basis with no constant means that none exists.  Only
+    `Polynomial` arithmetic, none of the kernel.
+    """
+    nvars, fld = generators[0].nvars, generators[0].field
+    zero = Polynomial.zero(nvars, fld)
+    one = Polynomial.constant(fld.one, nvars, fld)
+    basis = []  # (element, its cofactors)
+    pending = [
+        (f, [one if u == t else zero for u in range(len(generators))])
+        for t, f in enumerate(generators)
+    ]
+    queue = []  # pairs of basis indices, first in first out
+    steps = 0
+    while True:
+        for g, row in pending:
+            if g.is_zero:
+                continue
+            lm = g.leading_monomial()
+            if not any(lm):  # a constant c: 1 = sum (h_i / c) * f_i
+                inverse = Polynomial.constant(fld.one / g.coefficient(lm), nvars, fld)
+                return [inverse * h for h in row]
+            queue.extend((t, len(basis)) for t in range(len(basis)))
+            basis.append((g, row))
+        if not queue:
+            return None
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError("naive extended Buchberger exceeded the step budget")
+        (gi, hi), (gj, hj) = (basis[t] for t in queue.pop(0))
+        lmi, lmj = gi.leading_monomial(), gj.leading_monomial()
+        lcm = lmi.lcm(lmj)
+        ti = Polynomial(nvars, fld, {lcm.quotient(lmi): fld.one / gi.coefficient(lmi)})
+        tj = Polynomial(nvars, fld, {lcm.quotient(lmj): fld.one / gj.coefficient(lmj)})
+        row = [ti * a - tj * b for a, b in zip(hi, hj)]
+        pending = [_divide_tracked(ti * gi - tj * gj, row, basis)]
+
+
+def _divide_tracked(p, row, basis):
+    """The remainder of p under division by the elements of `basis`, each
+    with its cofactors, and the cofactors of that remainder: `row` holds
+    those of p, and each step p - t * b takes t times those of b off."""
+    remainder = Polynomial.zero(p.nvars, p.field)
+    while not p.is_zero:
+        lm = p.leading_monomial()
+        lc = p.coefficient(lm)
+        for b, hb in basis:
+            blm = b.leading_monomial()
+            if blm.divides(lm):
+                t = Polynomial(p.nvars, p.field, {lm.quotient(blm): lc / b.coefficient(blm)})
+                p = p - t * b
+                row = [h - t * x for h, x in zip(row, hb)]
+                break
+        else:
+            lead = Polynomial(p.nvars, p.field, {lm: lc})
+            p, remainder = p - lead, remainder + lead
+    return remainder, row
+
+
 def naive_radical_member(g, generators, max_steps=2000):
     """Rabinowitsch's test: g vanishes on the locus of the generators exactly
     when they and 1 - t*g, t one more variable, have the reduced basis {1}."""

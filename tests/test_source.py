@@ -95,9 +95,20 @@ def loaded_names(node, skip=None):
         yield from loaded_names(child, skip)
 
 
+def imported_names(tree):
+    """The names the module-level imports of `tree` bind, `from __future__`
+    aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
 def orphaned_private_names(trees):
     """{module: the private names no module of `trees` reads outside their
-    own definition}."""
+    own definition, then the names its imports bind that it never reads
+    (an `__init__.py` imports to re-export, so its imports are not tested)}."""
     everywhere = {path: set(loaded_names(tree)) for path, tree in trees.items()}
     orphans = {}
     for path, tree in trees.items():
@@ -105,18 +116,26 @@ def orphaned_private_names(trees):
         for name, node in private_definitions(tree):
             if name not in elsewhere and name not in set(loaded_names(tree, skip=node)):
                 orphans.setdefault(path, []).append(name)
+        if Path(path).name != "__init__.py":
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for name in imported_names(tree):
+                if name not in read:
+                    orphans.setdefault(path, []).append(name)
     return orphans
 
 
 def test_every_private_helper_of_the_package_is_used():
-    # a deletion that leaves a helper behind leaves it dead
+    # a deletion that leaves a helper or an import behind leaves it dead
     sample = {
         "a": ast.parse(
-            "_K = 1\n_J: int = 2\ndef _f(): return _f()\nclass _C: pass\ndef g(): return _K\n"
+            "from __future__ import annotations\nimport os.path\nfrom bisect import insort\n"
+            "_K = 1\n_J: int = 2\ndef _f(): return _f()\nclass _C: pass\n"
+            "def g(): return _K, os.sep, g.insort\n"
         ),
-        "b": ast.parse("from a import _C\n"),
+        "b": ast.parse("from a import _C\n\nC = _C\n"),
+        "pkg/__init__.py": ast.parse("from a import g\n"),
     }
-    assert orphaned_private_names(sample) == {"a": ["_J", "_f"]}
+    assert orphaned_private_names(sample) == {"a": ["_J", "_f", "insort"]}
     trees = {
         str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "strictsmooth").glob("*.py"))
