@@ -48,13 +48,20 @@ A monomial ideal skips Buchberger: its generators are packed and walked
 one degree at a time, each one divisible by one kept at a lower degree is
 dropped, and the one-term `_Reducer`s of the basis are built from the
 exponent words of that walk.
+An ideal with a constant generator is the unit ideal: `groebner` returns
+{1} before it packs any generator.
 The seed interreduction reduces each generator against those kept before
 it, in one pass, and returns as soon as a constant appears.  So the seed
 of J plus one more generator is J's seed followed by that generator
 reduced against it: `radical_membership` lifts and seeds its ideal once
 per packing, and each of its Rabinowitsch ideals resumes from that seed.
 The memo holds one ideal, matched by identity (equal ideals of two
-routes share no work), and the next ideal tested replaces it.
+routes share no work), and the next ideal tested replaces it.  A variable
+x_l and an ideal J of homogeneous generators skip the lift: V(J) is a
+cone, so x_l vanishes on it exactly when its chart x_l = 1 is empty, an
+emptiness test in the same ring (the projective Nullstellensatz; Cox,
+Little & O'Shea, Ch. 8 §2).  Setting x_l = 1 merges no two terms of a
+homogeneous polynomial, as in `geometry.charts`.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -668,10 +675,13 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     # the seeds of a generator prefix: that of a radical test, or none
     memo = _seed_var.get()
     base, seeds = (), {}
+    unit = (0,) * nvars
     if memo and len(memo[1]) <= len(gens) and all(map(is_, memo[1], ideal.generators)):
         base, seeds = memo[1:]
 
     def run(pk):
+        if any(len(g) == 1 and unit in g for g in gens):  # a constant: the unit ideal
+            return [_new(_Reducer, (0, 0, 1, {}))], pk
         if all(len(g) == 1 for g in gens):
             return _monomial_basis(gens, pk), pk
         w, kept = pk.weights, seeds.get(pk)
@@ -775,23 +785,40 @@ def is_empty_affine(ideal: Ideal) -> bool:
 def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     """Whether g vanishes on the whole vanishing locus of the ideal.
 
-    Decided with one extra variable t: g is in the radical exactly when
-    the ideal together with 1 - t*g has empty vanishing locus.  Tests on
-    one ideal object in a row share its lifted generators and their seed
-    (see the module docstring); the next ideal object tested drops them.
+    When g is a variable x_l (coefficient one) and every generator is
+    homogeneous, decided on the chart: the ideal with x_l = 1 has empty
+    vanishing locus, since a point with x_l = a != 0 scales by 1/a to one
+    with x_l = 1.  Otherwise decided with one extra variable t: g is in
+    the radical exactly when the ideal together with 1 - t*g has empty
+    vanishing locus.  Tests on one ideal object in a row share its lifted
+    generators and their seed (see the module docstring); the next ideal
+    object tested drops them.
     """
     if g.nvars != ideal.nvars or g.field != ideal.field:
         raise StructuralError("radical membership requires a polynomial of the same ring")
     if g.is_zero:
         return True
-    n = ideal.nvars
+    n, fld = ideal.nvars, ideal.field
+    (m, c), *rest = g._terms.items()
+    if not rest and c == fld.one and sum(m) == 1 and all(
+        len({sum(e) for e in h._terms}) == 1 for h in ideal.generators
+    ):
+        # x_l on a homogeneous ideal: the chart x_l = 1 of its cone is empty
+        l = m.index(1)
+        chart = (
+            h if not any(e[l] for e in h._terms) else _trusted(n, fld, {
+                _new(Monomial, e[:l] + (0,) + e[l + 1:]): a for e, a in h._terms.items()
+            })
+            for h in ideal.generators
+        )
+        return is_empty_affine(Ideal(tuple(chart), n, fld))
     memo = _seed_var.get()
     if memo is None or memo[0] is not ideal:
         memo = _lift(ideal)
         _seed_var.set(memo)
-    t = Polynomial.variable(n, n + 1, ideal.field)
-    witness = Polynomial.constant(ideal.field.one, n + 1, ideal.field) - t * g.extended(n + 1)
-    return is_empty_affine(Ideal(memo[1] + (witness,), n + 1, ideal.field))
+    t = Polynomial.variable(n, n + 1, fld)
+    witness = Polynomial.constant(fld.one, n + 1, fld) - t * g.extended(n + 1)
+    return is_empty_affine(Ideal(memo[1] + (witness,), n + 1, fld))
 
 
 def _lift(ideal: Ideal) -> tuple:

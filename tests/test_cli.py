@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +13,9 @@ from conftest import STAGES
 
 from strictsmooth.cli import main
 from strictsmooth.errors import SceneError
-from strictsmooth.geometry import analyze
+from strictsmooth.geometry import Status, analyze
 from strictsmooth.parsing import parse_expression
-from strictsmooth.report import _section_names, build_report
+from strictsmooth.report import _section_names, build_report, render_structured
 from strictsmooth.scalars import PRIME_BOUND
 from strictsmooth.scene_io import load_scene, report_schema, scene_from_document, scene_schema
 
@@ -389,6 +390,24 @@ def test_term_budget_bounds_parsing(capsys, tmp_path, variables, expression, opt
         "error: hypersurface expression: a product would have more than 10000 terms"
         f" (line 1, column {column})\n"
     )
+
+
+# a k = 1 scene with dense quadratic coefficients over QQ: 46 s while its
+# section's radical tests ran on Rabinowitsch lifts, whose QQ coefficients
+# swelled; the section ideal is homogeneous, so they now run on its charts
+DENSE_QQ_SCENE = Path(__file__).resolve().parent / "scenes" / "dense-qq.yaml"
+DENSE_QQ_REPORT_SHA256 = "41c6b8403a83a6ff3776f3f1f2f38c47646cd7e0dd9630c57dd736f6a8d0cdca"
+
+
+def test_dense_qq_scene_analyzes_in_seconds():
+    start = time.perf_counter()
+    analysis = analyze(load_scene(DENSE_QQ_SCENE))
+    text = render_structured(build_report(analysis))
+    assert time.perf_counter() - start < 5
+    assert analysis.multiplicities == (1,)
+    assert analysis.section_route.status is Status.INCONCLUSIVE
+    assert analysis.oracle.status is Status.SINGULAR
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_QQ_REPORT_SHA256
 
 
 def test_scene_schema_is_enforced(capsys, tmp_path):

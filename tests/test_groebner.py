@@ -694,6 +694,35 @@ def test_quintic_report_bytes_are_unchanged():
     assert hashlib.sha256(text.encode()).hexdigest() == QUINTIC_REPORT_SHA256
 
 
+# the least degree bound D (the CLI's --max-degree) under which `analyze`
+# finishes, for D = 1..8; from there on the report is that of an unbounded
+# run.  quintic-5 needed D = 8 while its radical tests ran on Rabinowitsch
+# lifts in one more variable; the fixtures have not moved
+FIRST_FINISHING_DEGREE = {
+    "pairing-n1-subspace": 2, "pairing-n2-subspace": 2, "pairing-n3-subspace": 2,
+    "pairing-n1-origin": 3, "pairing-n2-origin": 3, "pairing-n3-origin": 3,
+    "cusp-origin": 4, "double-cone": 6, "higher-cusp": 8, "node-no-center": 2,
+    "smooth-line-no-center": 1, "double-divisor": 3, "reducible-pair": 2,
+    "pairing-n2-deformed": 5, "linear-center": 2, "quintic-5": 7,
+}
+
+
+def test_the_least_degree_bound_each_scene_finishes_under_is_pinned():
+    builds = {f.name: f.build for f in FIXTURES} | {"quintic-5": quintic_scene}
+    assert builds.keys() == FIRST_FINISHING_DEGREE.keys()
+    for name, build in builds.items():
+        full = render_structured(build_report(analyze(build())))
+        for bound in range(1, 9):
+            scene = build()
+            try:
+                with degree_limit(bound):
+                    text = render_structured(build_report(analyze(scene)))
+            except DegreeLimitError:
+                text = None
+            assert (text is not None) is (bound >= FIRST_FINISHING_DEGREE[name]), (name, bound)
+            assert text in (None, full), (name, bound)
+
+
 # ----- radical tests share the seed of their ideal -------------------------------
 
 # the sha256 of the structured report of pairing_scene(20, "subspace")
@@ -706,6 +735,10 @@ def counting(monkeypatch, module, name, seen):
     """Replace module.name by a wrapper that appends each call's result to `seen`."""
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: seen.append(real(*args)) or seen[-1])
+
+
+def is_homogeneous(ideal):
+    return all(len({sum(m) for m in h.monomials()}) == 1 for h in ideal.generators)
 
 
 @cache
@@ -758,17 +791,26 @@ def test_radical_tests_on_one_ideal_match_the_naive_test(fld, width, monkeypatch
         return real_packing(*key)
 
     monkeypatch.setattr(kernel, "_packing", packing)
+    inhomogeneous = []  # the lifts of the ideals that are not homogeneous
     for ideal, want in cases:
+        homogeneous = is_homogeneous(ideal)
         # in a row on one object, then on an equal but distinct one
         for base in (ideal, Ideal(ideal.generators, 2, fld)):
             for g, answer in want:
                 packings.clear()
+                before = len(lifts)
                 assert radical_membership(g, base) is answer, (base.generators, g)
+                if homogeneous and len(g.terms()) == 1:
+                    # a variable on a homogeneous ideal: tested on its chart, no lift
+                    assert len(lifts) == before
             assert lifts[-1][0] is base
-    # each object lifted once
+            if not homogeneous:
+                inhomogeneous.append(lifts[-1])
+    # each object lifted once, by x + y at least
     assert len(lifts) == 2 * len(cases)
+    assert len(inhomogeneous) >= 2 * 6  # the memo still serves most cases
     if width == 2:  # a restart seeds the base again, at its wider packing
-        assert {len(seeds) for _, _, seeds in lifts} == {1, 2}
+        assert {len(seeds) for _, _, seeds in inhomogeneous} == {1, 2}
 
 
 def test_radical_tests_resume_from_the_seed_of_their_ideal(monkeypatch):
@@ -794,6 +836,12 @@ def test_radical_tests_resume_from_the_seed_of_their_ideal(monkeypatch):
     assert updates == []
 
 
+def cone_line_scene():
+    names = ("x", "y", "z")
+    f = parse_expression("y^2 + z^2 + x*y*z", names, QQ)
+    return Scene(3, names, f, (Center("L", (1, 2)),))
+
+
 def test_radical_tests_of_the_pipeline_share_work_only_within_one_route(monkeypatch):
     reduces, radicals, lifts = [], [], []
     counting(monkeypatch, kernel, "_reduce", reduces)
@@ -804,12 +852,107 @@ def test_radical_tests_of_the_pipeline_share_work_only_within_one_route(monkeypa
     assert len(radicals) == 40
     # 1,643 while each radical test interreduced its ideal again
     assert len(reduces) <= 150
-    # quintic-5: the section and containment routes test equal Jacobians
-    # (its leading form is f itself), each lifted and seeded by its own route
+    # y^2 + z^2 + x*y*z on {y, z}: the section and containment routes test
+    # equal Jacobians (its leading form is f itself), which are not
+    # homogeneous, so each is lifted and seeded by its own route
     lifts.clear()
-    analyze(quintic_scene())
-    (section, _, _), (containment, _, _) = lifts
-    assert section == containment and section is not containment
+    analyze(cone_line_scene())
+    (section, _, seeds), (containment, _, _) = lifts
+    assert section == containment and section is not containment and seeds
+
+
+# ----- radical tests of a homogeneous ideal run on a chart -------------------------
+
+
+def hard_scenes():
+    return [quintic_scene(), fermat_scene(6), pairing_scene(20, "subspace"), pairing_scene(6, "origin")]
+
+
+@pytest.fixture(scope="module")
+def pipeline_radical_tests():
+    """(g, ideal, answer) of every radical test `analyze` makes on the
+    fixtures, on `route_agreement_suite(200, 0)` and on the hard scenes."""
+    calls = []
+    real = geometry.radical_membership
+
+    def record(g, ideal):
+        calls.append((g, ideal, real(g, ideal)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "radical_membership", record)
+        for fixture in FIXTURES:
+            analyze(fixture.build())
+        for _ in route_agreement_suite(200, 0):
+            pass
+        for scene in hard_scenes():
+            analyze(scene)
+    return calls
+
+
+def rabinowitsch_answer(g, ideal):
+    """Whether g is in the radical, by the basis of J + (1 - t*g)."""
+    return groebner(Ideal(rabinowitsch(ideal.generators, g), ideal.nvars + 1, ideal.field)).is_unit
+
+
+def test_radical_tests_of_the_pipeline_match_the_rabinowitsch_test(pipeline_radical_tests):
+    charted = [
+        answer for g, ideal, answer in pipeline_radical_tests
+        if len(g.terms()) == 1 and is_homogeneous(ideal)
+    ]
+    # most tests take the chart route, with both answers
+    assert len(charted) > 500 and set(charted) == {True, False}
+    naive = 0
+    for g, ideal, answer in set(pipeline_radical_tests):  # equal tests once
+        assert rabinowitsch_answer(g, ideal) is answer, (ideal.generators, g)
+        if ideal.nvars <= 6:
+            try:
+                assert naive_radical_member(g, ideal.generators, 100) is answer
+                naive += 1
+            except RuntimeError:
+                pass  # the naive Buchberger ran out of steps
+    assert naive > 300
+
+
+def radical_hand_cases(fld):
+    """(generators, probe, answer) in x, y, z over `fld`, each homogeneous
+    ideal probed at a variable, with False answers, and inhomogeneous
+    ideals whose chart would answer wrongly."""
+    x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
+    three = Polynomial.constant(fld.from_int(3), 3, fld)
+    return [
+        ((x**2 + y**2,), x, False),  # x = ±i·y over the closure
+        ((x**2, y**3), x, True),
+        ((x**2, y**3), y, True),
+        ((x**2, y**3), z, False),
+        ((x * y,), x, False),
+        ((x**2 - y**2, x * y), y, True),
+        ((x**2 - 2 * x * y,), x, False),  # the point (2, 1, 0)
+        ((x**2 + y**2 + z**2, x * y, y * z, x * z), z, True),
+        ((x**7 + y**7,), x, False),  # (x + y)^7 over GF(7)
+        ((x * y - z**2, x, y), z, True),
+        ((three, x * y), z, True),  # the unit ideal
+        ((), x, False),
+        # inhomogeneous: the chart x = 1 of (x^2 - 2x) is empty, but x = 2 is a point
+        ((x**2 - 2 * x,), x, False),
+        ((x**2 - 2 * x, y - x), y, False),
+        ((x**2 + y, y), x, True),
+        ((x * y - 1,), x, False),
+        ((x**3 - y * z, x - 1), x, False),
+        # not a variable
+        ((x**2, y**3), x + y, True),
+        ((x * y,), x + y, False),
+        ((x**2 + y**2,), 2 * x, False),
+    ]
+
+
+@pytest.mark.parametrize("fld", RADICAL_FIELDS, ids=["QQ", "GF7", "GF32003"])
+def test_radical_hand_cases_match_the_rabinowitsch_test(fld):
+    for gens, g, answer in radical_hand_cases(fld):
+        ideal = Ideal(gens, 3, fld)
+        assert radical_membership(g, ideal) is answer, (gens, g)
+        assert rabinowitsch_answer(g, ideal) is answer, (gens, g)
+        assert naive_radical_member(g, gens) is answer, (gens, g)
 
 
 # ----- agreement with sympy --------------------------------------------------------
@@ -1075,11 +1218,14 @@ def test_prime_field_kernel_builds_scalars_only_for_its_output(monkeypatch):
     assert built == []
 
 
-def test_pair_installation_matches_the_becker_weispfenning_update(monkeypatch):
-    """Every Buchberger run of the route corpus and of katsura-5 and cyclic-5
-    over QQ and GF(32003) forms its S-polynomials in the order of the eager
-    update it replaced: `naive_update` on a set of pairs, the next pair
-    taken by `min`."""
+def test_pair_installation_matches_the_becker_weispfenning_update(
+    monkeypatch, pipeline_radical_tests
+):
+    """Every Buchberger run of the route corpus, of the Rabinowitsch ideals
+    of the pipeline's radical tests and of katsura-5 and cyclic-5 over QQ
+    and GF(32003) forms its S-polynomials in the order of the eager update
+    it replaced: `naive_update` on a set of pairs, the next pair taken by
+    `min`."""
     real_loop, real_spoly = kernel._buchberger, kernel._spoly_t
     formed, runs = [], []
 
@@ -1107,6 +1253,9 @@ def test_pair_installation_matches_the_becker_weispfenning_update(monkeypatch):
         analyze(fixture.build())
     for _ in route_agreement_suite(200, 0):
         pass
+    # a homogeneous ideal is tested on a chart, so its lift runs only here
+    for g, ideal, _ in pipeline_radical_tests:
+        rabinowitsch_answer(g, ideal)
     for fld in (QQ, PrimeField(32003)):
         groebner(katsura_ideal(5, fld))
         groebner(cyclic_ideal(5, fld))
@@ -1125,10 +1274,12 @@ GF32003 = PrimeField(32003)
 # (S-polynomials formed, `_reduce` calls) of the items of the benchmark's
 # `hard-scenes` and `kernel-ideals` workloads that run Buchberger's loop: a
 # change to the pair queue or to the criteria that changes the work fails
-# here, without any timing
+# here, without any timing.  The radical tests of the two scenes run on the
+# charts of their homogeneous Jacobians: on Rabinowitsch lifts they took
+# (962, 921) and (66, 130)
 KERNEL_WORK = {
-    "quintic-5": (lambda: analyze(quintic_scene()), (962, 921)),
-    "fermat-6": (lambda: analyze(fermat_scene(6)), (66, 130)),
+    "quintic-5": (lambda: analyze(quintic_scene()), (270, 349)),
+    "fermat-6": (lambda: analyze(fermat_scene(6)), (6, 46)),
     "katsura-5-QQ": (lambda: groebner(katsura_ideal(5, QQ)), (66, 94)),
     "katsura-5-GF32003": (lambda: groebner(katsura_ideal(5, GF32003)), (66, 94)),
     "cyclic-5-QQ": (lambda: groebner(cyclic_ideal(5, QQ)), (102, 125)),
@@ -1311,6 +1462,25 @@ def test_basis_audit_hook_sees_every_basis():
         radical_membership(y, Ideal((y**2,), 2))
     assert len(seen) >= 2
     assert all(isinstance(b, GroebnerBasis) for b in seen)
+
+
+@pytest.mark.parametrize("fld", RADICAL_FIELDS, ids=["QQ", "GF7", "GF32003"])
+def test_a_constant_generator_gives_the_unit_basis_unpacked(fld, monkeypatch):
+    x, y = (Polynomial.variable(i, 2, fld) for i in range(2))
+    one = Polynomial.constant(fld.one, 2, fld)
+    three = Polynomial.constant(fld.from_int(3), 2, fld)
+    packed, audited = [], []
+    counting(monkeypatch, kernel, "_kernel_terms", packed)
+    for gens in [(three,), (x * y - 1, x**5 + y, three), (x, three, y**2), (x**40 - y, 3 * one)]:
+        packed.clear()
+        with basis_audit(audited.append):
+            gb = groebner(Ideal(gens, 2, fld))
+        assert gb.is_unit and gb.basis == (one,)
+        assert packed == [] and audited[-1] is gb
+        gb.verify()
+    # a constant term is not a constant generator: the kernel finds the unit
+    packed.clear()
+    assert groebner(Ideal((x + 1, x), 2, fld)).is_unit and packed
 
 
 def test_zero_ideal_needs_explicit_field():
