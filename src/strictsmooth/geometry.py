@@ -182,9 +182,10 @@ class BlowupChart:
 
 
 def _jacobian(h: Polynomial, *extra: Polynomial) -> Ideal:
-    """The ideal (h, the nonzero partials of h in index order, *extra)."""
-    partials = (h.partial(i) for i in range(h.nvars))
-    return Ideal((h, *(dp for dp in partials if not dp.is_zero), *extra), h.nvars, h.field)
+    """The ideal (h, the nonzero partials of h in index order, *extra), the
+    partials all taken in one pass over the terms of h (`gradient`)."""
+    partials = (dp for dp in h.gradient() if not dp.is_zero)
+    return Ideal((h, *partials, *extra), h.nvars, h.field)
 
 
 def _inside(jac: Ideal, center: Center) -> bool:
@@ -299,7 +300,7 @@ def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusRe
     elif dim_b != expected:
         detail = f"base locus has dimension {dim_b}, expected {expected}"
     else:
-        jacobian = [[eq.partial(j) for j in range(tdim)] for eq in equations]
+        jacobian = [eq.gradient() for eq in equations]
         rank_drop = minors_ideal(jacobian, d)
         witness = Ideal(nonzero + rank_drop.generators, tdim, fld)
         # with every d x d minor identically zero the rank never reaches d

@@ -56,12 +56,17 @@ of J plus one more generator is J's seed followed by that generator
 reduced against it: `radical_membership` lifts and seeds its ideal once
 per packing, and each of its Rabinowitsch ideals resumes from that seed.
 The memo holds one ideal, matched by identity (equal ideals of two
-routes share no work), and the next ideal tested replaces it.  A variable
-x_l and an ideal J of homogeneous generators skip the lift: V(J) is a
-cone, so x_l vanishes on it exactly when its chart x_l = 1 is empty, an
-emptiness test in the same ring (the projective Nullstellensatz; Cox,
-Little & O'Shea, Ch. 8 §2).  Setting x_l = 1 merges no two terms of a
-homogeneous polynomial, as in `geometry.charts`.
+routes share no work), and the next ideal tested replaces it.  It also
+keeps whether every generator of J is homogeneous, read once per ideal
+object, not once per test.  A variable x_l and an ideal J of homogeneous
+generators skip the lift: V(J) is a cone, so x_l vanishes on it exactly
+when its chart x_l = 1 is empty, an emptiness test in the same ring (the
+projective Nullstellensatz; Cox, Little & O'Shea, Ch. 8 §2).  Setting
+x_l = 1 merges no two terms of a homogeneous polynomial, as in
+`geometry.charts`.  The chart is built generator by generator and stops
+at the first one that turns into a nonzero constant (c·x_l^d): the chart
+ideal is then the unit ideal, and the generators after it are never
+built.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -113,8 +118,9 @@ from .poly import Monomial, Polynomial, _trusted
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
-# the ideal `radical_membership` tested last: (ideal, its generators lifted
-# to one more variable, {packing: their seed})
+# the ideal `radical_membership` tested last: (ideal, whether every generator
+# is homogeneous, its generators lifted to one more variable or None before a
+# test needs them, {packing: their seed})
 _seed_var: ContextVar[Optional[tuple]] = ContextVar("radical_seed", default=None)
 
 _new = tuple.__new__
@@ -161,15 +167,16 @@ class Ideal:
     def __post_init__(self):
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
-        fld = self.field
+        fld, nvars = self.field, self.nvars
         for g in gens:
-            if g.is_zero:
+            if not g._terms:
                 raise StructuralError("ideal generators must be nonzero")
-            if g.nvars != self.nvars:
+            if g.nvars != nvars:
                 raise StructuralError("generator does not live in the ambient ring")
+            gf = g.field
             if fld is None:
-                fld = g.field
-            elif g.field != fld:
+                fld = gf
+            elif gf is not fld and gf != fld:  # one field object is shared by most
                 raise StructuralError("generators over different fields")
         if fld is None:
             raise StructuralError("a generator-free ideal needs an explicit field")
@@ -566,10 +573,14 @@ def _monomial_basis(gens, pk):
     Packed order is graded and a proper divisor has a lower degree, so
     the monomials are walked one degree at a time, each tested only
     against the words kept at lower degrees: none in the lowest degree.
+    When every monomial has one degree, as in a power of a center, all of
+    them are kept without the walk.
     """
     guard, mask, w = pk.guard, pk.mask, pk.weights
     fields, ones = pk.fields, pk.ones
     monos = sorted({sum(map(mul, m, w)) for g in gens for m in g})
+    if monos and monos[0] & mask == monos[-1] & mask:
+        return [_new(_Reducer, (((~k & fields) + ones) & fields, k, 1, {})) for k in reversed(monos)]
     words = []  # the exponent words kept at lower degrees
     kept = []  # (exponent word, packed monomial), ascending
     for _, level in itertools.groupby(monos, mask.__and__):
@@ -676,8 +687,9 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     memo = _seed_var.get()
     base, seeds = (), {}
     unit = (0,) * nvars
-    if memo and len(memo[1]) <= len(gens) and all(map(is_, memo[1], ideal.generators)):
-        base, seeds = memo[1:]
+    lifted = memo and memo[2]
+    if lifted and len(lifted) <= len(gens) and all(map(is_, lifted, ideal.generators)):
+        base, seeds = memo[2:]
 
     def run(pk):
         if any(len(g) == 1 and unit in g for g in gens):  # a constant: the unit ideal
@@ -788,42 +800,57 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     When g is a variable x_l (coefficient one) and every generator is
     homogeneous, decided on the chart: the ideal with x_l = 1 has empty
     vanishing locus, since a point with x_l = a != 0 scales by 1/a to one
-    with x_l = 1.  Otherwise decided with one extra variable t: g is in
-    the radical exactly when the ideal together with 1 - t*g has empty
-    vanishing locus.  Tests on one ideal object in a row share its lifted
-    generators and their seed (see the module docstring); the next ideal
-    object tested drops them.
+    with x_l = 1.  The chart stops at the first generator that x_l = 1
+    turns into a nonzero constant, as the ideal is then the unit ideal.
+    Otherwise decided with one extra variable t: g is in the radical
+    exactly when the ideal together with 1 - t*g has empty vanishing
+    locus.  Tests on one ideal object in a row share whether it is
+    homogeneous, its lifted generators and their seed (see the module
+    docstring); the next ideal object tested drops them.
     """
     if g.nvars != ideal.nvars or g.field != ideal.field:
         raise StructuralError("radical membership requires a polynomial of the same ring")
     if g.is_zero:
         return True
     n, fld = ideal.nvars, ideal.field
-    (m, c), *rest = g._terms.items()
-    if not rest and c == fld.one and sum(m) == 1 and all(
-        len({sum(e) for e in h._terms}) == 1 for h in ideal.generators
-    ):
-        # x_l on a homogeneous ideal: the chart x_l = 1 of its cone is empty
-        l = m.index(1)
-        chart = (
-            h if not any(e[l] for e in h._terms) else _trusted(n, fld, {
-                _new(Monomial, e[:l] + (0,) + e[l + 1:]): a for e, a in h._terms.items()
-            })
-            for h in ideal.generators
-        )
-        return is_empty_affine(Ideal(tuple(chart), n, fld))
     memo = _seed_var.get()
     if memo is None or memo[0] is not ideal:
-        memo = _lift(ideal)
+        memo = _memo(ideal)
+        _seed_var.set(memo)
+    (m, c), *rest = g._terms.items()
+    if memo[1] and not rest and c == fld.one and sum(m) == 1:
+        # x_l on a homogeneous ideal: the chart x_l = 1 of its cone is empty
+        l = m.index(1)
+        unit = (0,) * n
+        chart = []
+        for h in ideal.generators:
+            if any(e[l] for e in h._terms):
+                h = _trusted(n, fld, {
+                    _new(Monomial, e[:l] + (0,) + e[l + 1:]): a for e, a in h._terms.items()
+                })
+            chart.append(h)
+            if len(h._terms) == 1 and unit in h._terms:  # a nonzero constant
+                break
+        return is_empty_affine(Ideal(tuple(chart), n, fld))
+    if memo[2] is None:
+        memo = _lift(memo)
         _seed_var.set(memo)
     t = Polynomial.variable(n, n + 1, fld)
     witness = Polynomial.constant(fld.one, n + 1, fld) - t * g.extended(n + 1)
-    return is_empty_affine(Ideal(memo[1] + (witness,), n + 1, fld))
+    return is_empty_affine(Ideal(memo[2] + (witness,), n + 1, fld))
 
 
-def _lift(ideal: Ideal) -> tuple:
-    """The radical-test memo of `ideal`, no seed built yet."""
-    return ideal, tuple(p.extended(ideal.nvars + 1) for p in ideal.generators), {}
+def _memo(ideal: Ideal) -> tuple:
+    """The radical-test memo of `ideal`: whether every generator is
+    homogeneous, read once per ideal object; no lift or seed built yet."""
+    homogeneous = all(len({sum(e) for e in h._terms}) == 1 for h in ideal.generators)
+    return ideal, homogeneous, None, {}
+
+
+def _lift(memo: tuple) -> tuple:
+    """`memo` with its ideal's generators lifted to one more variable."""
+    ideal, homogeneous, _, seeds = memo
+    return ideal, homogeneous, tuple(p.extended(ideal.nvars + 1) for p in ideal.generators), seeds
 
 
 def krull_dimension(ideal: Ideal) -> Optional[int]:

@@ -10,6 +10,7 @@ grevlex, so the text form is deterministic.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import add, le, neg, sub
 from typing import Iterable, Mapping
 
@@ -119,7 +120,7 @@ class Polynomial:
             raise StructuralError(f"variable index {index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, field, {Monomial(exps): field.one})
+        return _trusted(nvars, field, {_new(Monomial, exps): field.one})
 
     # ----- basic queries -------------------------------------------------
 
@@ -253,7 +254,7 @@ class Polynomial:
         """Formal partial derivative.
 
         In prime characteristic the exponent multiplies into the coefficient
-        mod p, so d(x^p)/dx = 0.
+        mod p, so d(x^p)/dx = 0.  `gradient` takes all of them at once.
         """
         if not 0 <= index < self.nvars:
             raise StructuralError(f"variable index {index} out of range")
@@ -266,6 +267,25 @@ class Polynomial:
             if coeff:
                 acc[_new(Monomial, m[:index] + (e - 1,) + m[index + 1:])] = coeff
         return _trusted(self.nvars, self.field, acc)
+
+    def gradient(self) -> list:
+        """`[self.partial(i) for i in range(nvars)]`, from one pass over the
+        nonzero exponents of the terms.
+
+        An exponent e = 1 passes the coefficient c on as it is; otherwise
+        the coefficient is c*e, and the term is dropped when that is 0 mod
+        p.  Each partial's terms come in the order of this polynomial's
+        terms, as `partial` makes them.
+        """
+        n = self.nvars
+        accs = [{} for _ in range(n)]
+        for m, c in self._terms.items():
+            for i in compress(range(n), m):
+                e = m[i]
+                coeff = c if e == 1 else c * e
+                if coeff:
+                    accs[i][_new(Monomial, m[:i] + (e - 1,) + m[i + 1:])] = coeff
+        return [_trusted(n, self.field, acc) for acc in accs]
 
     def extended(self, nvars: int) -> "Polynomial":
         """The same polynomial viewed in a larger ring (zero-padded exponents)."""

@@ -810,7 +810,7 @@ def test_radical_tests_on_one_ideal_match_the_naive_test(fld, width, monkeypatch
     assert len(lifts) == 2 * len(cases)
     assert len(inhomogeneous) >= 2 * 6  # the memo still serves most cases
     if width == 2:  # a restart seeds the base again, at its wider packing
-        assert {len(seeds) for _, _, seeds in inhomogeneous} == {1, 2}
+        assert {len(seeds) for *_, seeds in inhomogeneous} == {1, 2}
 
 
 def test_radical_tests_resume_from_the_seed_of_their_ideal(monkeypatch):
@@ -857,7 +857,7 @@ def test_radical_tests_of_the_pipeline_share_work_only_within_one_route(monkeypa
     # homogeneous, so each is lifted and seeded by its own route
     lifts.clear()
     analyze(cone_line_scene())
-    (section, _, seeds), (containment, _, _) = lifts
+    (section, *_, seeds), (containment, *_) = lifts
     assert section == containment and section is not containment and seeds
 
 
@@ -946,11 +946,76 @@ def radical_hand_cases(fld):
     ]
 
 
+def test_radical_charts_of_the_pipeline_stop_at_their_first_constant(monkeypatch):
+    tests, charts, memos = [], [], []
+    real = geometry.radical_membership
+    monkeypatch.setattr(
+        geometry, "radical_membership", lambda g, J: tests.append((g, J)) or real(g, J)
+    )
+    recording(monkeypatch, kernel, "is_empty_affine", charts)
+    counting(monkeypatch, kernel, "_memo", memos)
+    analyze(pairing_scene(20, "subspace"))
+    # J = (f, y_1, ..., y_20, x_1, ..., x_20) twice: the section's and the
+    # containment's, each tested at the 20 variables y_l
+    assert len(tests) == len(charts) == 40
+    jacobians = list({id(J): J for _, J in tests}.values())
+    assert len(jacobians) == 2 and all(len(J.generators) == 41 for J in jacobians)
+    # homogeneity read once per Jacobian object, not once per variable
+    assert [J for J, *_ in memos] == jacobians and all(homogeneous for _, homogeneous, *_ in memos)
+    for (g, J), chart in zip(tests, charts):
+        l = next(iter(g.monomials())).index(1)
+        *head, last = chart.generators
+        assert last.is_constant and not any(h.is_constant for h in head)
+        # y_l sits at place l - 19 of J, so the chart keeps at most 21 of 41
+        assert len(chart.generators) == l - 18
+        for h, c in zip(J.generators, chart.generators):
+            assert set(c.monomials()) == {m[:l] + (0,) + m[l + 1:] for m in h.monomials()}
+
+
+def chart_stop_cases(fld):
+    """(generators, probe x, answer, the place of the first generator that
+    x = 1 makes constant, or None) in x, y, z over `fld`: homogeneous
+    ideals whose chart meets a constant first, in the middle, last, or
+    never."""
+    x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
+    return [
+        ((x**2, y**2 + z**2, x * y), x, True, 0),
+        ((3 * x**3, y * z, x**2), x, True, 0),  # the constant 3, then 1 never built
+        ((y**2, x**2, z**3), x, True, 1),
+        ((y**2 + z**2, y * z, x**3), x, True, 2),
+        ((y**2 + z**2, y * z, x**3), y, True, None),  # 1 + z^2, z, x^3: empty
+        ((x**2 + y**2, y * z), x, False, None),  # the point (1, i, 0)
+    ]
+
+
+def recording(monkeypatch, module, name, seen):
+    """Replace module.name by a wrapper that appends each call's first argument to `seen`."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda arg, *rest: seen.append(arg) or real(arg, *rest))
+
+
 @pytest.mark.parametrize("fld", RADICAL_FIELDS, ids=["QQ", "GF7", "GF32003"])
-def test_radical_hand_cases_match_the_rabinowitsch_test(fld):
+def test_radical_hand_cases_match_the_rabinowitsch_test(fld, monkeypatch):
     for gens, g, answer in radical_hand_cases(fld):
         ideal = Ideal(gens, 3, fld)
         assert radical_membership(g, ideal) is answer, (gens, g)
+        assert rabinowitsch_answer(g, ideal) is answer, (gens, g)
+        assert naive_radical_member(g, gens) is answer, (gens, g)
+    tested = []
+    recording(monkeypatch, kernel, "is_empty_affine", tested)
+    for gens, g, answer, stop in chart_stop_cases(fld):
+        ideal = Ideal(gens, 3, fld)
+        tested.clear()
+        assert radical_membership(g, ideal) is answer, (gens, g)
+        (chart,) = tested  # each generator with x = 1, up to the first constant
+        l = next(iter(g.monomials())).index(1)
+        want = [{m[:l] + (0,) + m[l + 1:] for m in h.monomials()} for h in gens]
+        assert [set(c.monomials()) for c in chart.generators] == want[: len(chart.generators)]
+        constants = [c.is_constant for c in chart.generators]
+        if stop is None:
+            assert len(chart.generators) == len(gens) and not any(constants), (gens, g)
+        else:
+            assert constants == [False] * stop + [True], (gens, g)
         assert rabinowitsch_answer(g, ideal) is answer, (gens, g)
         assert naive_radical_member(g, gens) is answer, (gens, g)
 

@@ -183,6 +183,73 @@ def test_leibniz_rule_on_random_pairs():
         assert lhs == rhs
 
 
+def assert_same_terms(got, want):
+    """got and want have the same terms in the same order, with Monomial
+    keys and coefficients of the same types."""
+    assert (got.nvars, got.field) == (want.nvars, want.field)
+    pairs = list(zip(got.terms(), want.terms()))
+    assert len(pairs) == len(want.terms()) == len(got.terms())
+    for (m, c), (wm, wc) in pairs:
+        assert (m, c) == (wm, wc) and type(m) is type(wm) is Monomial
+        assert type(c) is type(wc)
+
+
+def assert_gradient_is_every_partial(h):
+    grad = h.gradient()
+    assert len(grad) == h.nvars
+    for i, dp in enumerate(grad):
+        assert_same_terms(dp, h.partial(i))
+
+
+GRADIENT_FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
+
+
+@pytest.mark.parametrize("fld", GRADIENT_FIELDS, ids=["QQ", "GF7", "GF32003"])
+def test_gradient_drops_the_terms_whose_exponent_is_zero_mod_p(fld):
+    x, y = variables(2, fld)
+    h = x**7 + x**14 * y + 3 * x * y + y**2 + 5
+    dx, dy = h.gradient()
+    if fld.characteristic == 7:  # 7x^6 and 14x^13*y are zero
+        assert_same_terms(dx, 3 * y)
+    else:
+        assert_same_terms(dx, 7 * x**6 + 14 * x**13 * y + 3 * y)
+    assert_same_terms(dy, x**14 + 3 * x + 2 * y)
+    assert_gradient_is_every_partial(h)
+    assert all(dp.is_zero for dp in Polynomial.constant(5, 3, fld).gradient())
+
+
+@pytest.mark.parametrize("fld", GRADIENT_FIELDS, ids=["QQ", "GF7", "GF32003"])
+def test_gradient_matches_the_partials_on_random_polynomials(fld):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def polys(nvars):
+        # exponents up to 15 reach 7 and 14, multiples of the small prime
+        term = st.tuples(st.tuples(*[st.integers(0, 15)] * nvars), st.integers(-40, 40))
+        return st.lists(term, max_size=6).map(
+            lambda terms: Polynomial(nvars, fld, {Monomial(m): c for m, c in terms})
+        )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(polys))
+    def check(h):
+        assert_gradient_is_every_partial(h)
+
+    check()
+
+
+def test_gradient_matches_the_partials_on_the_fixtures_and_the_route_scenes():
+    from strictsmooth.selftest import FIXTURES, random_pairing_like_scene, random_scene
+
+    scenes = [fixture.build() for fixture in FIXTURES]
+    rng = random.Random(0)  # the scenes of route_agreement_suite(200, 0)
+    scenes += [
+        random_pairing_like_scene(rng) if k % 3 == 0 else random_scene(rng) for k in range(200)
+    ]
+    for scene in scenes:
+        assert_gradient_is_every_partial(scene.f)
+
+
 def test_extended_ring():
     x = Polynomial.variable(0, 1)
     lifted = x.extended(3)
