@@ -51,22 +51,21 @@ exponent words of that walk.
 An ideal with a constant generator is the unit ideal: `groebner` returns
 {1} before it packs any generator.
 The seed interreduction reduces each generator against those kept before
-it, in one pass, and returns as soon as a constant appears.  So the seed
-of J plus one more generator is J's seed followed by that generator
-reduced against it: `radical_membership` lifts and seeds its ideal once
-per packing, and each of its Rabinowitsch ideals resumes from that seed.
-The memo holds one ideal, matched by identity (equal ideals of two
-routes share no work), and the next ideal tested replaces it.  It also
-keeps whether every generator of J is homogeneous, read once per ideal
-object, not once per test.  A variable x_l and an ideal J of homogeneous
-generators skip the lift: V(J) is a cone, so x_l vanishes on it exactly
+it, in one pass, and returns as soon as a constant appears.
+
+`radical_membership` keeps no state between calls: each test builds its
+own ideal, so no two tests share a basis or a seed, and equal ideals of
+two routes share no work by construction.  A variable x_l and an ideal J
+of homogeneous generators (`Ideal.homogeneous`, read once per ideal
+object) skip the lift: V(J) is a cone, so x_l vanishes on it exactly
 when its chart x_l = 1 is empty, an emptiness test in the same ring (the
 projective Nullstellensatz; Cox, Little & O'Shea, Ch. 8 §2).  Setting
 x_l = 1 merges no two terms of a homogeneous polynomial, as in
 `geometry.charts`.  The chart is built generator by generator and stops
 at the first one that turns into a nonzero constant (c·x_l^d): the chart
 ideal is then the unit ideal, and the generators after it are never
-built.
+built.  Every other test is a Rabinowitsch test: J lifted to one more
+variable t, plus 1 − t·g.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -110,7 +109,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, attrgetter, is_, mul
+from operator import add, attrgetter, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -118,10 +117,6 @@ from .poly import Monomial, Polynomial, _trusted
 
 _degree_limit_var: ContextVar[Optional[int]] = ContextVar("degree_limit", default=None)
 _audit_var: ContextVar[Optional[Callable]] = ContextVar("basis_audit", default=None)
-# the ideal `radical_membership` tested last: (ideal, whether every generator
-# is homogeneous, its generators lifted to one more variable or None before a
-# test needs them, {packing: their seed})
-_seed_var: ContextVar[Optional[tuple]] = ContextVar("radical_seed", default=None)
 
 _new = tuple.__new__
 _lead = attrgetter("lm")
@@ -181,6 +176,13 @@ class Ideal:
         if fld is None:
             raise StructuralError("a generator-free ideal needs an explicit field")
         object.__setattr__(self, "field", fld)
+
+    @cached_property
+    def homogeneous(self) -> bool:
+        """Whether every generator is homogeneous; read once per object
+        (`cached_property` writes to the instance `__dict__`, past the
+        frozen `__setattr__`)."""
+        return all(len({sum(e) for e in h._terms}) == 1 for h in self.generators)
 
 
 # --------------------------------------------------------------------------
@@ -494,23 +496,20 @@ def _dropped(l, ei, ej, later, pk):
     return False
 
 
-def _interreduce_seed(gens, p, pk, kept=()):
+def _interreduce_seed(gens, p, pk):
     """`_Reducer`s of the kernel term maps `gens`, normalized, each reduced
-    in one pass against the ones kept before it, starting from `kept`, the
-    seed of the generators before `gens`; those that reduce to zero are
-    dropped.
+    in one pass against the ones kept before it; those that reduce to zero
+    are dropped.
 
-    A constant leading monomial, in `kept`, in the input or after a
-    reduction, ends the work at once: the ideal is the unit ideal, and
-    that one reducer is returned.
+    A constant leading monomial, in the input or after a reduction, ends
+    the work at once: the ideal is the unit ideal, and that one reducer is
+    returned.
     """
-    if kept and not kept[0].lm:
-        return list(kept)
     normal = [_normalize(g, p) for g in gens if g]
     for lm, d in normal:
         if not lm:
             return [_entry(lm, d, pk)]
-    kept = list(kept)
+    kept = []
     for _, d in normal:
         r = _reduce(d, kept, p, pk) if kept else d
         if r:
@@ -683,25 +682,15 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
     gens = [g._terms for g in ideal.generators]
     degree = _degree(gens)
     _check_degree(degree, limit)
-    # the seeds of a generator prefix: that of a radical test, or none
-    memo = _seed_var.get()
-    base, seeds = (), {}
     unit = (0,) * nvars
-    lifted = memo and memo[2]
-    if lifted and len(lifted) <= len(gens) and all(map(is_, lifted, ideal.generators)):
-        base, seeds = memo[2:]
 
     def run(pk):
         if any(len(g) == 1 and unit in g for g in gens):  # a constant: the unit ideal
             return [_new(_Reducer, (0, 0, 1, {}))], pk
         if all(len(g) == 1 for g in gens):
             return _monomial_basis(gens, pk), pk
-        w, kept = pk.weights, seeds.get(pk)
-        if kept is None:
-            packed = [_kernel_terms(g._terms, p, w) for g in base]
-            kept = seeds[pk] = _interreduce_seed(packed, p, pk)
-        rest = [_kernel_terms(g, p, w) for g in gens[len(base):]]
-        basis = _buchberger(_interreduce_seed(rest, p, pk, kept), p, limit, pk)
+        packed = [_kernel_terms(g, p, pk.weights) for g in gens]
+        basis = _buchberger(_interreduce_seed(packed, p, pk), p, limit, pk)
         if not p:  # monic over QQ
             basis = [
                 r if r.lc == 1
@@ -804,21 +793,16 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     turns into a nonzero constant, as the ideal is then the unit ideal.
     Otherwise decided with one extra variable t: g is in the radical
     exactly when the ideal together with 1 - t*g has empty vanishing
-    locus.  Tests on one ideal object in a row share whether it is
-    homogeneous, its lifted generators and their seed (see the module
-    docstring); the next ideal object tested drops them.
+    locus.  Each call builds its own ideal; no state outlives it but
+    `ideal.homogeneous`, cached on the ideal itself.
     """
     if g.nvars != ideal.nvars or g.field != ideal.field:
         raise StructuralError("radical membership requires a polynomial of the same ring")
     if g.is_zero:
         return True
     n, fld = ideal.nvars, ideal.field
-    memo = _seed_var.get()
-    if memo is None or memo[0] is not ideal:
-        memo = _memo(ideal)
-        _seed_var.set(memo)
     (m, c), *rest = g._terms.items()
-    if memo[1] and not rest and c == fld.one and sum(m) == 1:
+    if not rest and c == fld.one and sum(m) == 1 and ideal.homogeneous:
         # x_l on a homogeneous ideal: the chart x_l = 1 of its cone is empty
         l = m.index(1)
         unit = (0,) * n
@@ -832,25 +816,10 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
             if len(h._terms) == 1 and unit in h._terms:  # a nonzero constant
                 break
         return is_empty_affine(Ideal(tuple(chart), n, fld))
-    if memo[2] is None:
-        memo = _lift(memo)
-        _seed_var.set(memo)
     t = Polynomial.variable(n, n + 1, fld)
     witness = Polynomial.constant(fld.one, n + 1, fld) - t * g.extended(n + 1)
-    return is_empty_affine(Ideal(memo[2] + (witness,), n + 1, fld))
-
-
-def _memo(ideal: Ideal) -> tuple:
-    """The radical-test memo of `ideal`: whether every generator is
-    homogeneous, read once per ideal object; no lift or seed built yet."""
-    homogeneous = all(len({sum(e) for e in h._terms}) == 1 for h in ideal.generators)
-    return ideal, homogeneous, None, {}
-
-
-def _lift(memo: tuple) -> tuple:
-    """`memo` with its ideal's generators lifted to one more variable."""
-    ideal, homogeneous, _, seeds = memo
-    return ideal, homogeneous, tuple(p.extended(ideal.nvars + 1) for p in ideal.generators), seeds
+    lifted = tuple(h.extended(n + 1) for h in ideal.generators)
+    return is_empty_affine(Ideal(lifted + (witness,), n + 1, fld))
 
 
 def krull_dimension(ideal: Ideal) -> Optional[int]:

@@ -142,3 +142,37 @@ def test_every_private_helper_of_the_package_is_used():
     }
     assert len(trees) > 10
     assert orphaned_private_names(trees) == {}
+
+
+# the module-level ContextVars of the package: state that outlives one call
+# and that no caller passes.  A change that adds such state updates this list
+# and says why; `radical_membership` keeps none between its tests
+CONTEXT_VARS = ["groebner._audit_var", "groebner._degree_limit_var"]
+
+
+def context_vars(trees):
+    """`module.name` of each module-level assignment in `trees` whose value
+    is a call of `ContextVar`, sorted."""
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "ContextVar":
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_the_module_level_context_vars_are_pinned():
+    sample = ast.parse(
+        "import contextvars\nfrom contextvars import ContextVar\n"
+        "_a: ContextVar[int] = ContextVar('a')\n_b = contextvars.ContextVar('b')\n"
+        "def f():\n    _c = ContextVar('c')\n"
+    )
+    assert context_vars({"m": sample}) == ["m._a", "m._b"]
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "strictsmooth").rglob("*.py"))
+    }
+    assert context_vars(trees) == CONTEXT_VARS
