@@ -61,11 +61,13 @@ object) skip the lift: V(J) is a cone, so x_l vanishes on it exactly
 when its chart x_l = 1 is empty, an emptiness test in the same ring (the
 projective Nullstellensatz; Cox, Little & O'Shea, Ch. 8 §2).  Setting
 x_l = 1 merges no two terms of a homogeneous polynomial, as in
-`geometry.charts`.  The chart is built generator by generator and stops
-at the first one that turns into a nonzero constant (c·x_l^d): the chart
-ideal is then the unit ideal, and the generators after it are never
-built.  Every other test is a Rabinowitsch test: J lifted to one more
-variable t, plus 1 − t·g.
+`geometry.charts`, so a chart generator rewrites only the terms that
+hold x_l and passes every other term on with the same `Monomial`; a
+generator without x_l is passed on as it is.  The chart is built
+generator by generator and stops at the first one that turns into a
+nonzero constant (c·x_l^d): the chart ideal is then the unit ideal, and
+the generators after it are never built.  Every other test is a
+Rabinowitsch test: J lifted to one more variable t, plus 1 − t·g.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -84,24 +86,30 @@ A `GroebnerBasis` keeps one form of the reduced basis: the `_Reducer`s
 that `_buchberger` or `_monomial_basis` returns, monic Fractions over QQ.
 `basis` converts them to Polynomials on its first read, each monomial
 decoded straight to a `Monomial`; `is_unit`, `krull_dimension` and
-`normal_form` read the reducers, and `normal_form` re-packs their terms
+`normal_form` read the reducers.  `normal_form` leaves out the reducers
+above the degree of p, a prefix of the descending list found by
+bisection: grevlex is graded, so none of them divides a term of p, and
+no reduction step raises a degree.  It re-packs the terms of the rest
 when p needs a wider packing.  Over QQ the monic basis goes through the
 same loop, where no step scales, so the remainder is exact.
 
-`power_ideal` builds each k-fold product from its (k-1)-fold prefix, in
-the generator order of `combinations_with_replacement`.  When every
-generator is one term with coefficient one, as the ideal of a center is,
-a product is one sum of exponent tuples and every product shares
-`field.one`; other generators are multiplied as Polynomials.  So a power
-of a center stays on exponent vectors from `power_ideal` to its normal
-form, with no coefficient arithmetic (Cox, Little & O'Shea, Ch. 2 §4,
-Lemmas 2 and 3: membership in a monomial ideal is a divisibility test
-on each term).
+`power_ideal` gives the k-fold products in the generator order of
+`combinations_with_replacement`.  When every generator is a variable
+with coefficient one, as in the ideal of a center, it walks the
+combinations of the generators' variables once: each product is one
+exponent vector, a zero list plus one per factor, and every product
+shares `field.one`, so no level below k is built.  Other generators are
+multiplied as Polynomials, each k-fold product from its (k-1)-fold
+prefix.  So a power of a center stays on exponent vectors from
+`power_ideal` to its normal form, with no coefficient arithmetic (Cox,
+Little & O'Shea, Ch. 2 §4, Lemmas 2 and 3: membership in a monomial
+ideal is a divisibility test on each term).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -109,7 +117,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -709,8 +717,10 @@ def groebner(ideal: Ideal) -> GroebnerBasis:
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of `p` under multivariate division by the basis.
 
-    Zero exactly when p lies in the ideal.  The basis's own reducers serve
-    when p fits its packing; a wider packing re-packs the reducers' terms.
+    Zero exactly when p lies in the ideal.  Reducers above the degree of
+    p are left out: grevlex is graded, so none of them divides a term of
+    p, and no reduction step raises a degree.  The basis's own reducers
+    serve when p fits its packing; a wider packing re-packs their terms.
     """
     if p.nvars != gb.source.nvars:
         raise StructuralError("polynomial does not live in the basis ring")
@@ -718,10 +728,16 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise StructuralError("polynomial over a different field than the basis")
     fld = p.field
     char = fld.characteristic
+    degree = _degree([p._terms])
+    mask = gb._pk.mask
+    kept = gb._reducers
+    if kept and kept[0].lm & mask > degree:
+        # the reducers descend in the order, so those above p's degree come first
+        kept = kept[bisect_left(kept, -degree, key=lambda r: -(r.lm & mask)):]
 
     def run(pk):
         w = pk.weights
-        reducers = gb._reducers
+        reducers = kept
         if pk is not gb._pk:  # re-pack the reducers' own terms
             old = gb._pk.monomial
             whole = ({r.lm: r.lc, **r.tail} for r in reducers)
@@ -736,30 +752,39 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         return _trusted(p.nvars, fld, {mono(m): coerce(c) for m, c in rem.items()})
 
     # no narrower than the basis's own packing
-    return _packed(p.nvars, max(_degree([p._terms]), gb._pk.bound - 1), run)
+    return _packed(p.nvars, max(degree, gb._pk.bound - 1), run)
 
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:
-    """The ideal generated by all k-fold products of the generators."""
+    """The ideal generated by all k-fold products of the generators, in the
+    order of `combinations_with_replacement`."""
     if k < 1:
         raise StructuralError("ideal power requires k >= 1")
     if k == 1:
         return ideal
-    # each level extends every product of the level before by each generator
-    # from its last one on: the order of combinations_with_replacement, with
-    # the same left-to-right products, and one multiplication per product
     nvars, fld = ideal.nvars, ideal.field
     gens, one = ideal.generators, fld.one
-    if all(len(g._terms) == 1 and one in g._terms.values() for g in gens):
-        # monomials with coefficient one: a product is one exponent sum
-        exps = [next(iter(g._terms)) for g in gens]
-        prods = list(enumerate(exps))
-        for _ in range(k - 1):
-            prods = [
-                (j, _new(Monomial, map(add, m, exps[j])))
-                for i, m in prods for j in range(i, len(exps))
-            ]
-        return Ideal(tuple(_trusted(nvars, fld, {m: one}) for _, m in prods), nvars, fld)
+    places = []  # the variable of each generator, while each is one with coefficient one
+    for g in gens:
+        if len(g._terms) != 1:
+            break
+        ((m, c),) = g._terms.items()
+        if c != one or sum(m) != 1:
+            break
+        places.append(m.index(1))
+    else:
+        # variables, as a center's ideal: each product is one exponent
+        # vector, one per factor at the factor's variable
+        prods = []
+        for combo in itertools.combinations_with_replacement(places, k):
+            e = [0] * nvars
+            for v in combo:
+                e[v] += 1
+            prods.append(_trusted(nvars, fld, {_new(Monomial, e): one}))
+        return Ideal(tuple(prods), nvars, fld)
+    # each level extends every product of the level before by each generator
+    # from its last one on: the same left-to-right products, and one
+    # multiplication per product
     prods = list(enumerate(gens))  # (index of the last generator, product)
     for _ in range(k - 1):
         prods = [(j, p * gens[j]) for i, p in prods for j in range(i, len(gens))]
@@ -770,6 +795,8 @@ def ideal_power_membership(p: Polynomial, ideal: Ideal, k: int) -> bool:
     """Whether p lies in the k-th power of the ideal."""
     if k < 1:
         raise StructuralError("ideal power membership requires k >= 1")
+    if p.nvars != ideal.nvars or p.field != ideal.field:
+        raise StructuralError("ideal power membership requires a polynomial of the same ring")
     if p.is_zero:
         return True
     return groebner(power_ideal(ideal, k)).contains(p)
@@ -808,9 +835,10 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
         unit = (0,) * n
         chart = []
         for h in ideal.generators:
-            if any(e[l] for e in h._terms):
+            if any(e[l] for e in h._terms):  # only the terms that hold x_l change
                 h = _trusted(n, fld, {
-                    _new(Monomial, e[:l] + (0,) + e[l + 1:]): a for e, a in h._terms.items()
+                    (_new(Monomial, e[:l] + (0,) + e[l + 1:]) if e[l] else e): a
+                    for e, a in h._terms.items()
                 })
             chart.append(h)
             if len(h._terms) == 1 and unit in h._terms:  # a nonzero constant

@@ -115,7 +115,7 @@ def test_multiplicity_asks_the_kernel_at_one_k_and_k_plus_one(monkeypatch, scene
 
 def test_multiplicity_builds_center_powers_without_polynomial_products(monkeypatch):
     # a center's ideal is generated by variables with coefficient one, so
-    # I^7 of Fermat-6 is built from exponent sums: the kernel still receives
+    # I^7 of Fermat-6 is built from exponent vectors: the kernel still receives
     # all 792 generators and confirms k = 6 with three membership tests
     scene = scene2(sum(v**6 for v in variables(6)), FERMAT_6, FERMAT_6)
     kernel = importlib.import_module("strictsmooth.groebner")

@@ -212,6 +212,30 @@ def test_power_membership_antitone_in_k():
                 assert weaker
 
 
+def test_power_membership_checks_the_ring_before_any_power(monkeypatch):
+    # the ring is checked first: a zero polynomial of another ring does not
+    # pass as a member, and no power is built for a polynomial that fails
+    built = []
+    real = kernel.power_ideal
+    monkeypatch.setattr(kernel, "power_ideal", lambda *args: built.append(args) or real(*args))
+    x = Polynomial.variable(0, 2, QQ)
+    ideal = Ideal((x,), 2, QQ)
+    others = [
+        Polynomial.zero(5, QQ),  # another ring
+        Polynomial.variable(0, 5, QQ),
+        Polynomial.zero(2, PrimeField(7)),  # another field
+        Polynomial.variable(1, 2, PrimeField(7)),
+    ]
+    for p in others:
+        for k in (1, 2):
+            with pytest.raises(StructuralError, match="polynomial of the same ring"):
+                ideal_power_membership(p, ideal, k)
+        with pytest.raises(StructuralError, match="polynomial of the same ring"):
+            radical_membership(p, ideal)
+    assert built == []
+    assert ideal_power_membership(Polynomial.zero(2, QQ), ideal, 2)
+
+
 # ----- emptiness -------------------------------------------------------------
 
 
@@ -533,17 +557,25 @@ def test_seed_ends_at_the_first_constant(monkeypatch):
 
 
 def test_power_ideal_keeps_the_generator_order():
-    # monomials with coefficient one take the exponent-sum path, every other
-    # tuple the Polynomial products: both give the products of
-    # combinations_with_replacement, coefficient for coefficient, in order
+    # variables with coefficient one take the exponent-vector path, every
+    # other tuple the Polynomial products: both give the products of
+    # combinations_with_replacement, coefficient for coefficient, in order,
+    # and an ideal equal to the plain `Ideal` of those products
     rng = random.Random(12)
     for fld in (QQ, PrimeField(32003)):
         x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
-        tuples = [
-            (x, y, z),  # monomial
-            (x * y, y**2, x**3 * z),
-            (2 * x, -y),  # monomials whose coefficient is not one
+        wide = [Polynomial.variable(i, 40, fld) for i in range(40)]
+        origin = [Polynomial.variable(i, 12, fld) for i in range(12)]
+        variable_tuples = [
+            (x, y, z),
+            tuple(wide[20:]),  # the 20 y's of a 40-variable ring
+            tuple(origin),  # a 12-variable origin
+            (z, x),  # out of index order
             (x, x, y),  # a repeated variable
+        ]
+        tuples = variable_tuples + [
+            (x * y, y**2, x**3 * z),  # monomials that are not variables
+            (2 * x, -y),  # monomials whose coefficient is not one
             (x, y + z, y * z),  # monomial and non-monomial generators
             (x + y, x * z - y**2, z**3 + 1),  # non-monomial
             (x - y, x - y, y * z),  # a repeated generator
@@ -552,7 +584,7 @@ def test_power_ideal_keeps_the_generator_order():
             gens = (field_poly(rng, 3, fld, 3, 3) for _ in range(rng.randint(1, 4)))
             tuples.append(tuple(g for g in gens if not g.is_zero) or (x,))
         for gens in tuples:
-            ideal = Ideal(gens, 3, fld)
+            ideal = Ideal(gens, gens[0].nvars, fld)
             for k in range(1, 5):
                 want = []
                 for combo in itertools.combinations_with_replacement(gens, k):
@@ -560,10 +592,24 @@ def test_power_ideal_keeps_the_generator_order():
                     for g in combo[1:]:
                         prod = prod * g
                     want.append(prod)
-                got = power_ideal(ideal, k).generators
+                power = power_ideal(ideal, k)
+                got = power.generators
                 assert [list(g.terms()) for g in got] == [list(g.terms()) for g in want]
                 assert {type(c) for g in got for c in g._terms.values()} == {type(fld.one)}
                 assert all(type(m) is Monomial for g in got for m in g._terms)
+                plain = Ideal(tuple(want), ideal.nvars, fld)
+                assert power == plain
+                assert power.homogeneous is plain.homogeneous
+                if gens not in variable_tuples:
+                    continue
+                basis = groebner(power).basis
+                if len(want) <= 80:
+                    assert term_sets(basis) == term_sets(naive_reduced_basis(want, max_steps=4000))
+                else:
+                    # every product has degree k, so none divides another:
+                    # the reduced basis is the distinct products (up to
+                    # 8,855 of them, beyond the naive pair loop's budget)
+                    assert term_sets(basis) == term_sets(want)
 
 
 # ----- packed monomials -------------------------------------------------------------
@@ -1373,6 +1419,56 @@ def test_kernel_work_per_item_is_pinned(item, monkeypatch):
     counting(monkeypatch, kernel, "_reduce", reduces)
     run()
     assert (len(spolys), len(reduces)) == want
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_normal_form_leaves_out_only_the_reducers_above_the_target(fld, monkeypatch):
+    # hand bases with elements of degrees 2 to 5, and targets below, at and
+    # above each of those degrees: a term at a reducer's own degree must
+    # still meet it, and the remainder is that of division by the basis
+    passed = []  # (target degree, the degrees of the reducers passed)
+    real = kernel._reduce
+
+    def reduce(target, reducers, p, pk):
+        degrees = [r.lm & pk.mask for r in reducers]
+        passed.append((max((m & pk.mask for m in target), default=0), degrees))
+        return real(target, reducers, p, pk)
+
+    monkeypatch.setattr(kernel, "_reduce", reduce)
+
+    def parse(text):
+        return parse_expression(text, "xyz", fld)
+
+    ideals = [
+        ["x^2 - y*z", "y^3 - 2*x*z^2", "z^5 + x*y"],
+        ["x*y - z", "y^3 - x", "x^2*z^2 + 3*z"],
+    ]
+    targets = [
+        "0", "5", "3*x - y + 1", "2*x^2 + y + 1", "x*y + 4*y^2 + z", "y^3 + x^2 + z",
+        "x^2*y - 3*x*z", "z^4 + x^3 + y", "x^2*z^2 - y*z^3", "z^5 + x*y*z^3 + 2",
+        "x^3*y^3 + z^6 - x", "x*y*z^4 + y^6 + 3*x^2*y^2*z",
+    ]
+    for gens in ideals:
+        gb = groebner(Ideal(tuple(parse(g) for g in gens), 3, fld))
+        basis = list(gb.basis)
+        degrees = sorted({g.total_degree() for g in basis})
+        assert len(degrees) >= 2
+        for text in targets:
+            p = parse(text)
+            passed.clear()
+            got = normal_form(p, gb)
+            assert got == divide(p, basis), text
+            # one `_reduce` per normal form, given every reducer at or below
+            # the target's degree and none above it
+            ((degree, given),) = passed
+            assert degree == max(p.total_degree(), 0)
+            assert given == sorted((g.total_degree() for g in basis if g.total_degree() <= degree),
+                                   reverse=True)
+            assert gb.contains(p) == got.is_zero
+        # the members of the ideal at each degree of the basis reduce to zero
+        for g in basis:
+            for q in (g, g * parse("x + 2"), g + basis[-1] * parse("y")):
+                assert normal_form(q, gb).is_zero
 
 
 def test_normal_form_matches_division():
