@@ -400,17 +400,29 @@ def chart_oracle(scene: Scene, containment: Verdict, center_charts: tuple) -> Ve
     Singular points away from every exceptional locus correspond one to one
     to singular points of the hypersurface away from the centers, so they
     are covered by the containment check; each chart then only needs the
-    Jacobian criterion on the exceptional locus t = 0.  `containment` is
-    the `singular_locus_in_centers` verdict and `center_charts` holds the
-    `charts` of each center, parallel to `scene.centers` (the shape of
-    `Analysis.charts`).  The verdict is never Inconclusive.
+    Jacobian criterion on the exceptional locus, (S, ∂S, t) for the strict
+    transform S.  At t = 0, S and its other partials are those of S₀, the
+    terms of S free of t, and ∂S/∂t is D, its terms linear in t with t = 1,
+    so the test is (S₀, ∂S₀, D), D left out when zero, in which t is free;
+    the witness (S, ∂S, t) is built for a Singular verdict only.
+    `containment` is the `singular_locus_in_centers` verdict and
+    `center_charts` holds the `charts` of each center, parallel to
+    `scene.centers` (the shape of `Analysis.charts`).  The verdict is
+    never Inconclusive.
     """
     for chart_list in center_charts:
         for chart in chart_list:
             strict = chart.strict_transform
-            t = Polynomial.variable(chart.variable, strict.nvars, strict.field)
-            locus = _jacobian(strict, t)
-            if not is_empty_affine(locus):
+            j, n, fld = chart.variable, strict.nvars, strict.field
+            s0, d = {}, {}
+            for m, c in strict.terms():
+                if not m[j]:
+                    s0[m] = c
+                elif m[j] == 1:
+                    d[_new(Monomial, m[:j] + (0,) + m[j + 1:])] = c
+            extra = (_trusted(n, fld, d),) if d else ()
+            if not is_empty_affine(_jacobian(_trusted(n, fld, s0), *extra)):
+                t = Polynomial.variable(j, n, fld)
                 return Verdict(
                     Status.SINGULAR,
                     detail=(
@@ -418,7 +430,7 @@ def chart_oracle(scene: Scene, containment: Verdict, center_charts: tuple) -> Ve
                         f"in the {scene.names[chart.variable]!r}-chart of center "
                         f"{chart.center.name!r}"
                     ),
-                    witness=locus,
+                    witness=_jacobian(strict, t),
                     witness_names=chart.names,
                     chart=(chart.center.name, chart.variable),
                 )

@@ -56,18 +56,21 @@ it, in one pass, and returns as soon as a constant appears.
 `radical_membership` keeps no state between calls: each test builds its
 own ideal, so no two tests share a basis or a seed, and equal ideals of
 two routes share no work by construction.  A variable x_l and an ideal J
-of homogeneous generators (`Ideal.homogeneous`, read once per ideal
-object) skip the lift: V(J) is a cone, so x_l vanishes on it exactly
-when its chart x_l = 1 is empty, an emptiness test in the same ring (the
-projective Nullstellensatz; Cox, Little & O'Shea, Ch. 8 §2).  Setting
-x_l = 1 merges no two terms of a homogeneous polynomial, as in
-`geometry.charts`, so a chart generator rewrites only the terms that
-hold x_l and passes every other term on with the same `Monomial`; a
-generator without x_l is passed on as it is.  The chart is built
-generator by generator and stops at the first one that turns into a
-nonzero constant (c·x_l^d): the chart ideal is then the unit ideal, and
-the generators after it are never built.  Every other test is a
-Rabinowitsch test: J lifted to one more variable t, plus 1 − t·g.
+graded by an integer weight w with w_l != 0 (`Ideal.graded_variables`,
+read once per ideal object; Sturmfels, "Gröbner Bases and Convex
+Polytopes", Ch. 2) skip the lift: the torus s -> (s^(w_i)·x_i) maps V(J)
+to itself and moves a point with x_l != 0 to x_l = 1, so x_l vanishes on
+V(J) exactly when the chart x_l = 1 is empty, an emptiness test in the
+same ring (the projective Nullstellensatz in its torus form; Cox, Little
+& O'Shea, Ch. 8 §2).  e_l is no difference of two terms' exponents, so
+x_l = 1 merges no two terms, as in `geometry.charts`: a chart generator
+rewrites only the terms that hold x_l and passes every other term on
+with the same `Monomial`; a generator without x_l is passed on as it is.
+The chart is built generator by generator and stops at the first one
+that turns into a nonzero constant (c·x_l^d): the chart ideal is then
+the unit ideal, and the generators after it are never built.  Every
+other test is a Rabinowitsch test: J lifted to one more variable t,
+plus 1 − t·g.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
@@ -117,7 +120,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DegreeLimitError, InternalCheckError, StructuralError
@@ -186,11 +189,44 @@ class Ideal:
         object.__setattr__(self, "field", fld)
 
     @cached_property
-    def homogeneous(self) -> bool:
-        """Whether every generator is homogeneous; read once per object
-        (`cached_property` writes to the instance `__dict__`, past the
-        frozen `__setattr__`)."""
-        return all(len({sum(e) for e in h._terms}) == 1 for h in self.generators)
+    def graded_variables(self) -> frozenset:
+        """The l such that some integer weight w with w_l != 0 grades every
+        generator: e_l is not in the Q-span of the exponent differences of
+        two terms of one generator.  The total degree grades a homogeneous
+        ideal; otherwise the differences to each generator's first term are
+        brought to reduced echelon form over the integers, where e_l is in
+        their span exactly when the row of pivot l has no other nonzero
+        entry.  Read once per object (`cached_property` writes to the
+        instance `__dict__`, past the frozen `__setattr__`)."""
+        n = self.nvars
+        gens = [h._terms for h in self.generators]
+        if all(len({sum(e) for e in t}) == 1 for t in gens):
+            return frozenset(range(n))
+        rows = {}  # pivot column -> row, each row zero at every other pivot
+        for t in gens:
+            first, *rest = t
+            for e in rest:
+                v = list(map(sub, e, first))
+                for k, r in rows.items():  # v cleared at every pivot
+                    if v[k]:
+                        a, b = r[k], v[k]
+                        v = [a * x - b * y for x, y in zip(v, r)]
+                c = next((i for i, x in enumerate(v) if x), None)
+                if c is None:
+                    continue
+                for k, r in rows.items():
+                    if r[c]:
+                        a, b = v[c], r[c]
+                        r = [a * x - b * y for x, y in zip(r, v)]
+                        g = gcd(*r)
+                        rows[k] = [x // g for x in r]
+                g = gcd(*v)
+                rows[c] = [x // g for x in v]
+                if len(rows) == n:  # the span is everything
+                    return frozenset()
+        return frozenset(
+            l for l in range(n) if l not in rows or any(x for i, x in enumerate(rows[l]) if i != l)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -813,15 +849,18 @@ def is_empty_affine(ideal: Ideal) -> bool:
 def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     """Whether g vanishes on the whole vanishing locus of the ideal.
 
-    When g is a variable x_l (coefficient one) and every generator is
-    homogeneous, decided on the chart: the ideal with x_l = 1 has empty
-    vanishing locus, since a point with x_l = a != 0 scales by 1/a to one
-    with x_l = 1.  The chart stops at the first generator that x_l = 1
-    turns into a nonzero constant, as the ideal is then the unit ideal.
-    Otherwise decided with one extra variable t: g is in the radical
-    exactly when the ideal together with 1 - t*g has empty vanishing
-    locus.  Each call builds its own ideal; no state outlives it but
-    `ideal.homogeneous`, cached on the ideal itself.
+    When g is a variable x_l (coefficient one) and an integer weight w
+    with w_l != 0 grades the ideal (`Ideal.graded_variables`), decided on
+    the chart: the ideal with x_l = 1 has empty vanishing locus.  The
+    scaling x_i -> s^(w_i)*x_i maps V(ideal) to itself, and s^(w_l) = 1/a
+    has a root s over the closure whatever the sign of w_l and whether p
+    divides it, so a point with x_l = a != 0 moves to x_l = 1.  The chart
+    stops at the first generator that x_l = 1 turns into a nonzero
+    constant, as the ideal is then the unit ideal.  Otherwise decided with
+    one extra variable t: g is in the radical exactly when the ideal
+    together with 1 - t*g has empty vanishing locus.  Each call builds its
+    own ideal; no state outlives it but `ideal.graded_variables`, cached
+    on the ideal itself.
     """
     if g.nvars != ideal.nvars or g.field != ideal.field:
         raise StructuralError("radical membership requires a polynomial of the same ring")
@@ -829,9 +868,9 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
         return True
     n, fld = ideal.nvars, ideal.field
     (m, c), *rest = g._terms.items()
-    if not rest and c == fld.one and sum(m) == 1 and ideal.homogeneous:
-        # x_l on a homogeneous ideal: the chart x_l = 1 of its cone is empty
-        l = m.index(1)
+    if not rest and c == fld.one and sum(m) == 1 and (l := m.index(1)) in ideal.graded_variables:
+        # x_l on a graded ideal: the chart x_l = 1 of its torus orbits is empty;
+        # e_l is no difference of two terms' exponents, so no two terms merge
         unit = (0,) * n
         chart = []
         for h in ideal.generators:
@@ -844,7 +883,7 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
             if len(h._terms) == 1 and unit in h._terms:  # a nonzero constant
                 break
         return is_empty_affine(Ideal(tuple(chart), n, fld))
-    t = Polynomial.variable(n, n + 1, fld)
+    t =Polynomial.variable(n, n + 1, fld)
     witness = Polynomial.constant(fld.one, n + 1, fld) - t * g.extended(n + 1)
     lifted = tuple(h.extended(n + 1) for h in ideal.generators)
     return is_empty_affine(Ideal(lifted + (witness,), n + 1, fld))

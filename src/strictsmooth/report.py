@@ -13,7 +13,6 @@ scene-file code.
 
 from __future__ import annotations
 
-import copy
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -140,6 +139,16 @@ def _charts_section(analysis: Analysis) -> list:
     return out
 
 
+def _copied(value):
+    """A copy of nested dicts and lists that shares only their leaves, the
+    immutable strs, ints, bools and None of the ledger."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copied(v) for v in value]
+    return value
+
+
 def build_report(analysis: Analysis, command: str = "analyze") -> dict:
     """Assemble the report document for one CLI command: `analyze` has
     every section, `charts` the charts, `oracle` the charts and the oracle
@@ -174,7 +183,7 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
             consistent=analysis.consistent,
         )
         report["notes"] = list(analysis.notes)
-        report["divisor_classes"] = copy.deepcopy(analysis.ledger)
+        report["divisor_classes"] = _copied(analysis.ledger)
     return report
 
 

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -13,7 +14,13 @@ from conftest import STAGES
 
 from strictsmooth.cli import main
 from strictsmooth.errors import SceneError
-from strictsmooth.geometry import Status, analyze
+from strictsmooth.geometry import (
+    Status,
+    analyze,
+    leading_form,
+    section_smoothness,
+    singular_locus_in_centers,
+)
 from strictsmooth.parsing import parse_expression
 from strictsmooth.report import _section_names, build_report, render_structured
 from strictsmooth.scalars import PRIME_BOUND
@@ -394,7 +401,8 @@ def test_term_budget_bounds_parsing(capsys, tmp_path, variables, expression, opt
 
 # a k = 1 scene with dense quadratic coefficients over QQ: 46 s while its
 # section's radical tests ran on Rabinowitsch lifts, whose QQ coefficients
-# swelled; the section ideal is homogeneous, so they now run on its charts
+# swelled; the total degree grades the section ideal, so they now run on
+# its charts y_l = 1
 DENSE_QQ_SCENE = Path(__file__).resolve().parent / "scenes" / "dense-qq.yaml"
 DENSE_QQ_REPORT_SHA256 = "41c6b8403a83a6ff3776f3f1f2f38c47646cd7e0dd9630c57dd736f6a8d0cdca"
 
@@ -408,6 +416,29 @@ def test_dense_qq_scene_analyzes_in_seconds():
     assert analysis.section_route.status is Status.INCONCLUSIVE
     assert analysis.oracle.status is Status.SINGULAR
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_QQ_REPORT_SHA256
+
+
+# the same scene with inhomogeneous coefficients: its Jacobians are graded
+# by the weight that is 1 on each y_l and 0 on each u_i, not by the total
+# degree; on Rabinowitsch lifts it ran past 120 s
+DENSE_QQ_SUBSPACE_SCENE = DENSE_QQ_SCENE.with_name("dense-qq-subspace.yaml")
+
+
+def test_dense_qq_subspace_radical_tests_lift_nothing(monkeypatch):
+    kernel = importlib.import_module("strictsmooth.groebner")
+    tested = []
+    real = kernel.is_empty_affine
+    monkeypatch.setattr(kernel, "is_empty_affine", lambda ideal: tested.append(ideal) or real(ideal))
+    scene = load_scene(DENSE_QQ_SUBSPACE_SCENE)
+    (center,) = scene.centers
+    start = time.perf_counter()
+    containment = singular_locus_in_centers(scene)
+    section = section_smoothness(center, leading_form(scene.f, center, 1))
+    assert time.perf_counter() - start < 5
+    assert containment.status is section.status is Status.SMOOTH
+    # three containment and three section tests, each on a chart y_l = 1 in
+    # the scene's 8 variables, none on a lift to a ninth
+    assert [ideal.nvars for ideal in tested] == [8] * 6
 
 
 def test_scene_schema_is_enforced(capsys, tmp_path):

@@ -4,13 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
-from operator import add, le, mul
+from operator import add, le, mul, sub
 
 import pytest
 
 from strictsmooth import geometry
 from strictsmooth.errors import DegreeLimitError, InternalCheckError, StructuralError
-from strictsmooth.geometry import Center, Scene, analyze
+from strictsmooth.geometry import Center, Scene, Status, Verdict, analyze, chart_oracle
 from strictsmooth.groebner import (
     GroebnerBasis,
     Ideal,
@@ -599,7 +599,7 @@ def test_power_ideal_keeps_the_generator_order():
                 assert all(type(m) is Monomial for g in got for m in g._terms)
                 plain = Ideal(tuple(want), ideal.nvars, fld)
                 assert power == plain
-                assert power.homogeneous is plain.homogeneous
+                assert power.graded_variables == plain.graded_variables
                 if gens not in variable_tuples:
                     continue
                 basis = groebner(power).basis
@@ -743,13 +743,15 @@ def test_quintic_report_bytes_are_unchanged():
 # the least degree bound D (the CLI's --max-degree) under which `analyze`
 # finishes, for D = 1..8; from there on the report is that of an unbounded
 # run.  quintic-5 needed D = 8 while its radical tests ran on Rabinowitsch
-# lifts in one more variable; the fixtures have not moved
+# lifts in one more variable; cusp-origin, double-cone, higher-cusp and
+# pairing-n2-deformed needed D = 4, 6, 8 and 5 while their chart oracle
+# tested the whole (S, dS, t), not its restriction to t = 0
 FIRST_FINISHING_DEGREE = {
     "pairing-n1-subspace": 2, "pairing-n2-subspace": 2, "pairing-n3-subspace": 2,
     "pairing-n1-origin": 3, "pairing-n2-origin": 3, "pairing-n3-origin": 3,
-    "cusp-origin": 4, "double-cone": 6, "higher-cusp": 8, "node-no-center": 2,
+    "cusp-origin": 3, "double-cone": 4, "higher-cusp": 5, "node-no-center": 2,
     "smooth-line-no-center": 1, "double-divisor": 3, "reducible-pair": 2,
-    "pairing-n2-deformed": 5, "linear-center": 2, "quintic-5": 7,
+    "pairing-n2-deformed": 3, "linear-center": 2, "quintic-5": 7,
 }
 
 
@@ -854,7 +856,9 @@ def test_radical_tests_on_one_ideal_match_the_naive_test(fld, width, monkeypatch
             for g, answer in want:
                 check(g, base, answer)
                 restarted += len(packings) == 2
-            assert base.homogeneous is is_homogeneous(base)
+            # read once, cached on the object (`test_graded_variables_match_a_sympy_rank_test`
+            # checks the value)
+            assert "graded_variables" in vars(base)
     # the narrowest packing overflows on some tests, and each restarts once
     assert restarted > 0 if width == 2 else restarted == 0
     # interleaved, A, B, A: a test answers as it does alone
@@ -872,16 +876,20 @@ def test_radical_witness_reduced_against_its_ideal_forms_no_pair(monkeypatch):
     updates, tested = [], []
     counting(monkeypatch, kernel, "_update", updates)
     recording(monkeypatch, kernel, "is_empty_affine", tested)
-    # not a variable, then an inhomogeneous ideal: both take the Rabinowitsch route
+    # not a variable, then a variable that no weight of its ideal grades (x^2 - x):
+    # both take the Rabinowitsch route
     assert radical_membership(x + y, Ideal((x, y), 2))
+    assert radical_membership(x, Ideal((x**2 - x, x), 2))
+    # the weight (1, 0) grades (y^2 - y, x): x takes the chart route, whose
+    # constant generator 1 ends the test before any packing
     assert radical_membership(x, Ideal((y**2 - y, x), 2))
-    assert [ideal.nvars for ideal in tested] == [3, 3]
+    assert [ideal.nvars for ideal in tested] == [3, 3, 2]
     assert updates == []
 
 
-def cone_line_scene():
+def cone_line_scene(extra=""):
     names = ("x", "y", "z")
-    f = parse_expression("y^2 + z^2 + x*y*z", names, QQ)
+    f = parse_expression("y^2 + z^2 + x*y*z" + extra, names, QQ)
     return Scene(3, names, f, (Center("L", (1, 2)),))
 
 
@@ -894,26 +902,38 @@ def test_radical_tests_of_the_pipeline_share_no_work(monkeypatch):
     assert len(radicals) == 40
     # 1,643 while each radical test interreduced its ideal again
     assert len(reduces) <= 150
-    # y^2 + z^2 + x*y*z on {y, z}: the section and containment routes test
-    # equal Jacobians (its leading form is f itself), which are not
-    # homogeneous, so each test lifts its Jacobian to a Rabinowitsch ideal
-    # of its own
     tests, tested = [], []
     real = geometry.radical_membership
     monkeypatch.setattr(
         geometry, "radical_membership", lambda g, J: tests.append((g, J)) or real(g, J)
     )
     recording(monkeypatch, kernel, "is_empty_affine", tested)
+    # y^2 + z^2 + x*y*z on {y, z}: the section and containment routes test
+    # equal Jacobians (its leading form is f itself), graded by the weight
+    # (0, 1, 1), so each test takes the chart of its variable, on an ideal
+    # of its own
     analyze(cone_line_scene())
     section, containment = {id(J): J for _, J in tests}.values()
     assert section == containment and section is not containment
-    assert not section.homogeneous and len(tests) == len(tested) == 4
-    assert len({id(ideal) for ideal in tested}) == 4
+    assert section.graded_variables == containment.graded_variables == {1, 2}
+    assert len(tests) == len(tested) == 4 and len({id(ideal) for ideal in tested}) == 4
+    assert all(ideal.nvars == 3 for ideal in tested)
+    # + y^3: the containment Jacobian is graded at no variable, so its two
+    # tests lift it to a Rabinowitsch ideal each; the section's are charts
+    tests.clear()
+    tested.clear()
+    analyze(cone_line_scene(" + y^3"))
+    section, containment = {id(J): J for _, J in tests}.values()
+    assert section.graded_variables == {1, 2} and containment.graded_variables == set()
+    assert len(tests) == len(tested) == 4 and len({id(ideal) for ideal in tested}) == 4
     for (g, J), ideal in zip(tests, tested):
-        assert ideal.generators == rabinowitsch(J.generators, g)
+        if J is section:
+            assert ideal.nvars == 3
+        else:
+            assert ideal.generators == rabinowitsch(J.generators, g)
 
 
-# ----- radical tests of a homogeneous ideal run on a chart -------------------------
+# ----- radical tests of a graded ideal run on a weighted chart --------------------
 
 
 def hard_scenes():
@@ -942,21 +962,145 @@ def pipeline_radical_tests():
     return calls
 
 
+def exceptional_scenes(count, seed):
+    """`count` seeded scenes, over QQ and GF(7), whose hypersurface is
+    smooth away from the center, so that the oracle's verdict rests on its
+    charts: one center of codimension 2 or 3 in 2 or 3 variables, and f a
+    sum of terms of normal degree k and k + 1 (k = 2 or 3), some times a
+    variable more.  Scenes whose singular locus leaves the center are
+    skipped."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        fld = rng.choice((QQ, QQ, PrimeField(7)))
+        nvars = rng.choice((2, 3, 3))
+        normal = tuple(sorted(rng.sample(range(nvars), rng.randint(2, nvars))))
+        k = rng.choice((2, 2, 3))
+        terms = {}
+        for degree in (k, *(rng.choice((k, k + 1, k + 1)) for _ in range(rng.randint(1, 3)))):
+            e = [0] * nvars
+            for _ in range(degree):
+                e[rng.choice(normal)] += 1
+            e[rng.randrange(nvars)] += rng.randint(0, 1)
+            terms[Monomial(e)] = fld.from_int(rng.choice((-2, -1, 1, 1, 2, 3)))
+        names = tuple(f"v{i + 1}" for i in range(nvars))
+        scene = Scene(nvars, names, Polynomial(nvars, fld, terms), (Center("C", normal),))
+        if analyze(scene).singular_containment.status is Status.SMOOTH:
+            found += 1
+            yield scene
+
+
+@pytest.fixture(scope="module")
+def pipeline_charts():
+    """(scene, chart, whether the scene's hypersurface is smooth away from
+    its center) for every chart of the fixtures, of
+    `route_agreement_suite(200, 0)`, of the hard scenes and of
+    `exceptional_scenes(60, 0)`."""
+    analyses = [analyze(fixture.build()) for fixture in FIXTURES]
+    analyses += [analysis for _, _, analysis in route_agreement_suite(200, 0)]
+    analyses += [analyze(scene) for scene in hard_scenes()]
+    analyses += [analyze(scene) for scene in exceptional_scenes(60, 0)]
+    return [
+        (a.scene, chart, a.singular_containment.status is Status.SMOOTH)
+        for a in analyses
+        for charts in a.charts
+        for chart in charts
+    ]
+
+
+def test_chart_oracle_on_the_exceptional_divisor_matches_the_whole_chart_ideal(
+    pipeline_charts, monkeypatch
+):
+    """The oracle tests each chart on t = 0 with (S0, dS0, D): S0 the terms
+    of the strict transform S free of t, D those linear in t with t = 1.
+    Its emptiness must be that of (S, dS, t), the witness it reports."""
+    tested = []
+    recording(monkeypatch, geometry, "is_empty_affine", tested)
+    smooth = Verdict(Status.SMOOTH)
+    decided_by_d = only_on_e = 0
+    for scene, chart, smooth_off_e in pipeline_charts:
+        strict = chart.strict_transform
+        j, n, fld = chart.variable, strict.nvars, strict.field
+        whole = geometry._jacobian(strict, Polynomial.variable(j, n, fld))
+        s0 = Polynomial(n, fld, {m: c for m, c in strict.terms() if not m[j]})
+        tested.clear()
+        verdict = chart_oracle(scene, smooth, ((chart,),))
+        (on_e,) = tested
+        # one ideal in which t is free, led by S0
+        assert on_e.generators[0] == s0
+        assert not any(m[j] for h in on_e.generators for m in h.monomials())
+        singular = not is_empty_affine(whole)
+        assert (verdict.status is Status.SINGULAR) is singular, (scene.f, j)
+        if singular:
+            assert verdict.witness == whole
+        # S0 and its partials meet, but D does not vanish there
+        decided_by_d += not singular and not is_empty_affine(geometry._jacobian(s0))
+        only_on_e += singular and smooth_off_e
+    assert decided_by_d >= 10 and only_on_e >= 20
+
+
 def rabinowitsch_answer(g, ideal):
     """Whether g is in the radical, by the basis of J + (1 - t*g)."""
     return groebner(Ideal(rabinowitsch(ideal.generators, g), ideal.nvars + 1, ideal.field)).is_unit
 
 
+def chart_answer(l, ideal):
+    """Whether the chart x_l = 1 of the ideal is empty, each generator
+    rewritten by Polynomial sums, so terms that meet are merged."""
+    n, fld = ideal.nvars, ideal.field
+    chart = []
+    for h in ideal.generators:
+        c = Polynomial.zero(n, fld)
+        for m, a in h.terms():
+            c = c + Polynomial(n, fld, {Monomial(m[:l] + (0,) + m[l + 1:]): a})
+        if not c.is_zero:
+            chart.append(c)
+    return is_empty_affine(Ideal(tuple(chart), n, fld))
+
+
+def sympy_graded_variables(sympy, ideal):
+    """The variables l whose unit vector e_l raises the rank of the matrix
+    of exponent differences a - b of two terms of one generator."""
+    n = ideal.nvars
+    rows = sorted({
+        tuple(map(sub, a, b))
+        for h in ideal.generators
+        for a, b in itertools.combinations(h.monomials(), 2)
+    })
+    rank = sympy.Matrix(rows).rank() if rows else 0
+    return frozenset(
+        l for l in range(n)
+        if sympy.Matrix([*rows, [int(i == l) for i in range(n)]]).rank() > rank
+    )
+
+
+def probed_variable(g):
+    """The index l when g is the variable x_l with coefficient one, else None."""
+    terms = list(g.terms())
+    if len(terms) == 1 and terms[0][1] == g.field.one and sum(terms[0][0]) == 1:
+        return terms[0][0].index(1)
+    return None
+
+
 def test_radical_tests_of_the_pipeline_match_the_rabinowitsch_test(pipeline_radical_tests):
-    charted = [
-        answer for g, ideal, answer in pipeline_radical_tests
-        if len(g.terms()) == 1 and is_homogeneous(ideal)
-    ]
-    # most tests take the chart route, with both answers
+    charted, lifted_variables = [], 0
+    for g, ideal, answer in pipeline_radical_tests:
+        l = probed_variable(g)
+        if l is not None and l in ideal.graded_variables:
+            charted.append(answer)
+        elif l is not None:
+            lifted_variables += 1
+    # most tests take the chart route, with both answers; every variable of
+    # a homogeneous ideal is graded, and of others those a weight grades
     assert len(charted) > 500 and set(charted) == {True, False}
+    homogeneous = sum(is_homogeneous(ideal) for _, ideal, _ in pipeline_radical_tests)
+    assert len(charted) > homogeneous and lifted_variables > 0
     naive = 0
     for g, ideal, answer in set(pipeline_radical_tests):  # equal tests once
         assert rabinowitsch_answer(g, ideal) is answer, (ideal.generators, g)
+        l = probed_variable(g)
+        if l is not None and l in ideal.graded_variables:
+            assert chart_answer(l, ideal) is answer, (ideal.generators, g)
         if ideal.nvars <= 6:
             try:
                 assert naive_radical_member(g, ideal.generators, 100) is answer
@@ -966,9 +1110,120 @@ def test_radical_tests_of_the_pipeline_match_the_rabinowitsch_test(pipeline_radi
     assert naive > 300
 
 
+def test_graded_variables_match_a_sympy_rank_test(pipeline_radical_tests):
+    sympy = pytest.importorskip("sympy")
+    ideals = {id(ideal): ideal for _, ideal, _ in pipeline_radical_tests}
+    for fld in RADICAL_FIELDS:
+        ideals |= {id(ideal): ideal for ideal, _ in radical_cases(fld)}
+        ideals |= {id(ideal): ideal for ideal, _ in weighted_hand_ideals(fld)}
+    inhomogeneous = partial = 0
+    for ideal in ideals.values():
+        if ideal.nvars > 6 and is_homogeneous(ideal):
+            # every variable, by the total degree; the rank of the 40-variable
+            # Jacobians' differences is left to the smaller ideals
+            assert ideal.graded_variables == frozenset(range(ideal.nvars))
+            continue
+        want = sympy_graded_variables(sympy, ideal)
+        assert ideal.graded_variables == want, ideal.generators
+        inhomogeneous += not is_homogeneous(ideal)
+        partial += 0 < len(want) < ideal.nvars
+    assert inhomogeneous > 100 and partial > 50
+
+
+def weighted_hand_ideals(fld):
+    """(ideal, graded variables) in x, y, z over `fld`: inhomogeneous
+    ideals graded by a weight with a negative entry, by one that p divides,
+    by one of only some variables, and by none."""
+    x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
+    return [
+        (Ideal((x * y - 1,), 3, fld), {0, 1, 2}),  # w = (1, -1, 0)
+        (Ideal((y**7 - x,), 3, fld), {0, 1, 2}),  # w = (7, 1, 0)
+        (Ideal((x**2 - 2 * x,), 3, fld), {1, 2}),  # x = 2 is a point, x = 1 is not
+        (Ideal((x**3 - y * z, x - 1), 3, fld), {1, 2}),  # w = (0, 1, -1)
+        (Ideal((x**2 - 2 * x, y - x), 3, fld), {2}),
+        (Ideal((x * y - 1, y - z**2, x - z), 3, fld), set()),
+    ]
+
+
+def test_weighted_charts_match_the_rabinowitsch_and_naive_tests():
+    """Random ideals over QQ and GF(7), probed at every variable: the
+    graded variables are those of the sympy rank test, and at each of them
+    the chart answer, `radical_membership`, the Rabinowitsch basis and the
+    naive test agree."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def polys(fld, nvars):
+        # exponents up to 3, and 7, which p = 7 divides
+        term = st.tuples(st.tuples(*[st.sampled_from((0, 0, 1, 2, 3, 7))] * nvars),
+                         st.integers(-3, 3))
+        return st.lists(term, min_size=1, max_size=3).map(
+            lambda terms: sum(
+                (Polynomial(nvars, fld, {Monomial(e): fld.from_int(c)}) for e, c in terms),
+                Polynomial.zero(nvars, fld),
+            )
+        )
+
+    def cases(fld):
+        return st.integers(1, 3).flatmap(
+            lambda n: st.lists(polys(fld, n), min_size=1, max_size=3).map(lambda gens: (n, gens))
+        )
+
+    seen = []  # (graded, inhomogeneous) per probe whose naive test finished
+    for fld in (QQ, PrimeField(7)):
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cases(fld))
+        def check(case):
+            n, gens = case
+            gens = tuple(g for g in gens if not g.is_zero)
+            hypothesis.assume(gens)
+            ideal = Ideal(gens, n, fld)
+            assert ideal.graded_variables == sympy_graded_variables(sympy, ideal), gens
+            for l in range(n):
+                g = Polynomial.variable(l, n, fld)
+                answer = radical_membership(g, ideal)
+                assert rabinowitsch_answer(g, ideal) is answer, (gens, l)
+                if l in ideal.graded_variables:
+                    assert chart_answer(l, ideal) is answer, (gens, l)
+                try:
+                    assert naive_radical_member(g, gens, 100) is answer, (gens, l)
+                except RuntimeError:
+                    continue  # the naive Buchberger ran out of steps
+                seen.append((l in ideal.graded_variables, not is_homogeneous(ideal)))
+
+        check()
+    # charts of inhomogeneous ideals, and variables left to the lift
+    assert seen.count((True, True)) > 20 and seen.count((False, True)) > 20
+
+
+@pytest.mark.parametrize("fld", RADICAL_FIELDS, ids=["QQ", "GF7", "GF32003"])
+def test_weighted_hand_cases_take_the_route_their_grading_allows(fld, monkeypatch):
+    tested = []
+    recording(monkeypatch, kernel, "is_empty_affine", tested)
+    wrong_charts = 0
+    for ideal, graded in weighted_hand_ideals(fld):
+        assert ideal.graded_variables == graded, ideal.generators
+        for l in range(3):
+            g = Polynomial.variable(l, 3, fld)
+            answer = radical_membership(g, ideal)
+            # the chart x_l = 1 has 3 variables, the Rabinowitsch ideal 4
+            assert tested[-1].nvars == (3 if l in graded else 4), (ideal.generators, l)
+            assert rabinowitsch_answer(g, ideal) is answer, (ideal.generators, l)
+            assert naive_radical_member(g, ideal.generators) is answer, (ideal.generators, l)
+            if l in graded:
+                assert chart_answer(l, ideal) is answer, (ideal.generators, l)
+            else:
+                wrong_charts += chart_answer(l, ideal) is not answer
+    # x of (x^2 - 2x): its chart is empty, but x = 2 is a point
+    assert wrong_charts >= 1
+
+
 def radical_hand_cases(fld):
     """(generators, probe, answer) in x, y, z over `fld`, each homogeneous
-    ideal probed at a variable, with False answers, and inhomogeneous
+    ideal probed at a variable, with False answers, inhomogeneous ideals
+    graded by a weight that is nonzero at the probe, and inhomogeneous
     ideals whose chart would answer wrongly."""
     x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
     three = Polynomial.constant(fld.from_int(3), 3, fld)
@@ -985,11 +1240,16 @@ def radical_hand_cases(fld):
         ((x * y - z**2, x, y), z, True),
         ((three, x * y), z, True),  # the unit ideal
         ((), x, False),
-        # inhomogeneous: the chart x = 1 of (x^2 - 2x) is empty, but x = 2 is a point
+        # graded by (1, -1, 0), (7, 1, 0) (p = 7 divides w_x) and (1, 2, 0)
+        ((x * y - 1,), x, False),
+        ((x * y - 1, y), x, True),
+        ((y**7 - x,), y, False),
+        ((y**7 - x, x), y, True),
+        ((x**2 + y, y), x, True),
+        # graded at no weight nonzero at the probe: the chart x = 1 of
+        # (x^2 - 2x) is empty, but x = 2 is a point
         ((x**2 - 2 * x,), x, False),
         ((x**2 - 2 * x, y - x), y, False),
-        ((x**2 + y, y), x, True),
-        ((x * y - 1,), x, False),
         ((x**3 - y * z, x - 1), x, False),
         # not a variable
         ((x**2, y**3), x + y, True),
@@ -1005,16 +1265,17 @@ def test_radical_charts_of_the_pipeline_stop_at_their_first_constant(monkeypatch
         geometry, "radical_membership", lambda g, J: tests.append((g, J)) or real(g, J)
     )
     recording(monkeypatch, kernel, "is_empty_affine", charts)
-    recording(monkeypatch, Ideal.homogeneous, "func", homogeneity)
+    recording(monkeypatch, Ideal.graded_variables, "func", homogeneity)
     analyze(pairing_scene(20, "subspace"))
     # J = (f, y_1, ..., y_20, x_1, ..., x_20) twice: the section's and the
     # containment's, each tested at the 20 variables y_l
     assert len(tests) == len(charts) == 40
     jacobians = list({id(J): J for _, J in tests}.values())
     assert len(jacobians) == 2 and all(len(J.generators) == 41 for J in jacobians)
-    # homogeneity computed once per Jacobian object, not once per variable
+    # the grading computed once per Jacobian object, not once per variable;
+    # both are homogeneous, so every variable is graded
     assert list(map(id, homogeneity)) == list(map(id, jacobians))
-    assert all(J.homogeneous for J in jacobians)
+    assert all(J.graded_variables == frozenset(range(40)) for J in jacobians)
     for (g, J), chart in zip(tests, charts):
         l = next(iter(g.monomials())).index(1)
         *head, last = chart.generators
@@ -1331,10 +1592,11 @@ def test_prime_field_kernel_builds_scalars_only_for_its_output(monkeypatch):
 
 
 def test_pair_installation_matches_the_becker_weispfenning_update(
-    monkeypatch, pipeline_radical_tests
+    monkeypatch, pipeline_radical_tests, pipeline_charts
 ):
     """Every Buchberger run of the route corpus, of the Rabinowitsch ideals
-    of the pipeline's radical tests and of katsura-5 and cyclic-5 over QQ
+    of the pipeline's radical tests, of the whole chart ideals (S, dS, t) of
+    its charts and of katsura-5 and cyclic-5 over QQ
     and GF(32003) forms its S-polynomials in the order of the eager update
     it replaced: `naive_update` on a set of pairs, the next pair taken by
     `min`."""
@@ -1368,6 +1630,11 @@ def test_pair_installation_matches_the_becker_weispfenning_update(
     # a homogeneous ideal is tested on a chart, so its lift runs only here
     for g, ideal, _ in pipeline_radical_tests:
         rabinowitsch_answer(g, ideal)
+    # the oracle tests t = 0 of each chart, so (S, dS, t) runs only here
+    for _, chart, _ in pipeline_charts:
+        strict = chart.strict_transform
+        t = Polynomial.variable(chart.variable, strict.nvars, strict.field)
+        groebner(geometry._jacobian(strict, t))
     for fld in (QQ, PrimeField(32003)):
         groebner(katsura_ideal(5, fld))
         groebner(cyclic_ideal(5, fld))
@@ -1396,14 +1663,17 @@ def fixtures_and_route_scenes():
 # change to the pair queue or to the criteria that changes the work fails
 # here, without any timing.  The radical tests of the two scenes run on the
 # charts of their homogeneous Jacobians: on Rabinowitsch lifts they took
-# (962, 921) and (66, 130).  The fixtures and route scenes, from which the
-# `route-corpus` workload leaves out its known defects, are the only input
-# whose radical tests still take the Rabinowitsch route: while the tests on
-# one ideal shared its lifted seed they took (1267, 3310)
+# (962, 921) and (66, 130); while their chart oracle tested (S, dS, t) and
+# not its restriction to the exceptional divisor, (270, 349) and (6, 46).
+# The fixtures and route scenes, from which the `route-corpus` workload
+# leaves out its known defects, are the only input whose radical tests
+# still take the Rabinowitsch route: while the tests on one ideal shared
+# its lifted seed they took (1267, 3310), and while only homogeneous
+# ideals had charts and the oracle tested (S, dS, t), (1267, 3458)
 KERNEL_WORK = {
-    "fixtures-and-route-scenes": (fixtures_and_route_scenes, (1267, 3458)),
-    "quintic-5": (lambda: analyze(quintic_scene()), (270, 349)),
-    "fermat-6": (lambda: analyze(fermat_scene(6)), (6, 46)),
+    "fixtures-and-route-scenes": (fixtures_and_route_scenes, (648, 2208)),
+    "quintic-5": (lambda: analyze(quintic_scene()), (270, 344)),
+    "fermat-6": (lambda: analyze(fermat_scene(6)), (6, 40)),
     "katsura-5-QQ": (lambda: groebner(katsura_ideal(5, QQ)), (66, 94)),
     "katsura-5-GF32003": (lambda: groebner(katsura_ideal(5, GF32003)), (66, 94)),
     "cyclic-5-QQ": (lambda: groebner(cyclic_ideal(5, QQ)), (102, 125)),
