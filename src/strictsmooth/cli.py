@@ -72,11 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_scene_command(args) -> int:
-    with degree_limit(args.max_degree):
-        analysis = (analyze if args.command == "analyze" else Analysis)(load_scene(args.scene))
-        report = build_report(analysis, command=args.command)  # runs the stages it reads
-        # the summary reads k, which charts and oracle reports do not
-        summary = None if args.quiet else summary_line(analysis, args.command)
+    analysis = (analyze if args.command == "analyze" else Analysis)(load_scene(args.scene))
+    report = build_report(analysis, command=args.command)  # runs the stages it reads
+    # the summary reads k, which charts and oracle reports do not
+    summary = None if args.quiet else summary_line(analysis, args.command)
     if args.format == "structured":
         sys.stdout.write(render_structured(report))
     else:
@@ -94,15 +93,15 @@ def _run_scene_command(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
+        with degree_limit(args.max_degree):
+            if args.command != "selftest":
+                return _run_scene_command(args)
             from .selftest import run_selftest
 
-            with degree_limit(args.max_degree):
-                passed, failed = run_selftest(seed=args.seed, stream=sys.stdout)
-            if not args.quiet:
-                sys.stderr.write(f"selftest: {passed} passed, {failed} failed\n")
-            return 0 if failed == 0 else 3
-        return _run_scene_command(args)
+            passed, failed = run_selftest(seed=args.seed, stream=sys.stdout)
+        if not args.quiet:
+            sys.stderr.write(f"selftest: {passed} passed, {failed} failed\n")
+        return 0 if failed == 0 else 3
     except InternalCheckError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return 3

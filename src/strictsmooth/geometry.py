@@ -188,6 +188,11 @@ def _jacobian(h: Polynomial, *extra: Polynomial) -> Ideal:
     return Ideal((h, *partials, *extra), h.nvars, h.field)
 
 
+def _verdict(holds: bool, detail: str, witness: Ideal) -> Verdict:
+    """Smooth when the condition holds, else Singular with `detail` and `witness`."""
+    return Verdict(Status.SMOOTH) if holds else Verdict(Status.SINGULAR, detail, witness)
+
+
 def _inside(jac: Ideal, center: Center) -> bool:
     """Whether V(jac) lies in the center: each normal variable is in the radical."""
     return all(
@@ -245,15 +250,11 @@ def section_smoothness(center: Center, phi: Polynomial) -> Verdict:
             f"the exceptional section at center {center.name!r} is zero: not a divisor"
         )
     jac = _jacobian(phi)
-    if _inside(jac, center):
-        return Verdict(Status.SMOOTH)
-    return Verdict(
-        Status.SINGULAR,
-        detail=(
-            f"the zero locus of the exceptional section at center "
-            f"{center.name!r} is singular away from the irrelevant locus"
-        ),
-        witness=jac,
+    return _verdict(
+        _inside(jac, center),
+        f"the zero locus of the exceptional section at center "
+        f"{center.name!r} is singular away from the irrelevant locus",
+        jac,
     )
 
 
@@ -324,20 +325,12 @@ def singular_locus_in_centers(scene: Scene) -> Verdict:
     """
     jac = _jacobian(scene.f)
     if not scene.centers:
-        if is_empty_affine(jac):
-            return Verdict(Status.SMOOTH)
-        return Verdict(
-            Status.SINGULAR,
-            detail="the hypersurface is singular and there are no centers",
-            witness=jac,
+        return _verdict(
+            is_empty_affine(jac), "the hypersurface is singular and there are no centers", jac
         )
     (center,) = scene.centers
-    if _inside(jac, center):
-        return Verdict(Status.SMOOTH)
-    return Verdict(
-        Status.SINGULAR,
-        detail="the hypersurface is singular away from the centers",
-        witness=jac,
+    return _verdict(
+        _inside(jac, center), "the hypersurface is singular away from the centers", jac
     )
 
 
@@ -434,16 +427,12 @@ def chart_oracle(scene: Scene, containment: Verdict, center_charts: tuple) -> Ve
                     witness_names=chart.names,
                     chart=(chart.center.name, chart.variable),
                 )
-    if containment.status is not Status.SMOOTH:
-        return Verdict(
-            Status.SINGULAR,
-            detail=(
-                "the hypersurface is singular away from the centers, and those "
-                "points persist on the strict transform"
-            ),
-            witness=containment.witness,
-        )
-    return Verdict(Status.SMOOTH)
+    return _verdict(
+        containment.status is Status.SMOOTH,
+        "the hypersurface is singular away from the centers, and those "
+        "points persist on the strict transform",
+        containment.witness,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -53,25 +53,6 @@ An ideal with a constant generator is the unit ideal: `groebner` returns
 The seed interreduction reduces each generator against those kept before
 it, in one pass, and returns as soon as a constant appears.
 
-`radical_membership` keeps no state between calls: each test builds its
-own ideal, so no two tests share a basis or a seed, and equal ideals of
-two routes share no work by construction.  A variable x_l and an ideal J
-graded by an integer weight w with w_l != 0 (`Ideal.graded_variables`,
-read once per ideal object; Sturmfels, "Gröbner Bases and Convex
-Polytopes", Ch. 2) skip the lift: the torus s -> (s^(w_i)·x_i) maps V(J)
-to itself and moves a point with x_l != 0 to x_l = 1, so x_l vanishes on
-V(J) exactly when the chart x_l = 1 is empty, an emptiness test in the
-same ring (the projective Nullstellensatz in its torus form; Cox, Little
-& O'Shea, Ch. 8 §2).  e_l is no difference of two terms' exponents, so
-x_l = 1 merges no two terms, as in `geometry.charts`: a chart generator
-rewrites only the terms that hold x_l and passes every other term on
-with the same `Monomial`; a generator without x_l is passed on as it is.
-The chart is built generator by generator and stops at the first one
-that turns into a nonzero constant (c·x_l^d): the chart ideal is then
-the unit ideal, and the generators after it are never built.  Every
-other test is a Rabinowitsch test: J lifted to one more variable t,
-plus 1 − t·g.
-
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
 over QQ to its primitive integer multiple (denominators cleared with
@@ -84,29 +65,6 @@ the work and the remainder found so far are multiplied by lb // g and
 cross-multiplies the two leading coefficients.  Since reduced bases are
 unique and pair selection reads only leading monomials, the pair sequence
 and the basis are those of field arithmetic.
-
-A `GroebnerBasis` keeps one form of the reduced basis: the `_Reducer`s
-that `_buchberger` or `_monomial_basis` returns, monic Fractions over QQ.
-`basis` converts them to Polynomials on its first read, each monomial
-decoded straight to a `Monomial`; `is_unit`, `krull_dimension` and
-`normal_form` read the reducers.  `normal_form` leaves out the reducers
-above the degree of p, a prefix of the descending list found by
-bisection: grevlex is graded, so none of them divides a term of p, and
-no reduction step raises a degree.  It re-packs the terms of the rest
-when p needs a wider packing.  Over QQ the monic basis goes through the
-same loop, where no step scales, so the remainder is exact.
-
-`power_ideal` gives the k-fold products in the generator order of
-`combinations_with_replacement`.  When every generator is a variable
-with coefficient one, as in the ideal of a center, it walks the
-combinations of the generators' variables once: each product is one
-exponent vector, a zero list plus one per factor, and every product
-shares `field.one`, so no level below k is built.  Other generators are
-multiplied as Polynomials, each k-fold product from its (k-1)-fold
-prefix.  So a power of a center stays on exponent vectors from
-`power_ideal` to its normal form, with no coefficient arithmetic (Cox,
-Little & O'Shea, Ch. 2 §4, Lemmas 2 and 3: membership in a monomial
-ideal is a divisibility test on each term).
 """
 
 from __future__ import annotations
@@ -541,20 +499,15 @@ def _dropped(l, ei, ej, later, pk):
 
 
 def _interreduce_seed(gens, p, pk):
-    """`_Reducer`s of the kernel term maps `gens`, normalized, each reduced
-    in one pass against the ones kept before it; those that reduce to zero
-    are dropped.
+    """`_Reducer`s of the nonzero, nonconstant kernel term maps `gens`, each
+    reduced in one pass against the ones kept before it and normalized;
+    those that reduce to zero are dropped.
 
-    A constant leading monomial, in the input or after a reduction, ends
-    the work at once: the ideal is the unit ideal, and that one reducer is
-    returned.
+    A reduction to a constant ends the work at once: the ideal is the unit
+    ideal, and that one reducer is returned.
     """
-    normal = [_normalize(g, p) for g in gens if g]
-    for lm, d in normal:
-        if not lm:
-            return [_entry(lm, d, pk)]
     kept = []
-    for _, d in normal:
+    for d in gens:
         r = _reduce(d, kept, p, pk) if kept else d
         if r:
             kept.append(_entry(*_normalize(r, p), pk))
@@ -793,7 +746,13 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 def power_ideal(ideal: Ideal, k: int) -> Ideal:
     """The ideal generated by all k-fold products of the generators, in the
-    order of `combinations_with_replacement`."""
+    order of `combinations_with_replacement`.
+
+    When every generator is a variable with coefficient one, as in the
+    ideal of a center, each product is one exponent vector and no level
+    below k is built, so a power of a center reaches its normal form with
+    no coefficient arithmetic (membership in a monomial ideal is a
+    divisibility test on each term: Cox, Little & O'Shea, Ch. 2 §4)."""
     if k < 1:
         raise StructuralError("ideal power requires k >= 1")
     if k == 1:
@@ -854,9 +813,11 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     the chart: the ideal with x_l = 1 has empty vanishing locus.  The
     scaling x_i -> s^(w_i)*x_i maps V(ideal) to itself, and s^(w_l) = 1/a
     has a root s over the closure whatever the sign of w_l and whether p
-    divides it, so a point with x_l = a != 0 moves to x_l = 1.  The chart
-    stops at the first generator that x_l = 1 turns into a nonzero
-    constant, as the ideal is then the unit ideal.  Otherwise decided with
+    divides it, so a point with x_l = a != 0 moves to x_l = 1 (the
+    projective Nullstellensatz in its torus form: Cox, Little & O'Shea,
+    Ch. 8 §2; Sturmfels, "Gröbner Bases and Convex Polytopes", Ch. 2).
+    The chart stops at the first generator that x_l = 1 turns into a
+    nonzero constant, as the ideal is then the unit ideal.  Otherwise decided with
     one extra variable t: g is in the radical exactly when the ideal
     together with 1 - t*g has empty vanishing locus.  Each call builds its
     own ideal; no state outlives it but `ideal.graded_variables`, cached
@@ -883,7 +844,7 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
             if len(h._terms) == 1 and unit in h._terms:  # a nonzero constant
                 break
         return is_empty_affine(Ideal(tuple(chart), n, fld))
-    t =Polynomial.variable(n, n + 1, fld)
+    t = Polynomial.variable(n, n + 1, fld)
     witness = Polynomial.constant(fld.one, n + 1, fld) - t * g.extended(n + 1)
     lifted = tuple(h.extended(n + 1) for h in ideal.generators)
     return is_empty_affine(Ideal(lifted + (witness,), n + 1, fld))

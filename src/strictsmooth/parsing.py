@@ -40,7 +40,7 @@ import sys
 
 from .errors import DegreeLimitError, ParseError
 from .groebner import active_degree_limit
-from .poly import Polynomial
+from .poly import Polynomial, _power
 
 
 # the deepest nesting of parentheses and unary minuses an expression may have
@@ -191,15 +191,8 @@ class _Parser:
             self.advance()
             exponent = int(tok[1])
             self.check_degree(base.total_degree() * exponent, caret)
-            # square-and-multiply, checking every step before the next
-            value = Polynomial.constant(self.field.one, self.nvars, self.field)
-            while exponent:
-                if exponent & 1:
-                    value = self.product(value, base, caret)
-                exponent >>= 1
-                if exponent:
-                    base = self.product(base, base, caret)
-            return value
+            # every step checked before the next
+            return _power(base, exponent, lambda a, b: self.product(a, b, caret))
         return base
 
     def atom(self) -> Polynomial:

@@ -11,7 +11,7 @@ grevlex, so the text form is deterministic.
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import StructuralError
@@ -192,8 +192,6 @@ class Polynomial:
         return _trusted(self.nvars, self.field, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other, self.nvars, self.field)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -226,15 +224,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise StructuralError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.field.one, self.nvars, self.field)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, mul)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -337,6 +327,20 @@ class Polynomial:
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
         return f"Polynomial({self.render(names)})"
+
+
+def _power(base: Polynomial, e: int, product) -> Polynomial:
+    """base^e by square-and-multiply, each step formed by `product(a, b)`:
+    the result times the base at each set bit of e, from the lowest, and
+    the base squared only while a higher bit remains."""
+    result = Polynomial.constant(base.field.one, base.nvars, base.field)
+    while e:
+        if e & 1:
+            result = product(result, base)
+        e >>= 1
+        if e:
+            base = product(base, base)
+    return result
 
 
 def _trusted(nvars: int, field, terms: dict) -> Polynomial:

@@ -148,8 +148,6 @@ def random_scene(rng: random.Random, force_k1: bool = False) -> Scene:
                 break
         terms[Monomial(lowered)] = QQ.from_int(_random_coefficient(rng))
     f = Polynomial(nvars, QQ, terms)
-    if f.is_zero:
-        return random_scene(rng, force_k1)
     names = tuple(f"v{i + 1}" for i in range(nvars))
     return Scene(nvars, names, f, (Center("C", normal),))
 
@@ -162,8 +160,6 @@ def random_pairing_like_scene(rng: random.Random) -> Scene:
     for _ in range(rng.randint(0, 2)):
         exps = _random_monomial(rng, nvars, normal, 2, 4)
         f = f + Polynomial(nvars, QQ, {Monomial(exps): QQ.from_int(_random_coefficient(rng))})
-    if f.is_zero:
-        return random_pairing_like_scene(rng)
     return Scene(nvars, pairing.names, f, (Center("C", normal),))
 
 

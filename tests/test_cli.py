@@ -540,6 +540,14 @@ def test_selftest_runs_clean(capsys):
     assert "0 failed" in err
 
 
+def test_selftest_runs_under_the_max_degree_guardrail(capsys):
+    # the fixture corpus starts with quadrics, which a bound of 1 stops
+    code, _, err = run(capsys, ["selftest", "--max-degree", "1"])
+    assert code == 2
+    assert err.startswith("error: ") and "degree guardrail (1)" in err
+    assert "selftest:" not in err
+
+
 def test_selftest_has_no_format_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--format", "plain"])

@@ -549,6 +549,39 @@ def test_scene_rejects_constant_and_zero():
         Scene(2, ("x", "y"), Polynomial.zero(2), ()).validate()
 
 
+def _y_plus_y_squared():
+    # multiplicity 1 along y = 0
+    _, y = variables(2)
+    return y + y**2
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Center("C", ()), SceneError, "center 'C' has an empty vanishing set"),
+        (lambda: Scene(2, ("x",), variables(2)[0], ()).validate(), SceneError,
+         "name list does not match"),
+        (lambda: Scene(2, ("x", "x"), variables(2)[0], ()).validate(), SceneError,
+         "names must be unique"),
+        (lambda: Scene(2, ("x", "y"), variables(3)[0], ()).validate(), SceneError,
+         "does not live in the ambient ring"),
+        # at k = 2 the leading form y^2 leaves y outside I^3
+        (lambda: leading_form(_y_plus_y_squared(), Center("C", (1,)), 2), InternalCheckError,
+         r"f minus its leading form is not in I\^3"),
+        # at k = 3 no term has normal degree 3
+        (lambda: leading_form(_y_plus_y_squared(), Center("C", (1,)), 3), InternalCheckError,
+         "leading form vanishes"),
+    ],
+    ids=[
+        "empty-center", "name-count", "duplicate-names", "f-in-another-ring",
+        "leading-form-above-k", "leading-form-zero",
+    ],
+)
+def test_input_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ----- analyze ---------------------------------------------------------------------
 
 

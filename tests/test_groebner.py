@@ -433,6 +433,59 @@ def test_minors_size_too_large_rejected():
         minors_ideal([[x, y]], 2)
 
 
+# ----- input guards --------------------------------------------------------------
+
+
+def _verify_with_a_source_outside_the_basis():
+    # the basis {x} of (x) with (x, y) as its source: y does not reduce to zero
+    x, y = variables(2)
+    gb = groebner(Ideal((x,), 2, QQ))
+    GroebnerBasis(gb._reducers, gb._pk, Ideal((x, y), 2, QQ)).verify()
+
+
+def _x(nvars=2, fld=QQ):
+    return Polynomial.variable(0, nvars, fld)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Ideal((Polynomial.zero(2),), 2), StructuralError, "must be nonzero"),
+        (lambda: Ideal((_x(3),), 2), StructuralError, "does not live in the ambient ring"),
+        (lambda: Ideal((_x(), _x(2, PrimeField(7))), 2), StructuralError,
+         "generators over different fields"),
+        (lambda: normal_form(_x(3), groebner(Ideal((_x(),), 2))), StructuralError,
+         "does not live in the basis ring"),
+        (lambda: normal_form(_x(2, PrimeField(7)), groebner(Ideal((_x(),), 2))),
+         StructuralError, "over a different field than the basis"),
+        (lambda: power_ideal(Ideal((_x(),), 2), 0), StructuralError, "requires k >= 1"),
+        (lambda: ideal_power_membership(_x(), Ideal((_x(),), 2), 0), StructuralError,
+         "requires k >= 1"),
+        (lambda: determinant([[_x(), _x()]]), StructuralError, "requires a square matrix"),
+        (lambda: minors_ideal([], 1), StructuralError, "minors of an empty matrix"),
+        (lambda: minors_ideal([[]], 1), StructuralError, "minors of an empty matrix"),
+        (lambda: minors_ideal([[_x(), _x()], [_x()]], 1), StructuralError,
+         "rows have unequal lengths"),
+        (lambda: minors_ideal([[_x(), _x(3)]], 1), StructuralError,
+         "entries live in different rings"),
+        (lambda: minors_ideal([[_x(), _x(2, PrimeField(7))]], 1), StructuralError,
+         "entries live in different rings"),
+        (_verify_with_a_source_outside_the_basis, InternalCheckError,
+         "a source generator does not reduce to zero"),
+    ],
+    ids=[
+        "ideal-zero-generator", "ideal-other-ring", "ideal-mixed-fields",
+        "normal-form-other-ring", "normal-form-other-field", "power-ideal-k0",
+        "power-membership-k0", "determinant-not-square", "minors-no-rows",
+        "minors-no-columns", "minors-ragged", "minors-other-ring", "minors-other-field",
+        "verify-source-outside",
+    ],
+)
+def test_input_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ----- agreement with the naive oracle -------------------------------------------
 
 
@@ -550,10 +603,6 @@ def test_seed_ends_at_the_first_constant(monkeypatch):
     # 1 - t*x reduces to 1 against x; the last generator is never reduced
     assert seed(x, y, 1 - t * x, t**2 * y + x**3) == [{0: 1}]
     assert len(reduced) == 2
-    # a constant generator ends the work before any reduction
-    reduced.clear()
-    assert seed(x + y, 2 + 0 * x, y) == [{0: 1}]
-    assert reduced == []
 
 
 def test_power_ideal_keeps_the_generator_order():

@@ -110,6 +110,40 @@ def test_parentheses_and_power_of_sum():
     assert p == x**2 + 2 * x * y + y**2
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_powers_match_repeated_multiplication(field):
+    # `**` and the parser's `^` share one square-and-multiply loop, so each
+    # is checked against e - 1 left-to-right products instead of the other
+    names = ("x", "y")
+    x, y = (Polynomial.variable(i, 2, field) for i in range(2))
+    one = Polynomial.constant(field.one, 2, field)
+    bases = {
+        "0": Polynomial.zero(2, field),
+        "3": 3 * one,
+        "x": x,
+        "(x + y)": x + y,  # (x + y)^7 = x^7 + y^7 over GF(7)
+        "(x - 2*y + 1/3)": x - 2 * y + field.from_rational(1, 3),
+    }
+    for text, base in bases.items():
+        assert parse(text, names, field) == base
+        expected = one  # 0^0 = 1 among the rest
+        for e in range(10):
+            assert base**e == expected, (text, e)
+            assert parse(f"{text}^{e}", names, field) == expected, (text, e)
+            expected = expected * base
+
+
+@pytest.mark.parametrize("exponent", [3, 4], ids=["multiply-step", "square-step"])
+def test_coefficient_budget_stops_a_power_at_its_caret(max_digits, exponent):
+    # 3^(2*digits) has about 3.2 bits a digit: it and its square fit the
+    # budget of 8 bits a digit, so the cube fails at its multiply step and
+    # the fourth power at its second square
+    base = f"(x1 + 3^{2 * max_digits})"
+    with pytest.raises(ParseError, match=f"more than {8 * max_digits} bits") as err:
+        parse(f"y1 +\n  {base}^{exponent}")
+    assert (err.value.line, err.value.column) == (2, 3 + len(base))
+
+
 def test_degree_limit_stops_products_and_powers():
     with degree_limit(4):
         assert parse("(x1 + y1)^2 * (x2 + y2)^2").total_degree() == 4

@@ -51,6 +51,8 @@ def test_mismatched_variable_counts_rejected():
         p + q
     with pytest.raises(StructuralError):
         p * q
+    with pytest.raises(StructuralError):
+        p - q
 
 
 def test_mixed_fields_rejected():
@@ -58,6 +60,45 @@ def test_mixed_fields_rejected():
     q = Polynomial.variable(0, 2, PrimeField(5))
     with pytest.raises(StructuralError):
         p + q
+    with pytest.raises(StructuralError):
+        p - q
+
+
+def test_scalars_subtract_on_either_side():
+    for fld, half in ((QQ, Fraction(1, 2)), (PrimeField(7), 4)):
+        x = Polynomial.variable(0, 2, fld)
+        for c in (3, half, 0):
+            value = fld.coerce(c)
+            assert x - c == Polynomial(2, fld, {(1, 0): 1, (0, 0): -value})
+            assert c - x == Polynomial(2, fld, {(1, 0): -1, (0, 0): value})
+
+
+def _x(nvars=2, fld=QQ):
+    return Polynomial.variable(0, nvars, fld)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Polynomial.variable(2, 2), "variable index 2 out of range for 2 variables"),
+        (lambda: Polynomial.variable(-1, 2), "variable index -1 out of range"),
+        (lambda: _x().partial(2), "variable index 2 out of range"),
+        (lambda: _x().partial(-1), "variable index -1 out of range"),
+        (lambda: _x().extended(1), "cannot shrink the ambient ring"),
+        (lambda: _x().render(("x",)), "name list does not match variable count"),
+        (lambda: _x() ** -1, "exponent must be a nonnegative integer"),
+        (lambda: _x() ** 1.5, "exponent must be a nonnegative integer"),
+        (lambda: Polynomial.zero(2).leading_monomial(), "zero polynomial has no leading"),
+    ],
+    ids=[
+        "variable-above", "variable-negative", "partial-above", "partial-negative",
+        "extended-shrinks", "render-name-count", "negative-power", "fractional-power",
+        "zero-leading-monomial",
+    ],
+)
+def test_input_guards_raise(call, message):
+    with pytest.raises(StructuralError, match=message):
+        call()
 
 
 def test_ring_axioms_on_random_triples():

@@ -55,8 +55,12 @@ def test_modular_arithmetic():
     assert (-a).value == 2
     assert (a ** 3).value == 2
     assert bool(F5.zero) is False and bool(a) is True
+    # an int on the left is coerced mod p
+    assert (3 - b).value == 4 and (1 / a).value == 2 and (1 / b).value == 4
     with pytest.raises(ZeroDivisionError):
         a / F5.zero
+    with pytest.raises(ZeroDivisionError):
+        1 / F5.zero
     with pytest.raises(ZeroDivisionError):
         F5.from_rational(1, 5)
 
