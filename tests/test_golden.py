@@ -1,8 +1,9 @@
 """Golden reports: the output of every scene command, byte for byte, in
 both formats.
 
-The corpus is every committed `scenes/*.yaml` file (run through the CLI)
-and every built-in fixture (analyzed in process; fixtures have no file),
+The corpus is every committed `scenes/*.yaml` file and the prime-field
+scenes `tests/scenes/gf-*.yaml` (run through the CLI), and every built-in
+fixture (analyzed in process; fixtures have no file),
 under `analyze`, `charts`, `oracle` and `sod`.  An `analyze` report is
 `<input>.<ext>`, the others `<input>.<command>.<ext>`.  A change that
 alters a single byte of any report fails here, and every structured report
@@ -39,7 +40,10 @@ REPORT_VALIDATOR = jsonschema.Draft202012Validator(report_schema())
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENES = sorted((ROOT / "scenes").glob("*.yaml"))
+# the slow tests/scenes/dense-qq*.yaml files stay out of the corpus
+SCENES = sorted((ROOT / "scenes").glob("*.yaml")) + sorted(
+    (ROOT / "tests" / "scenes").glob("gf-*.yaml")
+)
 FORMATS = {"structured": "json", "plain": "txt"}
 COMMANDS = ("analyze", "charts", "oracle", "sod")
 
