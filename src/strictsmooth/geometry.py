@@ -143,8 +143,12 @@ class BaseLocusResult:
     equations: tuple               # coefficient polynomials in the tangent ring
     dimension: Optional[int]       # None when the base locus is empty
     expected_dimension: int
-    vacuous: bool
     verdict: Verdict
+
+    @property
+    def vacuous(self) -> bool:
+        """Whether the base locus is empty, so the verdict holds vacuously."""
+        return self.dimension is None
 
 
 @dataclass(frozen=True)
@@ -269,9 +273,7 @@ def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusRe
     """
     d = center.codimension
     fld = phi.field
-    if phi.degree_in(center.vanishing) != 1 or not all(
-        m.degree_in(center.vanishing) == 1 for m in phi.monomials()
-    ):
+    if phi.is_zero or any(m.degree_in(center.vanishing) != 1 for m in phi.monomials()):
         raise StructuralError("base locus check requires a leading form of degree 1")
     tangent = center.tangent(nvars)
     tdim = len(tangent)
@@ -288,28 +290,30 @@ def base_locus_check(center: Center, phi: Polynomial, nvars: int) -> BaseLocusRe
     expected = 2 * tdim - nvars
     if dim_b is None:
         verdict = Verdict(
-            Status.SMOOTH,
-            detail="base locus is empty; the dimension condition holds vacuously",
+            Status.SMOOTH, "base locus is empty; the dimension condition holds vacuously"
         )
-        return BaseLocusResult(equations, dim_b, expected, True, verdict)
-    witness = b_ideal
-    if expected < 0:
-        detail = (
+    elif expected < 0:
+        verdict = Verdict(
+            Status.SINGULAR,
             f"expected dimension {expected} is negative but the base locus "
-            f"is nonempty (dimension {dim_b})"
+            f"is nonempty (dimension {dim_b})",
+            b_ideal,
         )
     elif dim_b != expected:
-        detail = f"base locus has dimension {dim_b}, expected {expected}"
+        verdict = Verdict(
+            Status.SINGULAR, f"base locus has dimension {dim_b}, expected {expected}", b_ideal
+        )
     else:
         jacobian = [eq.gradient() for eq in equations]
         rank_drop = minors_ideal(jacobian, d)
         witness = Ideal(nonzero + rank_drop.generators, tdim, fld)
         # with every d x d minor identically zero the rank never reaches d
-        if rank_drop.generators and is_empty_affine(witness):
-            return BaseLocusResult(equations, dim_b, expected, False, Verdict(Status.SMOOTH))
-        detail = f"base locus of center {center.name!r} is singular"
-    verdict = Verdict(Status.SINGULAR, detail=detail, witness=witness)
-    return BaseLocusResult(equations, dim_b, expected, False, verdict)
+        verdict = _verdict(
+            bool(rank_drop.generators) and is_empty_affine(witness),
+            f"base locus of center {center.name!r} is singular",
+            witness,
+        )
+    return BaseLocusResult(equations, dim_b, expected, verdict)
 
 
 # --------------------------------------------------------------------------
@@ -349,12 +353,6 @@ def fresh_names(scene_names, center: Center, bases) -> tuple:
     return tuple(names)
 
 
-def chart_names(scene_names, center: Center, variable: int) -> tuple:
-    """Chart coordinates: t for the chart variable, u_<name> for the others."""
-    bases = ("t" if l == variable else f"u_{scene_names[l]}" for l in center.vanishing)
-    return fresh_names(scene_names, center, bases)
-
-
 def charts(scene: Scene, center: Center) -> tuple:
     """All affine blow-up charts of one center, with strict transforms.
 
@@ -366,6 +364,7 @@ def charts(scene: Scene, center: Center) -> tuple:
     merge, over QQ and GF(p) alike.  The t-valuation of the pullback is the
     least normal degree of a term of f, the same in every chart: the k of
     `multiplicity`.  The strict transform is the pullback divided by t^k.
+    The chart coordinates are t for y_j and u_<name> for the other y_l.
     """
     normal = center.vanishing
     terms = [(m, m.degree_in(normal), c) for m, c in scene.f.terms()]
@@ -375,11 +374,12 @@ def charts(scene: Scene, center: Center) -> tuple:
         strict = _trusted(scene.nvars, scene.field, {
             _new(Monomial, m[:j] + (d - valuation,) + m[j + 1:]): c for m, d, c in terms
         })
+        bases = ("t" if l == j else f"u_{scene.names[l]}" for l in normal)
         out.append(
             BlowupChart(
                 center=center,
                 variable=j,
-                names=chart_names(scene.names, center, j),
+                names=fresh_names(scene.names, center, bases),
                 strict_transform=strict,
                 exceptional_exponent=valuation,
             )
@@ -405,17 +405,11 @@ def chart_oracle(scene: Scene, containment: Verdict, center_charts: tuple) -> Ve
     """
     for chart_list in center_charts:
         for chart in chart_list:
-            strict = chart.strict_transform
-            j, n, fld = chart.variable, strict.nvars, strict.field
-            s0, d = {}, {}
-            for m, c in strict.terms():
-                if not m[j]:
-                    s0[m] = c
-                elif m[j] == 1:
-                    d[_new(Monomial, m[:j] + (0,) + m[j + 1:])] = c
-            extra = (_trusted(n, fld, d),) if d else ()
-            if not is_empty_affine(_jacobian(_trusted(n, fld, s0), *extra)):
-                t = Polynomial.variable(j, n, fld)
+            strict, j = chart.strict_transform, chart.variable
+            d = strict.graded_part((j,), 1).partial(j)
+            extra = () if d.is_zero else (d,)
+            if not is_empty_affine(_jacobian(strict.graded_part((j,), 0), *extra)):
+                t = Polynomial.variable(j, strict.nvars, strict.field)
                 return Verdict(
                     Status.SINGULAR,
                     detail=(

@@ -603,16 +603,19 @@ class GroebnerBasis:
 
     It keeps one form of the basis, the kernel's: the `_Reducer` of each
     element, packed by `_pk`, descending, with residues over GF(p) and
-    monic Fractions over QQ.  `basis` converts them to Polynomials on first
-    read; `is_unit`, `normal_form` and `krull_dimension` read the reducers.
+    monic Fractions over QQ.  `basis` converts them to Polynomials on each
+    read and keeps none; `is_unit`, `normal_form` and `krull_dimension`
+    read the reducers.
     """
+
+    __slots__ = ("_reducers", "_pk", "source")
 
     def __init__(self, reducers: list, pk: _Packing, source: Ideal):
         self._reducers = reducers
         self._pk = pk
         self.source = source
 
-    @cached_property
+    @property
     def basis(self) -> tuple:
         nvars, fld, mono = self.source.nvars, self.source.field, self._pk.monomial
         coerce = fld.coerce
@@ -634,17 +637,18 @@ class GroebnerBasis:
         Checks that every basis element is monic, that the basis is reduced
         (no leading monomial divides any monomial of another element), that
         every S-polynomial of a basis pair reduces to zero, and that every
-        generator of the source ideal reduces to zero.  It reads `basis`,
-        so it audits what callers read, not the packed form.
+        generator of the source ideal reduces to zero.  It reads `basis`
+        once, so it audits what callers read, not the packed form.
         """
-        terms = [g._terms for g in self.basis + self.source.generators]
-        _packed(self.source.nvars, _degree(terms), self._verify)
+        basis = self.basis
+        terms = [g._terms for g in basis + self.source.generators]
+        _packed(self.source.nvars, _degree(terms), lambda pk: self._verify(basis, pk))
 
-    def _verify(self, pk):
+    def _verify(self, basis, pk):
         fld = self.source.field
         p = fld.characteristic
         entries = []
-        for g in self.basis:
+        for g in basis:
             d = _kernel_terms(g._terms, p, pk.weights)
             lm = max(d)
             if g._terms[pk.monomial(lm)] != fld.one:

@@ -213,9 +213,7 @@ class _Parser:
                 except ZeroDivisionError as exc:
                     raise ParseError(str(exc), den[2], den[3]) from None
                 return Polynomial.constant(value, self.nvars, self.field)
-            return Polynomial.constant(
-                self.field.from_int(numerator), self.nvars, self.field
-            )
+            return Polynomial.constant(self.field.coerce(numerator), self.nvars, self.field)
         if tok[0] == "NAME":
             self.advance()
             idx = self.index.get(tok[1])

@@ -101,7 +101,7 @@ class ModularInt:
             return NotImplemented
         if o.value == 0:
             raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return ModularInt(self.value * pow(o.value, self.p - 2, self.p), self.p)
+        return ModularInt(self.value * pow(o.value, -1, self.p), self.p)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -148,9 +148,6 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def from_rational(self, numerator: int, denominator: int) -> Fraction:
         return Fraction(numerator, denominator)
 
@@ -194,9 +191,6 @@ class PrimeField:
     @property
     def one(self):
         return ModularInt(1, self.p)
-
-    def from_int(self, n: int) -> ModularInt:
-        return ModularInt(n, self.p)
 
     def from_rational(self, numerator: int, denominator: int) -> ModularInt:
         if denominator % self.p == 0:

@@ -135,7 +135,7 @@ def random_scene(rng: random.Random, force_k1: bool = False) -> Scene:
     terms = {}
     for _ in range(rng.randint(1, 4)):
         exps = _random_monomial(rng, nvars, normal, 1, max_degree)
-        terms[Monomial(exps)] = QQ.from_int(_random_coefficient(rng))
+        terms[Monomial(exps)] = QQ.coerce(_random_coefficient(rng))
     if force_k1:
         exps = _random_monomial(rng, nvars, normal, 1, max_degree)
         lowered = list(exps)
@@ -146,7 +146,7 @@ def random_scene(rng: random.Random, force_k1: bool = False) -> Scene:
             excess -= take
             if not excess:
                 break
-        terms[Monomial(lowered)] = QQ.from_int(_random_coefficient(rng))
+        terms[Monomial(lowered)] = QQ.coerce(_random_coefficient(rng))
     f = Polynomial(nvars, QQ, terms)
     names = tuple(f"v{i + 1}" for i in range(nvars))
     return Scene(nvars, names, f, (Center("C", normal),))
@@ -159,7 +159,7 @@ def random_pairing_like_scene(rng: random.Random) -> Scene:
     normal = pairing.centers[0].vanishing
     for _ in range(rng.randint(0, 2)):
         exps = _random_monomial(rng, nvars, normal, 2, 4)
-        f = f + Polynomial(nvars, QQ, {Monomial(exps): QQ.from_int(_random_coefficient(rng))})
+        f = f + Polynomial(nvars, QQ, {Monomial(exps): QQ.coerce(_random_coefficient(rng))})
     return Scene(nvars, pairing.names, f, (Center("C", normal),))
 
 

@@ -187,7 +187,7 @@ def test_criterion_8_kernel_invariants_and_naive_oracle():
                 exps = [0] * nvars
                 for _ in range(rng.randint(0, 3)):
                     exps[rng.randrange(nvars)] += 1
-                terms[Monomial(exps)] = QQ.from_int(rng.randint(-3, 3))
+                terms[Monomial(exps)] = QQ.coerce(rng.randint(-3, 3))
             p = Polynomial(nvars, QQ, terms)
             if not p.is_zero:
                 gens.append(p)
@@ -211,7 +211,7 @@ def test_criterion_8_kernel_invariants_and_naive_oracle():
             exps = [0] * nvars
             for _ in range(rng.randint(0, 3)):
                 exps[rng.randrange(nvars)] += 1
-            probe_terms[Monomial(exps)] = QQ.from_int(rng.randint(-3, 3))
+            probe_terms[Monomial(exps)] = QQ.coerce(rng.randint(-3, 3))
         probe = Polynomial(nvars, QQ, probe_terms)
         for p in (member, probe):
             assert gb.contains(p) == naive_member(p, naive)

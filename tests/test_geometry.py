@@ -84,7 +84,7 @@ def test_multiplicity_matches_the_k_by_k_search_on_random_scenes():
         for _ in range(25):
             scene = random_scene(rng)
             f = Polynomial(scene.nvars, field, {
-                m: field.from_int(c.numerator) for m, c in scene.f.terms()
+                m: field.coerce(c.numerator) for m, c in scene.f.terms()
             })
             assert set(f.monomials()) == set(scene.f.monomials())
             center = scene.centers[0]
@@ -388,7 +388,7 @@ def test_chart_valuation_invariants_on_random_scenes():
         for _ in range(20):
             scene = random_scene(rng)
             f = Polynomial(scene.nvars, field, {
-                m: field.from_int(c.numerator) for m, c in scene.f.terms()
+                m: field.coerce(c.numerator) for m, c in scene.f.terms()
             })
             if not f.is_zero:
                 _assert_chart_invariants(Scene(scene.nvars, scene.names, f, scene.centers))

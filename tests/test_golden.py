@@ -96,6 +96,21 @@ def test_structured_golden_matches_report_schema(name):
     REPORT_VALIDATOR.validate(json.loads((GOLDEN / name).read_text()))
 
 
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".json")))
+def test_vacuous_base_locus_is_an_empty_one(name):
+    # `vacuously_smooth` is read off `dimension`, so the two cannot disagree;
+    # an analyze report notes the vacuous pass in both formats exactly then
+    doc = json.loads((GOLDEN / name).read_text())
+    loci = [c["base_locus"] for c in doc.get("centers", []) if c["base_locus"]["applicable"]]
+    for locus in loci:
+        assert locus["vacuously_smooth"] is (locus["dimension"] == "empty")
+    if doc["command"] == "analyze":
+        vacuous = any(locus["vacuously_smooth"] for locus in loci)
+        assert any("accepted vacuously" in note for note in doc["notes"]) is vacuous
+        plain = (GOLDEN / name.replace(".json", ".txt")).read_text()
+        assert ("accepted vacuously" in plain) is vacuous
+
+
 # Run with PyYAML and jsonschema made unimportable: the fixture reports
 # through the package's public names, and the modules that loaded.
 WITHOUT_SCENE_STACK = """

@@ -290,7 +290,7 @@ def random_poly(rng, nvars, field=QQ):
         for _ in range(rng.randint(0, 3)):
             exps[rng.randrange(nvars)] += 1
         if field.characteristic:
-            coeff = field.from_int(rng.randint(1, field.characteristic - 1))
+            coeff = field.coerce(rng.randint(1, field.characteristic - 1))
         else:
             coeff = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
         terms[Monomial(exps)] = coeff

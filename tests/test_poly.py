@@ -18,7 +18,7 @@ def random_poly(rng, nvars, max_degree=3, max_terms=5, field=QQ):
         exps = [0] * nvars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(nvars)] += 1
-        terms[Monomial(exps)] = field.from_int(rng.randint(-4, 4))
+        terms[Monomial(exps)] = field.coerce(rng.randint(-4, 4))
     return Polynomial(nvars, field, terms)
 
 
@@ -378,8 +378,8 @@ def test_render_reads_the_sign_off_the_coefficient_text():
     qq = [Fraction(n, d) for n in (-7, -3, -1, 1, 2, 5) for d in (1, 2, 9)]
     for field, coefficients in (
         (QQ, qq),
-        (PrimeField(7), [PrimeField(7).from_int(n) for n in range(1, 7)]),
-        (PrimeField(32003), [PrimeField(32003).from_int(n) for n in (-2, -1, 1, 2, 16001)]),
+        (PrimeField(7), [PrimeField(7).coerce(n) for n in range(1, 7)]),
+        (PrimeField(32003), [PrimeField(32003).coerce(n) for n in (-2, -1, 1, 2, 16001)]),
     ):
         seen = set()
         for _ in range(200):

@@ -15,9 +15,9 @@ def test_rational_canonical_form():
 
 def test_prime_field_range():
     F7 = PrimeField(7)
-    assert F7.from_int(10).value == 3
-    assert F7.from_int(-1).value == 6
-    assert (F7.from_int(3) / F7.from_int(5)).value == 2  # 3 * 5^{-1} = 3*3 = 9 = 2
+    assert F7.coerce(10).value == 3
+    assert F7.coerce(-1).value == 6
+    assert (F7.coerce(3) / F7.coerce(5)).value == 2  # 3 * 5^{-1} = 3*3 = 9 = 2
 
 
 def test_prime_field_rejects_composite():
@@ -35,20 +35,20 @@ def test_prime_field_rejects_a_size_that_is_not_an_int(p):
 def test_kinds_never_mix():
     F5 = PrimeField(5)
     with pytest.raises(TypeError):
-        F5.from_int(1) + Fraction(1, 2)
+        F5.coerce(1) + Fraction(1, 2)
     with pytest.raises(TypeError):
-        Fraction(1, 2) * F5.from_int(2)
+        Fraction(1, 2) * F5.coerce(2)
     with pytest.raises(TypeError):
-        F5.from_int(1) + PrimeField(7).from_int(1)
+        F5.coerce(1) + PrimeField(7).coerce(1)
     with pytest.raises(TypeError):
-        QQ.coerce(F5.from_int(1))
+        QQ.coerce(F5.coerce(1))
     with pytest.raises(TypeError):
         F5.coerce(Fraction(1, 2))
 
 
 def test_modular_arithmetic():
     F5 = PrimeField(5)
-    a, b = F5.from_int(3), F5.from_int(4)
+    a, b = F5.coerce(3), F5.coerce(4)
     assert (a + b).value == 2
     assert (a - b).value == 4
     assert (a * b).value == 2
