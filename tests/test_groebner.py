@@ -1646,11 +1646,11 @@ def test_pair_installation_matches_the_becker_weispfenning_update(
     monkeypatch, pipeline_radical_tests, pipeline_charts
 ):
     """Every Buchberger run of the route corpus, of the Rabinowitsch ideals
-    of the pipeline's radical tests, of the whole chart ideals (S, dS, t) of
-    its charts and of katsura-5 and cyclic-5 over QQ
-    and GF(32003) forms its S-polynomials in the order of the eager update
+    of the pipeline's radical tests and of the whole chart ideals (S, dS, t)
+    of its charts forms its S-polynomials in the order of the eager update
     it replaced: `naive_update` on a set of pairs, the next pair taken by
-    `min`."""
+    `min`.  Square systems, such as katsura-5 and cyclic-5, take the
+    signature loop and never reach it."""
     real_loop, real_spoly = kernel._buchberger, kernel._spoly_t
     formed, runs = [], []
 
@@ -1686,9 +1686,6 @@ def test_pair_installation_matches_the_becker_weispfenning_update(
         strict = chart.strict_transform
         t = Polynomial.variable(chart.variable, strict.nvars, strict.field)
         groebner(geometry._jacobian(strict, t))
-    for fld in (QQ, PrimeField(32003)):
-        groebner(katsura_ideal(5, fld))
-        groebner(cyclic_ideal(5, fld))
     assert len(runs) > 1000 and sum(len(got) for got, _ in runs) > 1800
     assert sum(got != want for got, want in runs) == 0
 
@@ -1710,12 +1707,14 @@ def fixtures_and_route_scenes():
 
 
 # (S-polynomials formed, `_reduce` calls) of the items of the benchmark's
-# `hard-scenes` and `kernel-ideals` workloads that run Buchberger's loop: a
-# change to the pair queue or to the criteria that changes the work fails
-# here, without any timing.  The radical tests of the two scenes run on the
-# charts of their homogeneous Jacobians: on Rabinowitsch lifts they took
-# (962, 921) and (66, 130); while their chart oracle tested (S, dS, t) and
-# not its restriction to the exceptional divisor, (270, 349) and (6, 46).
+# `hard-scenes` and `kernel-ideals` workloads: a change to the pair queue or
+# to the criteria that changes the work fails here, without any timing.
+# katsura-5 and cyclic-5 are square systems and take the signature loop; in
+# Buchberger's loop they took (66, 94) and (102, 125).  The radical tests of
+# the two scenes run on the charts of their homogeneous Jacobians: on
+# Rabinowitsch lifts they took (962, 921) and (66, 130); while their chart
+# oracle tested (S, dS, t) and not its restriction to the exceptional
+# divisor, (270, 349) and (6, 46).
 # The fixtures and route scenes, from which the `route-corpus` workload
 # leaves out its known defects, are the only input whose radical tests
 # still take the Rabinowitsch route: while the tests on one ideal shared
@@ -1725,10 +1724,10 @@ KERNEL_WORK = {
     "fixtures-and-route-scenes": (fixtures_and_route_scenes, (648, 2208)),
     "quintic-5": (lambda: analyze(quintic_scene()), (270, 344)),
     "fermat-6": (lambda: analyze(fermat_scene(6)), (6, 40)),
-    "katsura-5-QQ": (lambda: groebner(katsura_ideal(5, QQ)), (66, 94)),
-    "katsura-5-GF32003": (lambda: groebner(katsura_ideal(5, GF32003)), (66, 94)),
-    "cyclic-5-QQ": (lambda: groebner(cyclic_ideal(5, QQ)), (102, 125)),
-    "cyclic-5-GF32003": (lambda: groebner(cyclic_ideal(5, GF32003)), (102, 125)),
+    "katsura-5-QQ": (lambda: groebner(katsura_ideal(5, QQ)), (26, 79)),
+    "katsura-5-GF32003": (lambda: groebner(katsura_ideal(5, GF32003)), (26, 79)),
+    "cyclic-5-QQ": (lambda: groebner(cyclic_ideal(5, QQ)), (34, 75)),
+    "cyclic-5-GF32003": (lambda: groebner(cyclic_ideal(5, GF32003)), (34, 75)),
 }
 
 
@@ -1742,6 +1741,134 @@ def test_kernel_work_per_item_is_pinned(item, monkeypatch):
     assert (len(spolys), len(reduces)) == want
 
 
+def zero_reductions(run):
+    """The number of S-polynomials that `run` forms and that reduce to zero."""
+    spolys, zero = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        counting(mp, kernel, "_spoly_t", spolys)
+        real = kernel._reduce
+
+        def reduce(target, *rest):
+            out = real(target, *rest)
+            if not out and any(target is s for s in spolys):
+                zero.append(target)
+            return out
+
+        mp.setattr(kernel, "_reduce", reduce)
+        run()
+    return sum(not s for s in spolys) + len(zero)
+
+
+# S-polynomials that reduce to zero in Buchberger's loop
+BUCHBERGER_ZERO_REDUCTIONS = {
+    "katsura-5-QQ": 48, "katsura-5-GF32003": 48, "cyclic-5-QQ": 65, "cyclic-5-GF32003": 65,
+}
+
+
+@pytest.mark.parametrize("item", BUCHBERGER_ZERO_REDUCTIONS)
+def test_kernel_work_per_item_has_no_zero_reduction_in_the_signature_loop(item, monkeypatch):
+    run, _ = KERNEL_WORK[item]
+    assert zero_reductions(run) == 0
+    monkeypatch.setattr(kernel, "_signature", kernel._buchberger)
+    assert zero_reductions(run) == BUCHBERGER_ZERO_REDUCTIONS[item]
+
+
+def loop_basis(ideal, loop):
+    """The reduced basis of `ideal` that the kernel loop `loop` finds from
+    the seed `groebner()` builds, as term maps on exponent tuples."""
+    p = ideal.field.characteristic
+    gens = [g._terms for g in ideal.generators]
+
+    def run(pk):
+        seed = kernel._interreduce_seed(
+            [kernel._kernel_terms(g, p, pk.weights) for g in gens], p, pk
+        )
+        return [
+            {pk.monomial(m): c for m, c in {r.lm: r.lc, **r.tail}.items()}
+            for r in loop(seed, p, None, pk)
+        ]
+
+    return kernel._packed(ideal.nvars, kernel._degree(gens), run)
+
+
+def random_square_system(rng, fld):
+    """1 to n generators in n = 2..5 variables, each of 1 to 4 terms of
+    degree at most 4 with coefficients in -3..3."""
+    n = rng.randint(2, 5)
+    gens = []
+    for _ in range(rng.randint(1, n)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * n
+            for _ in range(rng.randint(0, 4)):
+                e[rng.randrange(n)] += 1
+            terms[Monomial(e)] = fld.coerce(rng.randint(-3, 3))
+        terms = {m: c for m, c in terms.items() if c != fld.zero}
+        if terms:
+            gens.append(Polynomial(n, fld, terms))
+    return Ideal(tuple(gens), n, fld) if gens else random_square_system(rng, fld)
+
+
+SIGNATURE_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), GF32003]
+
+
+@pytest.mark.parametrize("fld", SIGNATURE_FIELDS, ids=["QQ", "GF2", "GF3", "GF7", "GF32003"])
+def test_signature_loop_matches_buchberger_on_random_square_systems(fld):
+    rng = random.Random(fld.characteristic)
+    for _ in range(650):
+        ideal = random_square_system(rng, fld)
+        assert loop_basis(ideal, kernel._signature) == loop_basis(ideal, kernel._buchberger)
+
+
+def test_signature_loop_matches_buchberger_on_katsura_6():
+    ideal = katsura_ideal(6, GF32003)
+    assert loop_basis(ideal, kernel._signature) == loop_basis(ideal, kernel._buchberger)
+
+
+# square systems where dropping the singular top-reducible results of the
+# signature loop loses a basis element
+@pytest.mark.parametrize("fld, nvars, gens", [
+    (PrimeField(7), 4, [
+        {(0, 1, 1, 2): 4},
+        {(1, 2, 0, 0): 4, (0, 1, 0, 3): 2, (2, 0, 1, 0): 2, (1, 0, 0, 1): 5, (0, 0, 1, 0): 5,
+         (1, 0, 0, 0): 4},
+        {(0, 1, 0, 0): 2, (0, 2, 1, 1): 6, (1, 0, 0, 0): 3, (1, 0, 0, 1): 4},
+    ]),
+    (QQ, 5, [
+        {(0, 1, 0, 1, 1): -1, (0, 2, 0, 1, 0): 1, (1, 2, 0, 0, 0): 3, (0, 3, 0, 0, 1): -3},
+        {(0, 1, 0, 3, 0): 5, (0, 0, 0, 0, 0): -1, (0, 0, 1, 1, 1): 2},
+        {(1, 0, 0, 2, 1): 2, (2, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0): -3, (0, 0, 0, 1, 1): -5,
+         (0, 0, 1, 0, 1): -2},
+    ]),
+], ids=["GF7", "QQ"])
+def test_signature_loop_keeps_singular_top_reducible_elements(fld, nvars, gens):
+    ideal = Ideal(tuple(
+        Polynomial(nvars, fld, {Monomial(e): fld.coerce(c) for e, c in g.items()}) for g in gens
+    ), nvars, fld)
+    assert loop_basis(ideal, kernel._signature) == loop_basis(ideal, kernel._buchberger)
+
+
+def test_signature_loop_runs_on_square_systems_only(monkeypatch):
+    """Each emptiness test of quintic-5 is a chart ideal with more generators
+    than occurring variables and takes Buchberger's loop; katsura-5, six
+    generators in six variables, takes the signature loop."""
+    runs, tested = [], []
+    for name in ("_signature", "_buchberger"):
+        real = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, name=name, real=real: runs.append(name) or real(*a))
+    recording(monkeypatch, kernel, "is_empty_affine", tested)
+    analyze(quintic_scene())
+    shapes = {
+        (len(i.generators), sum(map(any, zip(*(m for h in i.generators for m in h.monomials())))))
+        for i in tested
+    }
+    assert (6, 4) in shapes
+    assert runs and set(runs) == {"_buchberger"}
+    runs.clear()
+    groebner(katsura_ideal(5, QQ))
+    assert runs == ["_signature"]
+
+
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 def test_normal_form_leaves_out_only_the_reducers_above_the_target(fld, monkeypatch):
     # hand bases with elements of degrees 2 to 5, and targets below, at and
@@ -1750,10 +1877,10 @@ def test_normal_form_leaves_out_only_the_reducers_above_the_target(fld, monkeypa
     passed = []  # (target degree, the degrees of the reducers passed)
     real = kernel._reduce
 
-    def reduce(target, reducers, p, pk):
+    def reduce(target, reducers, p, pk, *regular):
         degrees = [r.lm & pk.mask for r in reducers]
         passed.append((max((m & pk.mask for m in target), default=0), degrees))
-        return real(target, reducers, p, pk)
+        return real(target, reducers, p, pk, *regular)
 
     monkeypatch.setattr(kernel, "_reduce", reduce)
 
@@ -1951,6 +2078,13 @@ def test_degree_guardrail_triggers():
         with pytest.raises(DegreeLimitError):
             groebner(ideal)
     groebner(ideal)  # no limit: fine
+    # cyclic-5's inputs have degree 5 and its basis degree 8: the signature
+    # loop checks each element it finds
+    with degree_limit(7):
+        with pytest.raises(DegreeLimitError):
+            groebner(cyclic_ideal(5, GF32003))
+    with degree_limit(8):
+        groebner(cyclic_ideal(5, GF32003))
 
 
 def test_basis_audit_hook_sees_every_basis():
