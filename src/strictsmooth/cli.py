@@ -3,8 +3,9 @@
 Commands: analyze (full pipeline), charts (blow-up chart dump), sod
 (derived-category ledger only), oracle (chart route only), selftest
 (fixture corpus plus seeded property suites); a scene command runs only
-the stages its report reads.  The report goes to stdout, and unless --quiet
-a summary to stderr: each center's k and d, then the report's verdicts.
+the stages its report reads, and the charts, off which the summary reads
+k.  The report goes to stdout, and unless --quiet a summary to stderr:
+each center's k and d, then the report's verdicts.
 
 Exit codes: 0 analysis completed (whatever the verdict), 3 internal
 invariant violation (InternalCheckError, or under analyze routes that
@@ -74,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_scene_command(args) -> int:
     analysis = (analyze if args.command == "analyze" else Analysis)(load_scene(args.scene))
     report = build_report(analysis, command=args.command)  # runs the stages it reads
-    # the summary reads k, which charts and oracle reports do not
+    # the summary reads k off the charts, so under sod it adds that stage,
+    # which makes no Groebner call: --quiet changes nothing but stderr
     summary = None if args.quiet else summary_line(analysis, args.command)
     if args.format == "structured":
         sys.stdout.write(render_structured(report))

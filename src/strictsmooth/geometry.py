@@ -537,15 +537,11 @@ class Analysis:
         self.scene = scene
 
     @cached_property
-    def multiplicities(self) -> tuple:
-        """The vanishing order k of each center, parallel to `scene.centers`."""
-        return tuple(multiplicity(self.scene.f, c) for c in self.scene.centers)
-
-    @cached_property
     def centers(self) -> tuple:
         """CenterAnalysis per center; a base-locus witness is in the tangent ring."""
         scene, out = self.scene, []
-        for center, k in zip(scene.centers, self.multiplicities):
+        for center in scene.centers:
+            k = multiplicity(scene.f, center)
             phi = leading_form(scene.f, center, k)
             section = section_smoothness(center, phi)
             base = base_locus_check(center, phi, scene.nvars) if k == 1 else None

@@ -7,14 +7,11 @@ pairs of Becker & Weispfenning's update (p. 230), in Gebauer & Möller's
 form (JSC 6, 1988).  Tie-breaking is lexicographic on internal indices, so
 results repeat bit for bit.  A square or underdetermined system runs
 `_signature`, an incremental signature loop in position-over-term order
-(F5C), whose criteria skip S-polynomials that would reduce to zero: of
-the 26 and 34 it forms on katsura-5 and cyclic-5 none does, against 48 of
-66 and 65 of 102 in Buchberger's loop.  Every emptiness test of the
-pipeline is a hypersurface with its partials, or a Rabinowitsch lift of
-one, so it has more generators than occurring variables; there the
-signature order reaches 1 late (104 S-polynomials on a chart ideal of
-quintic-5 against 18), and a `hard-scenes` pass ran 4.3× slower when
-every input took it.  The seed, the reduction, the S-polynomials and the
+(F5C), whose criteria skip S-polynomials that would reduce to zero.
+Every emptiness test of the pipeline is a hypersurface with its partials,
+or a Rabinowitsch lift of one, so it has more generators than occurring
+variables; there the signature order reaches 1 late, so those inputs keep
+Buchberger's loop.  The seed, the reduction, the S-polynomials and the
 packing are shared, and both loops return the reduced basis, which is
 unique.
 
@@ -110,8 +107,12 @@ _lead = attrgetter("lm")
 def degree_limit(bound: Optional[int]):
     """Abort any Groebner run that produces a polynomial above `bound` degree.
 
-    The expression parser reads the same bound (`active_degree_limit`) and
-    stops before it builds a product or power above it.
+    The bound applies to every polynomial the selected loop forms, not only
+    to the basis it returns, so the lowest bound under which a run finishes
+    depends on the loop: cyclic-6 over GF(32003) needs 11 in the signature
+    loop, and Buchberger's loop finishes it under 9.  The expression parser
+    reads the same bound (`active_degree_limit`) and stops before it builds
+    a product or power above it.
     """
     token = _degree_limit_var.set(bound)
     try:
@@ -599,10 +600,12 @@ def _signature(entries, p, limit, pk):
     generator the element that gives it; a pair with an element of `kept`
     takes its signature from the step element, and when the two leading
     monomials are coprime that signature is a Koszul one, so the pair is
-    never made.  Pairs pop in ascending signature σ, and one per σ is
-    reduced, unless a leading word of `kept` (the Koszul syzygies) or the
-    signature of an earlier zero reduction divides σ, or the signature of
-    an element found after its generator does (the rewrite criterion).
+    never made.  Pairs pop in ascending signature σ, and each is reduced
+    unless a leading word of `kept` (the Koszul syzygies) or the signature
+    of an earlier zero reduction divides σ, or the signature of an element
+    found after its generator does (the rewrite criterion).  A later pair
+    of a σ already reduced meets one of the two: its own zero reduction,
+    or the element of signature σ that the reduction added.
     The regular reduction of an S-polynomial of signature σ reduces by
     every element of `kept`, and by a step element c only a term x with
     sig(c)·x/lm(c) < σ.  A result that some c top-reduces at signature
@@ -646,12 +649,9 @@ def _signature(entries, p, limit, pk):
             return [e]
         step, pairs, made = [], [], itertools.count()
         syzygies = [g.word for g in kept]  # then the words of zero reductions' signatures
-        last = None  # the signature of the last pair reduced
         add(0, 0, e)
         while pairs:
             sig, _, gi, g, k = heappop(pairs)
-            if sig == last:
-                continue
             if sig & mask >= pk.bound:
                 raise _Overflow
             w = pk.exponents(sig)
@@ -660,7 +660,6 @@ def _signature(entries, p, limit, pk):
                 (x - y) & guard == guard for _, y, _ in step[gi + 1:]
             ):
                 continue
-            last = sig
             r = _spoly_t(step[gi][2], g, k, p, pk)
             if r:
                 r = _reduce(r, kept, p, pk, [(sig - t + c.lm, c) for t, _, c in step])

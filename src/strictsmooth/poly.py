@@ -138,12 +138,6 @@ class Polynomial:
             return -1
         return max(m.degree for m in self._terms)
 
-    def degree_in(self, indices) -> int:
-        indices = tuple(indices)
-        if not self._terms:
-            return -1
-        return max(m.degree_in(indices) for m in self._terms)
-
     def terms(self):
         return self._terms.items()
 

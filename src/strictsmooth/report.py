@@ -13,6 +13,7 @@ scene-file code.
 
 from __future__ import annotations
 
+import copy
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -139,16 +140,6 @@ def _charts_section(analysis: Analysis) -> list:
     return out
 
 
-def _copied(value):
-    """A copy of nested dicts and lists that shares only their leaves, the
-    immutable strs, ints, bools and None of the ledger."""
-    if isinstance(value, dict):
-        return {k: _copied(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_copied(v) for v in value]
-    return value
-
-
 def build_report(analysis: Analysis, command: str = "analyze") -> dict:
     """Assemble the report document for one CLI command: `analyze` has
     every section, `charts` the charts, `oracle` the charts and the oracle
@@ -183,7 +174,7 @@ def build_report(analysis: Analysis, command: str = "analyze") -> dict:
             consistent=analysis.consistent,
         )
         report["notes"] = list(analysis.notes)
-        report["divisor_classes"] = _copied(analysis.ledger)
+        report["divisor_classes"] = copy.deepcopy(analysis.ledger)
     return report
 
 
@@ -321,9 +312,11 @@ def render_plain(report: dict) -> str:
 
 
 def summary_line(analysis: Analysis, command: str) -> str:
-    """Each center's k and d, then the verdicts the command's report holds."""
-    pairs = zip(analysis.scene.centers, analysis.multiplicities)
-    parts = ["; ".join(f"{c.name}: k={k} d={c.codimension}" for c, k in pairs)]
+    """Each center's k and d, then the verdicts the command's report holds;
+    k is read off the charts, whose stage makes no Groebner call."""
+    pairs = zip(analysis.scene.centers, analysis.charts)
+    parts = ["; ".join(f"{c.name}: k={ch[0].exceptional_exponent} d={c.codimension}"
+                       for c, ch in pairs)]
     if command == "analyze":
         parts.append(f"section={analysis.section_route.status.value}"
                      f" oracle={analysis.oracle.status.value}"

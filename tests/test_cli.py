@@ -348,16 +348,22 @@ def test_max_degree_guardrail_exit_two(capsys, pairing_file):
     assert "guardrail" in err
 
 
-@pytest.mark.parametrize("command", ["charts", "oracle"])
+@pytest.mark.parametrize("command", ["charts", "oracle", "analyze", "sod"])
 def test_max_degree_guardrail_bounds_summary(capsys, command):
-    # k = 2 at the origin: the report stays within degree 2, but the summary's k
-    # confirms I^3, which the guardrail must stop before anything reaches stdout
+    # k = 2 at the origin: the chart reports stay within degree 2 and their
+    # summary reads k off the charts, so --quiet changes only stderr; analyze
+    # and sod confirm k with I^3, which the guardrail must stop before
+    # anything reaches stdout
     scene = str(SCENES / "pairing-n2-origin.yaml")
-    code, out, err = run(capsys, [command, scene, "--max-degree", "2"])
-    assert code == 2 and out == ""
-    assert "guardrail" in err
-    code, out, err = run(capsys, [command, scene, "--max-degree", "2", "--quiet"])
-    assert code == 0 and out and err == ""
+    loud = run(capsys, [command, scene, "--max-degree", "2"])
+    quiet = run(capsys, [command, scene, "--max-degree", "2", "--quiet"])
+    if command in ("charts", "oracle"):
+        assert loud[0] == quiet[0] == 0 and loud[1] and loud[1] == quiet[1]
+        assert loud[2].startswith("O: k=2 d=4") and quiet[2] == ""
+    else:
+        for code, out, err in (loud, quiet):
+            assert code == 2 and out == ""
+            assert "guardrail" in err
 
 
 def test_max_degree_bounds_parsing(capsys, tmp_path):
@@ -412,7 +418,7 @@ def test_dense_qq_scene_analyzes_in_seconds():
     analysis = analyze(load_scene(DENSE_QQ_SCENE))
     text = render_structured(build_report(analysis))
     assert time.perf_counter() - start < 5
-    assert analysis.multiplicities == (1,)
+    assert [a.multiplicity for a in analysis.centers] == [1]
     assert analysis.section_route.status is Status.INCONCLUSIVE
     assert analysis.oracle.status is Status.SINGULAR
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_QQ_REPORT_SHA256
@@ -658,18 +664,19 @@ def test_scene_command_validates_once(capsys, pairing_file, monkeypatch, command
     assert len(calls) == 1
 
 
-CHART_STAGES = ["validate", "multiplicity", "charts"]
+CHART_STAGES = ["validate", "charts"]
 
 
 @pytest.mark.parametrize("command, stages", [
     ("charts", CHART_STAGES),
     ("oracle", CHART_STAGES + ["singular_locus_in_centers", "chart_oracle"]),
+    # the summary reads k off the charts
     ("sod", ["validate", "multiplicity", "leading_form", "section_smoothness",
-             "base_locus_check", "adjunction_ledger"]),
+             "base_locus_check", "adjunction_ledger", "charts"]),
     ("analyze", ["validate", *STAGES]),
-    # without the summary's k the chart commands read no multiplicity
-    ("charts --quiet", ["validate", "charts"]),
-    ("oracle --quiet", ["validate", "charts", "singular_locus_in_centers", "chart_oracle"]),
+    # --quiet changes only stderr, not the stages run
+    ("charts --quiet", CHART_STAGES),
+    ("oracle --quiet", CHART_STAGES + ["singular_locus_in_centers", "chart_oracle"]),
 ], ids=["charts", "oracle", "sod", "analyze", "charts-quiet", "oracle-quiet"])
 def test_scene_command_runs_only_its_stages(capsys, pairing_file, stage_log, command, stages):
     # a k = 1 scene, so the sod and analyze sets hold the base-locus check

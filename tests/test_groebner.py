@@ -738,9 +738,18 @@ def overflow_cases(fld):
     ]
     ideals.append(Ideal(rabinowitsch(((x**2 + y) ** 3 * y,), (x**2 + y) * y), 3, fld))
     ideals.append(katsura_ideal(3, fld))
+    ideals.append(signature_overflow_case(fld))
     # the smallest width gets this one wrong without the S-polynomial check
     ideals.append(Ideal((2 * x**4 * y**2 + 2 * y**2, y**4 - x * y**3 + y**2), 2, fld))
     return ideals
+
+
+def signature_overflow_case(fld):
+    """A square system whose run at width 4 overflows a pair's signature,
+    not an S-polynomial's lcm."""
+    x0, x1, x2, x3 = (Polynomial.variable(i, 4, fld) for i in range(4))
+    gens = (2 * x0**2 * x2 + 3 * x1 * x2 - 2 * x3, x1**2 * x2**2 - x0 + 3 * x2 + 3)
+    return Ideal(gens, 4, fld)
 
 
 @pytest.mark.parametrize(
@@ -764,6 +773,33 @@ def test_overflow_restarts_give_the_bases_of_the_default_width(fld, monkeypatch)
         gb.verify()
     # the S-polynomial check's case restarts, and so do others
     assert restarts[-1] > 0 and sum(r > 0 for r in restarts) > 1, restarts
+
+
+@pytest.mark.parametrize(
+    "fld", [QQ, PrimeField(7), PrimeField(32003)], ids=["QQ", "GF7", "GF32003"]
+)
+def test_signature_check_restarts_the_run_without_an_s_polynomial_overflow(fld, monkeypatch):
+    ideal = signature_overflow_case(fld)
+    want = groebner(ideal).basis
+    widths, overflows, runs = [], [], []
+    packing, spoly, signature = kernel._packing, kernel._spoly_t, kernel._signature
+
+    def checked_spoly(*args):
+        try:
+            return spoly(*args)
+        except kernel._Overflow:
+            overflows.append(args)
+            raise
+
+    monkeypatch.setattr(kernel, "_WIDTH", 2)
+    monkeypatch.setattr(kernel, "_packing", lambda *key: widths.append(key[1]) or packing(*key))
+    monkeypatch.setattr(kernel, "_spoly_t", checked_spoly)
+    monkeypatch.setattr(kernel, "_signature", lambda *a: runs.append(a) or signature(*a))
+    gb = groebner(ideal)
+    # the input degree 4 starts the run at width 4; the signature check
+    # restarts it at width 8, and no S-polynomial overflows
+    assert widths == [4, 8] and len(runs) == 2 and overflows == []
+    assert gb.basis == want
 
 
 def test_large_exponents_survive_packing():
@@ -1812,12 +1848,26 @@ def random_square_system(rng, fld):
 SIGNATURE_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), GF32003]
 
 
+# the S-polynomials the signature loop forms on the 650 systems per field; a
+# loop that does not record the signature of a zero reduction forms 2,046
+# over QQ, since that syzygy is the only check that drops its repeats
+SIGNATURE_SPOLYS = {0: 1832, 2: 607, 3: 616, 7: 1145, 32003: 1427}
+
+
 @pytest.mark.parametrize("fld", SIGNATURE_FIELDS, ids=["QQ", "GF2", "GF3", "GF7", "GF32003"])
-def test_signature_loop_matches_buchberger_on_random_square_systems(fld):
+def test_signature_loop_matches_buchberger_on_random_square_systems(fld, monkeypatch):
+    formed = []
+    real = kernel._spoly_t
+    monkeypatch.setattr(kernel, "_spoly_t", lambda *a: formed.append(1) or real(*a))
     rng = random.Random(fld.characteristic)
+    spolys = 0
     for _ in range(650):
         ideal = random_square_system(rng, fld)
-        assert loop_basis(ideal, kernel._signature) == loop_basis(ideal, kernel._buchberger)
+        formed.clear()
+        basis = loop_basis(ideal, kernel._signature)
+        spolys += len(formed)
+        assert basis == loop_basis(ideal, kernel._buchberger)
+    assert spolys == SIGNATURE_SPOLYS[fld.characteristic]
 
 
 def test_signature_loop_matches_buchberger_on_katsura_6():
