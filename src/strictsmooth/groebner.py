@@ -54,8 +54,8 @@ same order, and the pairs still pending when 1 ends a run are never
 tested.  These tests and the pruning of the basis are guard-bit tests
 on words.
 The index set G of that update is the loop's only basis set, and the
-reducers are its elements by leading monomial; the seed's one-pass
-interreduction over that minimal basis, ascending, finishes the run.
+reducers are its elements by leading monomial; `_reduced` finishes the
+run, as it finishes each step of the signature loop.
 A monomial ideal skips Buchberger: its generators are packed and walked
 one degree at a time, each one divisible by one kept at a lower degree is
 dropped, and the one-term `_Reducer`s of the basis are built from the
@@ -67,10 +67,10 @@ it, in one pass, and returns as soon as a constant appears.
 
 Coefficients in the kernel are plain Python ints.  `groebner` converts
 each generator once on entry: over GF(p) to its residues (`c.value`),
-over QQ to its primitive integer multiple (denominators cleared with
-their lcm, content divided out).  The kernel works up to units, so every
-polynomial it keeps is normalized: monic over GF(p), primitive with a
-positive leading coefficient over QQ.  A reduction step over GF(p) is
+over QQ to an integer multiple (denominators cleared with their lcm).
+The kernel works up to units, and `_normalize` makes every polynomial it
+keeps, from the seed on, monic over GF(p) and primitive with a positive
+leading coefficient over QQ.  A reduction step over GF(p) is
 `(cur - c*bc) % p`.  Over QQ it is fraction-free: with g = gcd(c, lb),
 the work and the remainder found so far are multiplied by lb // g and
 (c // g) times the shifted reducer is subtracted; an S-polynomial
@@ -326,18 +326,17 @@ def _kernel_terms(terms, p, weights):
     """The kernel's term map of a Polynomial's term map, in one pass.
 
     Each monomial packed with `weights` (`_Packing`).  Each coefficient:
-    over GF(p) its residue; over QQ the primitive integer multiple, the
-    denominators cleared with their lcm, then the content divided out.
+    over GF(p) its residue; over QQ an integer, the denominators cleared
+    with their lcm.  The content stays: `_normalize` makes each seed
+    element primitive.
     """
     if p:
         return {sum(map(mul, m, weights)): c.value for m, c in terms.items()}
     den = lcm(*(c.denominator for c in terms.values()))
-    ints = {
+    return {
         sum(map(mul, m, weights)): c.numerator * (den // c.denominator)
         for m, c in terms.items()
     }
-    content = gcd(*ints.values())
-    return {m: c // content for m, c in ints.items()} if content > 1 else ints
 
 
 def _normalize(d, p):
@@ -539,12 +538,31 @@ def _interreduce_seed(gens, p, pk):
     return kept
 
 
+def _reduced(elements, p, pk):
+    """The `_Reducer`s of the reduced basis, ascending, of the ideal of
+    `elements`, `_Reducer`s that form a Groebner basis of it.
+
+    A reduced basis is the minimal basis, interreduced (Becker &
+    Weispfenning, §5.4).  The minimal basis is the elements whose leading
+    monomial no element before them, ascending, divides (an equal one
+    included).  `_interreduce_seed` interreduces it in one pass: a tail
+    term can only be divisible by leading monomials below its element's,
+    which the pass has already reduced.  Both loops finish here, the
+    signature loop at the end of each step.
+    """
+    minimal = []
+    for e in sorted(elements, key=_lead):
+        if not any(pk.divides(m.word, e.word) for m in minimal):
+            minimal.append(e)
+    return _interreduce_seed([{e.lm: e.lc, **e.tail} for e in minimal], p, pk)
+
+
 def _buchberger(entries, p, limit, pk):
     """The `_Reducer`s of the reduced basis of the ideal of the seed
     `entries` (`_interreduce_seed`, which returns a unit seed as its only
-    entry), descending in the order.  A tail term can only be divisible
-    by leading monomials below its element's, so the seed's one pass over
-    the minimal basis G, ascending, finishes the reduced basis."""
+    entry), descending in the order: `_reduced` of G when no pair is left.
+    G need not be minimal, since `_update` prunes only the elements that
+    the new element divides, and the seed is installed ascending."""
     if not entries[0].lm:
         return entries
 
@@ -581,7 +599,7 @@ def _buchberger(entries, p, limit, pk):
         words.append(e.word)
         install(len(entries) - 1)
 
-    return _interreduce_seed([{r.lm: r.lc, **r.tail} for r in reducers], p, pk)[::-1]
+    return _reduced(reducers, p, pk)[::-1]
 
 
 def _signature(entries, p, limit, pk):
@@ -611,11 +629,9 @@ def _signature(entries, p, limit, pk):
     sig(c)·x/lm(c) < σ.  A result that some c top-reduces at signature
     exactly σ (singular top-reducible) is kept: dropping it under this
     add-order rewrite criterion loses basis elements.  A step ends with
-    the minimal leading monomials of `kept` and of its elements,
-    interreduced by `_interreduce_seed`.
+    `_reduced` of `kept` and its elements.  A unit seed ends the first
+    step, whose element is then the constant.
     """
-    if not entries[0].lm:
-        return entries
     guard, mask = pk.guard, pk.mask
     kept = []  # the reduced basis of the ideal so far, ascending
 
@@ -671,11 +687,7 @@ def _signature(entries, p, limit, pk):
             if not e.lm:
                 return [e]
             add(sig, w, e)
-        minimal = []
-        for e in sorted(kept + [e for *_, e in step], key=_lead):
-            if not any(pk.divides(m.word, e.word) for m in minimal):
-                minimal.append(e)
-        kept = _interreduce_seed([{e.lm: e.lc, **e.tail} for e in minimal], p, pk)
+        kept = _reduced(kept + [e for *_, e in step], p, pk)
     return kept[::-1]
 
 
@@ -712,6 +724,12 @@ def _monomial_basis(gens, pk):
     return [_new(_Reducer, (e, k, 1, {})) for e, k in reversed(kept)]
 
 
+def _polynomial(d, pk, nvars, fld):
+    """The Polynomial over `fld` of the kernel term map d, packed by pk."""
+    mono, coerce = pk.monomial, fld.coerce
+    return _trusted(nvars, fld, {mono(m): coerce(c) for m, c in d.items()})
+
+
 # --------------------------------------------------------------------------
 # public surface
 
@@ -735,12 +753,8 @@ class GroebnerBasis:
 
     @property
     def basis(self) -> tuple:
-        nvars, fld, mono = self.source.nvars, self.source.field, self._pk.monomial
-        coerce = fld.coerce
-        return tuple(
-            _trusted(nvars, fld, {mono(m): coerce(c) for m, c in {r.lm: r.lc, **r.tail}.items()})
-            for r in self._reducers
-        )
+        nvars, fld, pk = self.source.nvars, self.source.field, self._pk
+        return tuple(_polynomial({r.lm: r.lc, **r.tail}, pk, nvars, fld) for r in self._reducers)
 
     @property
     def is_unit(self) -> bool:
@@ -864,9 +878,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
             target = _kernel_terms(p._terms, char, w)
         else:  # QQ: as it is, exact
             target = {sum(map(mul, m, w)): c for m, c in p._terms.items()}
-        rem = _reduce(target, reducers, char, pk)
-        mono, coerce = pk.monomial, fld.coerce
-        return _trusted(p.nvars, fld, {mono(m): coerce(c) for m, c in rem.items()})
+        return _polynomial(_reduce(target, reducers, char, pk), pk, p.nvars, fld)
 
     # no narrower than the basis's own packing
     return _packed(p.nvars, max(degree, gb._pk.bound - 1), run)
@@ -883,8 +895,6 @@ def power_ideal(ideal: Ideal, k: int) -> Ideal:
     divisibility test on each term: Cox, Little & O'Shea, Ch. 2 §4)."""
     if k < 1:
         raise StructuralError("ideal power requires k >= 1")
-    if k == 1:
-        return ideal
     nvars, fld = ideal.nvars, ideal.field
     gens, one = ideal.generators, fld.one
     places = []  # the variable of each generator, while each is one with coefficient one

@@ -275,8 +275,6 @@ class Polynomial:
         """The same polynomial viewed in a larger ring (zero-padded exponents)."""
         if nvars < self.nvars:
             raise StructuralError("cannot shrink the ambient ring")
-        if nvars == self.nvars:
-            return self
         pad = (0,) * (nvars - self.nvars)
         return _trusted(
             nvars, self.field, {_new(Monomial, m + pad): c for m, c in self._terms.items()}

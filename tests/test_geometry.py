@@ -571,10 +571,11 @@ def _y_plus_y_squared():
         # at k = 3 no term has normal degree 3
         (lambda: leading_form(_y_plus_y_squared(), Center("C", (1,)), 3), InternalCheckError,
          "leading form vanishes"),
+        (lambda: pairing_scene(1, "corner"), ValueError, "unknown center kind 'corner'"),
     ],
     ids=[
         "empty-center", "name-count", "duplicate-names", "f-in-another-ring",
-        "leading-form-above-k", "leading-form-zero",
+        "leading-form-above-k", "leading-form-zero", "pairing-unknown-center",
     ],
 )
 def test_input_guards_raise(call, error, message):

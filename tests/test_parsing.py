@@ -206,6 +206,60 @@ def test_nesting_budget_does_not_depend_on_the_caller(shape, frames):
     assert err.value.line == 1
 
 
+def call_with_frames_left(left, fn):
+    """fn() called where about `left` frames of the recursion limit remain."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return call_under(sys.getrecursionlimit() - depth - left, fn)
+
+
+def outcomes_under_a_deep_caller(fn, error):
+    """The message of the `error` that fn() raises, or None when it returns,
+    for each of a range of frames left; a RecursionError fails the test."""
+    out = []
+    for left in range(50, 810, 10):  # from where the call itself fits
+        try:
+            call_with_frames_left(left, fn)
+            out.append(None)
+        except error as exc:
+            out.append(str(exc))
+        except RecursionError:
+            pytest.fail(f"a RecursionError escaped with {left} frames left")
+    return out
+
+
+def test_parser_under_a_deep_caller_fails_cleanly():
+    # 60 levels are within the budget, so "nested too deeply" is the
+    # parser's RecursionError fallback, not its nesting count
+    levels = 60
+    assert levels < parsing.MAX_NESTING
+    out = outcomes_under_a_deep_caller(lambda: parse(nested("parentheses", levels)), ParseError)
+    assert None in out
+    errors = [m for m in out if m is not None]
+    assert errors and all(m.startswith("expression nested too deeply") for m in errors)
+
+
+def test_scene_loader_under_a_deep_caller_fails_cleanly(tmp_path):
+    # 40 levels are within the loader's budget, so "nested too deeply" is
+    # its RecursionError fallback; with room to spare the schema rejects
+    # the nested variable list
+    levels = 40
+    assert levels < scene_io.MAX_NESTING
+    scene = tmp_path / "deep.yaml"
+    scene.write_text(
+        "schema: strictsmooth-scene/1\nvariables: " + "[" * levels + "x" + "]" * levels
+        + '\nhypersurface: "x"\ncenters: []\n'
+    )
+    out = outcomes_under_a_deep_caller(lambda: scene_io.load_scene(scene), scene_io.SceneError)
+    assert "scene file nested too deeply" in out
+    assert all(
+        m == "scene file nested too deeply" or m.startswith("scene file invalid at variables/0")
+        for m in out
+    )
+    assert out[-1] != "scene file nested too deeply"
+
+
 @pytest.mark.parametrize(
     "bound, at_bound, over_bound",
     [

@@ -101,6 +101,11 @@ def test_input_guards_raise(call, message):
         call()
 
 
+def test_a_polynomial_never_equals_a_scalar():
+    # `__eq__` defers to the scalar, which knows no Polynomial
+    assert (Polynomial.variable(0, 1) == 3) is False
+
+
 def test_ring_axioms_on_random_triples():
     rng = random.Random(20240901)
     for _ in range(40):
@@ -295,6 +300,7 @@ def test_extended_ring():
     x = Polynomial.variable(0, 1)
     lifted = x.extended(3)
     assert lifted.nvars == 3 and lifted == Polynomial.variable(0, 3)
+    assert lifted.extended(lifted.nvars) == lifted
 
 
 # ----- graded parts ---------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from strictsmooth.scalars import PRIME_BOUND, QQ, PrimeField, is_prime
+from strictsmooth.scalars import PRIME_BOUND, QQ, ModularInt, PrimeField, is_prime
 
 
 def test_rational_canonical_form():
@@ -44,6 +44,22 @@ def test_kinds_never_mix():
         QQ.coerce(F5.coerce(1))
     with pytest.raises(TypeError):
         F5.coerce(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ModularInt(3, 7) ** -1, ValueError, "exponent must be a nonnegative integer"),
+        (lambda: QQ.coerce(1.5), TypeError, "cannot coerce 1.5 into the rational field"),
+        (lambda: PrimeField(7).coerce(ModularInt(1, 5)), TypeError,
+         r"scalar from GF\(5\) used in GF\(7\)"),
+        (lambda: PrimeField(7).coerce(1.5), TypeError, r"cannot coerce 1.5 into GF\(7\)"),
+    ],
+    ids=["negative-power", "rational-float", "prime-other-field", "prime-float"],
+)
+def test_input_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_modular_arithmetic():
