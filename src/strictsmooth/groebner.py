@@ -30,8 +30,9 @@ once, is built once, when it joins the basis.
 The width starts at `_WIDTH` bits, or wider when an input degree needs
 it.  Each S-polynomial first checks that the degree of its lcm stays
 below 2^(w-1), the guard bit; if not, the call restarts at twice the
-width.  The signature loop checks each pair's signature the same way,
-since its criteria are guard-bit tests on signatures.  Grevlex is graded,
+width.  The signature loop checks each pair's signature the same way
+when it makes the pair, before its Koszul test, since its criteria are
+guard-bit tests on signatures.  Grevlex is graded,
 so no reduction step makes a term of higher degree than the term it
 reduces, and reductions need no check.  Reduced bases and normal forms
 are unique, so a restart returns the same result.
@@ -55,7 +56,8 @@ tested.  These tests and the pruning of the basis are guard-bit tests
 on words.
 The index set G of that update is the loop's only basis set, and the
 reducers are its elements by leading monomial; `_reduced` finishes the
-run, as it finishes each step of the signature loop.
+run, as it finishes each step of the signature loop, and rebuilds only
+the elements whose tail a new leading monomial divides.
 A monomial ideal skips Buchberger: its generators are packed and walked
 one degree at a time, each one divisible by one kept at a lower degree is
 dropped, and the one-term `_Reducer`s of the basis are built from the
@@ -377,15 +379,17 @@ def _entry(lm, d, pk):
     return _new(_Reducer, (pk.exponents(lm), lm, tail.pop(lm), tail))
 
 
-def _reduce(target, reducers, p, pk, regular=()):
+def _reduce(target, reducers, p, pk, regular=(), divisors=None):
     """Normal form of the term map `target` against `_Reducer`s, up to a unit.
 
     The first reducer whose leading monomial divides the leading work term
     reduces it; when none does, the first of the (bound, `_Reducer`) pairs
     `regular` whose leading monomial divides it and whose bound lies above
-    it (the signature loop's regular reduction).  Over GF(p) every reducer
-    is monic and a step is
-    `(cur - c*bc) % p`.  Over QQ a step is fraction-free: with
+    it (the signature loop's regular reduction).  `divisors`, when given,
+    maps a monomial to its first divisor in `reducers`, or None, and gains
+    each monomial scanned: the signature loop keeps one per step, whose
+    `reducers` do not change.  Over GF(p) every reducer is monic and a step
+    is `(cur - c*bc) % p`.  Over QQ a step is fraction-free: with
     g = gcd(c, lb) for the reducer's leading coefficient lb, the work and
     the remainder found so far are scaled by lb // g, and (c // g) times
     the shifted reducer is subtracted.  The result is then a positive
@@ -404,10 +408,16 @@ def _reduce(target, reducers, p, pk, regular=()):
         lm = max(work)
         c = work.pop(lm)
         x = ((~lm & fields) + ones) & fields | guard  # pk.exponents(lm) | guard
-        for r in reducers:
-            if (x - r[0]) & guard == guard:  # r.word divides lm
-                break
-        else:
+        r = False if divisors is None else divisors.get(lm, False)
+        if r is False:  # not looked up yet
+            for r in reducers:
+                if (x - r[0]) & guard == guard:  # r.word divides lm
+                    break
+            else:
+                r = None
+            if divisors is not None:
+                divisors[lm] = r
+        if r is None:
             for b, r in regular:
                 if lm < b and (x - r[0]) & guard == guard:
                     break
@@ -538,23 +548,42 @@ def _interreduce_seed(gens, p, pk):
     return kept
 
 
-def _reduced(elements, p, pk):
+def _reduced(kept, new, p, pk):
     """The `_Reducer`s of the reduced basis, ascending, of the ideal of
-    `elements`, `_Reducer`s that form a Groebner basis of it.
+    `kept` and `new`, normalized `_Reducer`s that together form a Groebner
+    basis of it, where `kept` is a reduced basis and none of its leading
+    monomials divides a tail term of `new`: true of remainders by `kept`,
+    and of any `new` when `kept` is empty.
 
     A reduced basis is the minimal basis, interreduced (Becker &
     Weispfenning, §5.4).  The minimal basis is the elements whose leading
     monomial no element before them, ascending, divides (an equal one
-    included).  `_interreduce_seed` interreduces it in one pass: a tail
-    term can only be divisible by leading monomials below its element's,
-    which the pass has already reduced.  Both loops finish here, the
-    signature loop at the end of each step.
+    included).  Only a new leading monomial can divide one of their tail
+    terms, and a divisor lies at or below its multiple, so an element
+    whose tail terms at or above the smallest new leading monomial have no
+    new divisor is reduced and stays, the same object.  The others are
+    interreduced in one ascending pass, each against the elements before
+    it, among which is every divisor of its tail terms.  Both loops finish
+    here, the signature loop at the end of each step.
     """
     minimal = []
-    for e in sorted(elements, key=_lead):
+    for e in sorted(kept + new, key=_lead):
         if not any(pk.divides(m.word, e.word) for m in minimal):
             minimal.append(e)
-    return _interreduce_seed([{e.lm: e.lc, **e.tail} for e in minimal], p, pk)
+    guard, fields, ones = pk.guard, pk.fields, pk.ones
+    low = min(e.lm for e in new)
+    words = [e.word for e in new]
+    out = []
+    for e in minimal:
+        if e.lm > low:
+            for t in e.tail:
+                if t >= low:
+                    x = ((~t & fields) + ones) & fields | guard  # pk.exponents(t) | guard
+                    if any((x - w) & guard == guard for w in words):
+                        e = _entry(*_normalize(_reduce({e.lm: e.lc, **e.tail}, out, p, pk), p), pk)
+                        break
+        out.append(e)
+    return out
 
 
 def _buchberger(entries, p, limit, pk):
@@ -599,7 +628,7 @@ def _buchberger(entries, p, limit, pk):
         words.append(e.word)
         install(len(entries) - 1)
 
-    return _reduced(reducers, p, pk)[::-1]
+    return _reduced([], reducers, p, pk)[::-1]
 
 
 def _signature(entries, p, limit, pk):
@@ -618,59 +647,74 @@ def _signature(entries, p, limit, pk):
     generator the element that gives it; a pair with an element of `kept`
     takes its signature from the step element, and when the two leading
     monomials are coprime that signature is a Koszul one, so the pair is
-    never made.  Pairs pop in ascending signature σ, and each is reduced
-    unless a leading word of `kept` (the Koszul syzygies) or the signature
-    of an earlier zero reduction divides σ, or the signature of an element
-    found after its generator does (the rewrite criterion).  A later pair
-    of a σ already reduced meets one of the two: its own zero reduction,
-    or the element of signature σ that the reduction added.
+    never made.  A pair goes to the heap only when no leading word of
+    `kept` divides its signature (the Koszul syzygies, all known when the
+    pair is made); its signature's overflow is checked first, since that
+    guard-bit test holds only below the bound.  Pairs pop in ascending
+    signature σ, and each is reduced unless the signature of an earlier
+    zero reduction divides σ, or the signature of an element found after
+    its generator does (the rewrite criterion).  A later pair of a σ
+    already reduced meets one of the two: its own zero reduction, or the
+    element of signature σ that the reduction added.
     The regular reduction of an S-polynomial of signature σ reduces by
     every element of `kept`, and by a step element c only a term x with
-    sig(c)·x/lm(c) < σ.  A result that some c top-reduces at signature
-    exactly σ (singular top-reducible) is kept: dropping it under this
-    add-order rewrite criterion loses basis elements.  A step ends with
-    `_reduced` of `kept` and its elements.  A unit seed ends the first
-    step, whose element is then the constant.
+    sig(c)·x/lm(c) < σ.  `kept` does not change during a step, so the
+    step keeps each monomial's first divisor in it, and scans it once per
+    monomial.  A result that some c top-reduces at signature exactly σ
+    (singular top-reducible) is kept: dropping it under this add-order
+    rewrite criterion loses basis elements.  A step ends with `_reduced`
+    of `kept` and its elements, which are remainders of a reduction by
+    `kept`, as `_reduced` requires.  A unit seed ends the first step,
+    whose element is then the constant.
     """
     guard, mask = pk.guard, pk.mask
     kept = []  # the reduced basis of the ideal so far, ascending
 
+    def push(sig, gi, g, k):
+        # the overflow check first: the Koszul test holds only below the bound
+        if sig & mask >= pk.bound:
+            raise _Overflow
+        w = pk.exponents(sig)
+        x = w | guard
+        if not any((x - y) & guard == guard for y in koszul):
+            heappush(pairs, (sig, next(made), gi, g, k, w))
+
     def add(sig, word, e):
         # e joins the step, and its pairs the heap: (signature, count, the
-        # generator's index in `step`, the other element, packed lcm)
+        # generator's index in `step`, the other element, packed lcm, the
+        # signature's exponent word)
         j = len(step)
         for g in kept:
             l = pk.lcm(e.word, g.word)
             if l != e.word + g.word:
                 k = pk.pack(l)
-                heappush(pairs, (k - e.lm + sig, next(made), j, g, k))
+                push(k - e.lm + sig, j, g, k)
         for i, (t, _, c) in enumerate(step):
             k = pk.pack(pk.lcm(e.word, c.word))
             u, v = k - e.lm + sig, k - c.lm + t
             # the larger signature names the generator; a singular pair,
             # u == v, is never made
             if u > v:
-                heappush(pairs, (u, next(made), j, c, k))
+                push(u, j, c, k)
             elif v > u:
-                heappush(pairs, (v, next(made), i, e, k))
+                push(v, i, e, k)
         step.append((sig, word, e))
 
     for f in sorted(entries, key=_lead):
+        divisors = {}  # monomial -> its first divisor in `kept`, or None
         d = {f.lm: f.lc, **f.tail}
-        d = _reduce(d, kept, p, pk) if kept else d
+        d = _reduce(d, kept, p, pk, (), divisors) if kept else d
         if not d:
             continue
         e = _entry(*_normalize(d, p), pk)
         if not e.lm:
             return [e]
         step, pairs, made = [], [], itertools.count()
-        syzygies = [g.word for g in kept]  # then the words of zero reductions' signatures
+        koszul = [g.word for g in kept]
+        syzygies = []  # the words of zero reductions' signatures
         add(0, 0, e)
         while pairs:
-            sig, _, gi, g, k = heappop(pairs)
-            if sig & mask >= pk.bound:
-                raise _Overflow
-            w = pk.exponents(sig)
+            sig, _, gi, g, k, w = heappop(pairs)
             x = w | guard
             if any((x - y) & guard == guard for y in syzygies) or any(
                 (x - y) & guard == guard for _, y, _ in step[gi + 1:]
@@ -678,7 +722,7 @@ def _signature(entries, p, limit, pk):
                 continue
             r = _spoly_t(step[gi][2], g, k, p, pk)
             if r:
-                r = _reduce(r, kept, p, pk, [(sig - t + c.lm, c) for t, _, c in step])
+                r = _reduce(r, kept, p, pk, [(sig - t + c.lm, c) for t, _, c in step], divisors)
             if not r:
                 syzygies.append(w)
                 continue
@@ -687,7 +731,7 @@ def _signature(entries, p, limit, pk):
             if not e.lm:
                 return [e]
             add(sig, w, e)
-        kept = _reduced(kept + [e for *_, e in step], p, pk)
+        kept = _reduced(kept, [e for *_, e in step], p, pk)
     return kept[::-1]
 
 

@@ -4,12 +4,14 @@ Deliberately dumb: textbook Buchberger with a FIFO pair queue and no
 criteria, no interreduction of the result, and membership decided by
 dividing against every permutation of the computed basis (all answers must
 be unanimous).  Shares no code with the package kernel beyond the public
-Polynomial type, with three exceptions.  `naive_update` is the kernel's
+Polynomial type, with four exceptions.  `naive_update` is the kernel's
 critical-pair update in Becker & Weispfenning's form; it reads the packed
 words through the kernel's packing, which the caller passes in.
 `naive_pair_sequence` is the kernel's pair loop with that update run
 eagerly on a set of pairs, and forms S-polynomials and reduces with the
 kernel's own arithmetic, so that only the pair bookkeeping differs.
+`naive_finish` is the kernel's earlier finish of a run, which interreduced
+the whole minimal basis with the kernel's seed pass.
 `naive_multiplicity` searches for the vanishing order with the kernel's
 ideal-power membership, one candidate k at a time.
 """
@@ -19,7 +21,14 @@ from __future__ import annotations
 import itertools
 
 from strictsmooth.errors import SceneError
-from strictsmooth.groebner import _entry, _normalize, _reduce, _spoly_t, ideal_power_membership
+from strictsmooth.groebner import (
+    _entry,
+    _interreduce_seed,
+    _normalize,
+    _reduce,
+    _spoly_t,
+    ideal_power_membership,
+)
 from strictsmooth.poly import Polynomial
 
 
@@ -252,6 +261,19 @@ def naive_pair_sequence(entries, p, pk, formed):
         entries.append(e)
         words.append(e.word)
         G, B = naive_update(G, B, len(entries) - 1, words, pk)
+
+
+
+def naive_finish(elements, p, pk):
+    """The reduced basis, ascending, of the kernel `_Reducer`s `elements`,
+    a Groebner basis: every element whose leading word no element before
+    it, ascending, divides, all interreduced in one pass of
+    `_interreduce_seed`, each rebuilt whether it changes or not."""
+    minimal = []
+    for e in sorted(elements, key=lambda e: e.lm):
+        if not any(pk.divides(m.word, e.word) for m in minimal):
+            minimal.append(e)
+    return _interreduce_seed([{e.lm: e.lc, **e.tail} for e in minimal], p, pk)
 
 
 def naive_unit_certificate(generators, max_steps=2000):

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import itertools
 import random
+import traceback
 from fractions import Fraction
 from functools import cache
 from operator import add, le, mul, sub
@@ -37,6 +38,7 @@ from _naive import (
     naive_groebner,
     naive_is_empty,
     naive_krull_dimension,
+    naive_finish,
     naive_member,
     naive_radical_member,
     naive_reduced_basis,
@@ -799,6 +801,41 @@ def test_signature_check_restarts_the_run_without_an_s_polynomial_overflow(fld, 
     # the input degree 4 starts the run at width 4; the signature check
     # restarts it at width 8, and no S-polynomial overflows
     assert widths == [4, 8] and len(runs) == 2 and overflows == []
+    assert gb.basis == want
+
+
+@pytest.mark.parametrize(
+    "fld", [QQ, PrimeField(7), PrimeField(32003)], ids=["QQ", "GF7", "GF32003"]
+)
+def test_signature_overflow_check_comes_before_the_koszul_test(fld, monkeypatch):
+    """(y^4, 3*x^2*y^2*z - 3*y*z - z) starts at width 4, for its input
+    degree, and its second step has `kept` = {y^4}.  The first pair whose
+    signature reaches the bound 8 reads as divisible by y^4 under the
+    guard-bit test, which holds only below the bound.  A loop that ran the
+    Koszul test first would drop that pair and finish at width 4; the
+    overflow check restarts the run at width 8, with the default basis."""
+    x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
+    ideal = Ideal((y**4, 3 * x**2 * y**2 * z - 3 * y * z - z), 3, fld)
+    want = groebner(ideal).basis
+    widths, misread = [], []
+    packing, signature = kernel._packing, kernel._signature
+
+    def checked(*args):
+        try:
+            return signature(*args)
+        except kernel._Overflow as exc:
+            # the pair being pushed when the check fired, read off `push`
+            frame = list(traceback.walk_tb(exc.__traceback__))[-1][0]
+            sig, koszul, pk = (frame.f_locals[name] for name in ("sig", "koszul", "pk"))
+            x = pk.exponents(sig) | pk.guard
+            misread.append(any((x - w) & pk.guard == pk.guard for w in koszul))
+            raise
+
+    monkeypatch.setattr(kernel, "_WIDTH", 2)
+    monkeypatch.setattr(kernel, "_packing", lambda *key: widths.append(key[1]) or packing(*key))
+    monkeypatch.setattr(kernel, "_signature", checked)
+    gb = groebner(ideal)
+    assert widths == [4, 8] and misread == [True]
     assert gb.basis == want
 
 
@@ -1757,15 +1794,19 @@ def fixtures_and_route_scenes():
 # its lifted seed they took (1267, 3310), and while only homogeneous
 # ideals had charts and the oracle tested (S, dS, t), (1267, 3458); while
 # Buchberger's loop interreduced all of its final G, not only its minimal
-# basis, (648, 2208)
+# basis, (648, 2208).
+# While each finish reduced every element of the minimal basis, not only
+# those whose tail a new leading monomial divides, and the signature loop
+# scanned `kept` for each monomial at every step of a reduction, the route
+# scenes took (648, 2139), katsura-5 (26, 79) and cyclic-5 (34, 75)
 KERNEL_WORK = {
-    "fixtures-and-route-scenes": (fixtures_and_route_scenes, (648, 2139)),
+    "fixtures-and-route-scenes": (fixtures_and_route_scenes, (648, 2031)),
     "quintic-5": (lambda: analyze(quintic_scene()), (270, 344)),
     "fermat-6": (lambda: analyze(fermat_scene(6)), (6, 40)),
-    "katsura-5-QQ": (lambda: groebner(katsura_ideal(5, QQ)), (26, 79)),
-    "katsura-5-GF32003": (lambda: groebner(katsura_ideal(5, GF32003)), (26, 79)),
-    "cyclic-5-QQ": (lambda: groebner(cyclic_ideal(5, QQ)), (34, 75)),
-    "cyclic-5-GF32003": (lambda: groebner(cyclic_ideal(5, GF32003)), (34, 75)),
+    "katsura-5-QQ": (lambda: groebner(katsura_ideal(5, QQ)), (26, 58)),
+    "katsura-5-GF32003": (lambda: groebner(katsura_ideal(5, GF32003)), (26, 58)),
+    "cyclic-5-QQ": (lambda: groebner(cyclic_ideal(5, QQ)), (34, 50)),
+    "cyclic-5-GF32003": (lambda: groebner(cyclic_ideal(5, GF32003)), (34, 50)),
 }
 
 
@@ -1784,9 +1825,11 @@ def test_buchberger_finish_interreduces_only_the_minimal_basis(fld, monkeypatch)
     """The seed of (x*y + z, x, y^2, z^2) is installed ascending, x before
     x*y + z, and `_update` prunes only what a new element divides, so
     x*y + z stays in G to the end.  Of the 2 S-polynomials one is zero, so
-    the `_reduce` calls are 3 in the seed, 1 in the loop and 2 in the
-    finish, which leaves x*y + z out of the minimal basis {x, z, y^2};
-    interreducing all of G would reduce it to zero in a seventh."""
+    the `_reduce` calls are 3 in the seed, 1 in the loop and none in the
+    finish, which leaves x*y + z out of the minimal basis {x, z, y^2}, whose
+    elements have no tail; interreducing all of G would also reduce x*y + z,
+    to zero.  While the finish reduced every element of the minimal basis
+    but its first, the calls were 6."""
     x, y, z = (Polynomial.variable(i, 3, fld) for i in range(3))
     runs, spolys, reduces = [], [], []
     recording(monkeypatch, kernel, "_buchberger", runs)
@@ -1795,7 +1838,26 @@ def test_buchberger_finish_interreduces_only_the_minimal_basis(fld, monkeypatch)
     gb = groebner(Ideal((x * y + z, x, y**2, z**2), 3, fld))
     assert len(runs) == 1
     assert set(gb.basis) == {y**2, x, z}
-    assert (len(spolys), len(reduces)) == (2, 6)
+    assert (len(spolys), len(reduces)) == (2, 4)
+
+
+# heap pushes of the signature loop: a pair whose signature a leading word of
+# `kept` divides (a Koszul syzygy) is never pushed.  While that test ran when
+# a pair was popped, katsura-5 pushed 297 pairs and cyclic-5 651, and formed
+# the same S-polynomials
+SIGNATURE_PUSHES = {
+    "katsura-5-QQ": 52, "katsura-5-GF32003": 52, "cyclic-5-QQ": 138, "cyclic-5-GF32003": 138,
+}
+
+
+@pytest.mark.parametrize("item", SIGNATURE_PUSHES)
+def test_kernel_work_per_item_pushes_no_koszul_pair(item, monkeypatch):
+    run, want = KERNEL_WORK[item]
+    spolys, pushes = [], []
+    counting(monkeypatch, kernel, "_spoly_t", spolys)
+    counting(monkeypatch, kernel, "heappush", pushes)
+    run()
+    assert (len(spolys), len(pushes)) == (want[0], SIGNATURE_PUSHES[item])
 
 
 def zero_reductions(run):
@@ -1889,6 +1951,34 @@ def test_signature_loop_matches_buchberger_on_random_square_systems(fld, monkeyp
         spolys += len(formed)
         assert basis == loop_basis(ideal, kernel._buchberger)
     assert spolys == SIGNATURE_SPOLYS[fld.characteristic]
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), GF32003], ids=["QQ", "GF7", "GF32003"])
+def test_signature_step_finish_matches_the_whole_interreduction(fld, monkeypatch):
+    """Each step's finish `_reduced(kept, new)` on the random square systems
+    returns what the earlier finish, `naive_finish`, returned from
+    interreducing the whole minimal basis; an element that finish leaves
+    as it was comes back as the same object."""
+    real = kernel._reduced
+    kept_objects, rebuilt = [], []
+
+    def reduced(kept, new, p, pk):
+        got = real(kept, new, p, pk)
+        assert got == naive_finish(kept + new, p, pk)
+        given = kept + new
+        for e in got:
+            if e in given:
+                assert any(e is g for g in given)
+                kept_objects.append(e)
+            else:
+                rebuilt.append(e)
+        return got
+
+    monkeypatch.setattr(kernel, "_reduced", reduced)
+    rng = random.Random(fld.characteristic)
+    for _ in range(650):
+        loop_basis(random_square_system(rng, fld), kernel._signature)
+    assert kept_objects and rebuilt
 
 
 def test_signature_loop_matches_buchberger_on_katsura_6():
