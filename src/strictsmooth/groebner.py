@@ -40,11 +40,12 @@ are unique, so a restart returns the same result.
 Critical pairs live on packed monomials too.  Each basis element keeps
 the exponent word of its leading monomial; a pair keeps the word of its
 lcm, `_Packing.lcm`, a fieldwise maximum in three big-int operations, and
-that lcm packed, `_Packing.pack`, as its key on a heap.  An lcm has
-degree below 2^w, so no field carries and integer order on the packed
-lcm is still grevlex.  Coprimality is `lcm == ea + eb`; the new pairs
-of an element are installed per distinct lcm, tested in packed order
-(a proper divisor comes first) against the lcms kept.  Gebauer &
+that lcm packed, `_Packing.pack`, as its key on a heap; `_update` and the
+signature loop's pair making inline both.  An lcm has degree below 2^w,
+so no field carries and integer order on the packed lcm is still grevlex.
+Coprimality is `lcm == ea + eb`; the new pairs of an element are
+installed per distinct lcm, tested in packed order (a proper divisor
+comes first) against the lcms kept.  Gebauer &
 Möller's B criterion, which drops an old pair when a later element's
 leading monomial divides its lcm and makes a pair of the same lcm with
 neither end, is not applied to every pending pair at every installation:
@@ -56,8 +57,9 @@ tested.  These tests and the pruning of the basis are guard-bit tests
 on words.
 The index set G of that update is the loop's only basis set, and the
 reducers are its elements by leading monomial; `_reduced` finishes the
-run, as it finishes each step of the signature loop, and rebuilds only
-the elements whose tail a new leading monomial divides.
+run, as it finishes each step of the signature loop, rebuilds only the
+elements whose tail a new leading monomial divides, and scans the
+elements before them once per monomial in the whole pass.
 A monomial ideal skips Buchberger: its generators are packed and walked
 one degree at a time, each one divisible by one kept at a lower degree is
 dropped, and the one-term `_Reducer`s of the basis are built from the
@@ -263,13 +265,19 @@ class _Packing:
 
     def pack(self, e):
         """The packed monomial K of the exponent word e: deg·(1 + B^(n+1)) − e,
-        the degree a horizontal sum of the fields in one multiplication."""
+        the degree a horizontal sum of the fields in one multiplication.
+
+        `_update` and the signature loop's `add` inline this and `lcm`.
+        """
         deg = e * self.spread >> self.top & self.mask
         return (deg << self.top | deg) - e
 
     def lcm(self, ea, eb):
         """The exponent word of the lcm of the words ea and eb: their
-        fieldwise maximum, taken where the guard bit marks e_a >= e_b."""
+        fieldwise maximum, taken where the guard bit marks e_a >= e_b.
+
+        `_update`, `_dropped` and the signature loop's `add` inline it.
+        """
         ge = ((ea | self.guard) - eb) & self.guard
         take = (ge >> self.guard_shift) * self.mask
         return ea & take | eb & ~take
@@ -565,6 +573,13 @@ def _reduced(kept, new, p, pk):
     interreduced in one ascending pass, each against the elements before
     it, among which is every divisor of its tail terms.  Both loops finish
     here, the signature loop at the end of each step.
+
+    One divisor table serves every `_reduce` call of the pass.  Each
+    monomial looked up while e is rebuilt lies below lm(e), except lm(e)
+    itself, and every element appended to `out` later has a larger leading
+    monomial, so it divides none of them: a first divisor in `out`, or
+    none, once found is final for the pass.  lm(e) is the exception, since
+    e joins `out` next and divides it, so its entry leaves the table.
     """
     minimal = []
     for e in sorted(kept + new, key=_lead):
@@ -574,13 +589,16 @@ def _reduced(kept, new, p, pk):
     low = min(e.lm for e in new)
     words = [e.word for e in new]
     out = []
+    divisors = {}  # monomial -> its first divisor in `out`, or None
     for e in minimal:
         if e.lm > low:
             for t in e.tail:
                 if t >= low:
                     x = ((~t & fields) + ones) & fields | guard  # pk.exponents(t) | guard
                     if any((x - w) & guard == guard for w in words):
-                        e = _entry(*_normalize(_reduce({e.lm: e.lc, **e.tail}, out, p, pk), p), pk)
+                        d = _reduce({e.lm: e.lc, **e.tail}, out, p, pk, (), divisors)
+                        del divisors[e.lm]
+                        e = _entry(*_normalize(d, p), pk)
                         break
         out.append(e)
     return out
@@ -667,31 +685,43 @@ def _signature(entries, p, limit, pk):
     `kept`, as `_reduced` requires.  A unit seed ends the first step,
     whose element is then the constant.
     """
-    guard, mask = pk.guard, pk.mask
+    guard, mask, shift = pk.guard, pk.mask, pk.guard_shift
+    fields, ones, spread, top = pk.fields, pk.ones, pk.spread, pk.top
     kept = []  # the reduced basis of the ideal so far, ascending
 
     def push(sig, gi, g, k):
         # the overflow check first: the Koszul test holds only below the bound
         if sig & mask >= pk.bound:
             raise _Overflow
-        w = pk.exponents(sig)
+        w = ((~sig & fields) + ones) & fields  # pk.exponents(sig)
         x = w | guard
-        if not any((x - y) & guard == guard for y in koszul):
-            heappush(pairs, (sig, next(made), gi, g, k, w))
+        for y in koszul:
+            if (x - y) & guard == guard:
+                return
+        heappush(pairs, (sig, next(made), gi, g, k, w))
 
     def add(sig, word, e):
         # e joins the step, and its pairs the heap: (signature, count, the
         # generator's index in `step`, the other element, packed lcm, the
-        # signature's exponent word)
+        # signature's exponent word); `_Packing.lcm` and `.pack` inlined
         j = len(step)
+        ea, base = e.word, sig - e.lm
+        xa = ea | guard
         for g in kept:
-            l = pk.lcm(e.word, g.word)
-            if l != e.word + g.word:
-                k = pk.pack(l)
-                push(k - e.lm + sig, j, g, k)
+            eb = g.word
+            take = (((xa - eb) & guard) >> shift) * mask
+            l = ea & take | eb & ~take
+            if l != ea + eb:
+                deg = l * spread >> top & mask
+                k = (deg << top | deg) - l
+                push(k + base, j, g, k)
         for i, (t, _, c) in enumerate(step):
-            k = pk.pack(pk.lcm(e.word, c.word))
-            u, v = k - e.lm + sig, k - c.lm + t
+            eb = c.word
+            take = (((xa - eb) & guard) >> shift) * mask
+            l = ea & take | eb & ~take
+            deg = l * spread >> top & mask
+            k = (deg << top | deg) - l
+            u, v = k + base, k - c.lm + t
             # the larger signature names the generator; a singular pair,
             # u == v, is never made
             if u > v:

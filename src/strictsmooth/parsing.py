@@ -25,8 +25,12 @@ Over every field a product of m and n terms, at a '*' or at a step of a
 power, is a ParseError before it is formed when m * n exceeds
 `MAX_TERMS`, so no product has more terms than that.
 Nesting is limited to `MAX_NESTING` levels, counted as the parser
-descends: each open parenthesis and each unary minus is one level, so the
-limit does not depend on the caller's stack depth.
+descends: each open parenthesis and each unary minus is one level.  The
+parser spends about 5 frames of the recursion limit per level, so a
+caller with fewer than about 5 * `MAX_NESTING` frames to spare meets the
+`RecursionError` fallback below the limit.  It raises the same
+"expression nested too deeply" error, at the column where the stack ran
+out.
 
 Inside a `degree_limit` block, a product or power whose degree exceeds the
 bound raises DegreeLimitError before it is expanded.  Over a field the

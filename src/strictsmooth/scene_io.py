@@ -30,7 +30,10 @@ def _load_schema(name: str) -> dict:
 # The deepest node a scene file may hold, counting the document as depth 1.
 # A scene's deepest nodes, the names in a center's `vanishing` list, are at
 # depth 5.  The composer checks the bound as it descends, so a deeper file
-# ends in "nested too deeply" whatever the caller's stack depth.
+# ends in "nested too deeply".  It spends about 3 frames of the recursion
+# limit per level, so under a caller with fewer than about 3 * MAX_NESTING
+# frames to spare, `load_scene`'s `RecursionError` fallback gives the same
+# message below the bound.
 MAX_NESTING = 50
 
 

@@ -1860,6 +1860,46 @@ def test_kernel_work_per_item_pushes_no_koszul_pair(item, monkeypatch):
     assert (len(spolys), len(pushes)) == (want[0], SIGNATURE_PUSHES[item])
 
 
+# monomials the finish looks up by scanning `out`, over one `groebner()` call:
+# one divisor table serves every `_reduce` call of a `_reduced` pass, so the
+# pass scans `out` once per monomial.  While each call scanned `out` for every
+# monomial it met, katsura-5 scanned 645 and cyclic-5 126
+FINISH_SCANS = {
+    "katsura-5-QQ": 150, "katsura-5-GF32003": 150, "cyclic-5-QQ": 104, "cyclic-5-GF32003": 104,
+}
+
+
+@pytest.mark.parametrize("item", FINISH_SCANS)
+def test_kernel_work_per_item_finish_scans_each_monomial_once(item, monkeypatch):
+    run, _ = KERNEL_WORK[item]
+    real_reduced, real_reduce = kernel._reduced, kernel._reduce
+    passes, scans = [], []  # per `_reduced` call, the tables its `_reduce` calls got
+
+    def reduced(*args):
+        passes.append([])
+        try:
+            return real_reduced(*args)
+        finally:
+            passes.append(None)  # the pass is over
+
+    def reduce(target, reducers, p, pk, regular=(), divisors=None):
+        if not passes or passes[-1] is None:
+            return real_reduce(target, reducers, p, pk, regular, divisors)
+        passes[-1].append(divisors)
+        before = len(divisors)
+        out = real_reduce(target, reducers, p, pk, regular, divisors)
+        scans.append(len(divisors) - before)  # `_reduce` only adds entries
+        return out
+
+    monkeypatch.setattr(kernel, "_reduced", reduced)
+    monkeypatch.setattr(kernel, "_reduce", reduce)
+    run()
+    tables = [t for t in passes if t]
+    assert all(type(t[0]) is dict and all(d is t[0] for d in t) for t in tables)
+    assert len({id(t[0]) for t in tables}) == len(tables)  # one table per pass
+    assert sum(scans) == FINISH_SCANS[item]
+
+
 def zero_reductions(run):
     """The number of S-polynomials that `run` forms and that reduce to zero."""
     spolys, zero = [], []
@@ -1910,12 +1950,13 @@ def loop_basis(ideal, loop):
     return kernel._packed(ideal.nvars, kernel._degree(gens), run)
 
 
-def random_square_system(rng, fld):
-    """1 to n generators in n = 2..5 variables, each of 1 to 4 terms of
-    degree at most 4 with coefficients in -3..3."""
+def random_system(rng, fld, square=True):
+    """1 to n generators in n = 2..5 variables, or n + 1 to n + 2 when not
+    `square`, each of 1 to 4 terms of degree at most 4 with coefficients
+    in -3..3."""
     n = rng.randint(2, 5)
     gens = []
-    for _ in range(rng.randint(1, n)):
+    for _ in range(rng.randint(1, n) if square else rng.randint(n + 1, n + 2)):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             e = [0] * n
@@ -1925,7 +1966,7 @@ def random_square_system(rng, fld):
         terms = {m: c for m, c in terms.items() if c != fld.zero}
         if terms:
             gens.append(Polynomial(n, fld, terms))
-    return Ideal(tuple(gens), n, fld) if gens else random_square_system(rng, fld)
+    return Ideal(tuple(gens), n, fld) if gens else random_system(rng, fld, square)
 
 
 SIGNATURE_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), GF32003]
@@ -1945,7 +1986,7 @@ def test_signature_loop_matches_buchberger_on_random_square_systems(fld, monkeyp
     rng = random.Random(fld.characteristic)
     spolys = 0
     for _ in range(650):
-        ideal = random_square_system(rng, fld)
+        ideal = random_system(rng, fld)
         formed.clear()
         basis = loop_basis(ideal, kernel._signature)
         spolys += len(formed)
@@ -1955,10 +1996,14 @@ def test_signature_loop_matches_buchberger_on_random_square_systems(fld, monkeyp
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7), GF32003], ids=["QQ", "GF7", "GF32003"])
 def test_signature_step_finish_matches_the_whole_interreduction(fld, monkeypatch):
-    """Each step's finish `_reduced(kept, new)` on the random square systems
-    returns what the earlier finish, `naive_finish`, returned from
-    interreducing the whole minimal basis; an element that finish leaves
-    as it was comes back as the same object."""
+    """Each step's finish `_reduced(kept, new)` on the random square systems,
+    and Buchberger's finish `_reduced([], G)` on random systems of more
+    generators than variables, returns what the earlier finish,
+    `naive_finish`, returned from interreducing the whole minimal basis; an
+    element that finish leaves as it was comes back as the same object.  A
+    finish whose divisor table kept the entry of a rebuilt element's own
+    leading monomial, which that element divides once it joins `out`,
+    returns unreduced bases on both inputs."""
     real = kernel._reduced
     kept_objects, rebuilt = [], []
 
@@ -1976,9 +2021,12 @@ def test_signature_step_finish_matches_the_whole_interreduction(fld, monkeypatch
 
     monkeypatch.setattr(kernel, "_reduced", reduced)
     rng = random.Random(fld.characteristic)
-    for _ in range(650):
-        loop_basis(random_square_system(rng, fld), kernel._signature)
-    assert kept_objects and rebuilt
+    for square, loop, count in ((True, kernel._signature, 650), (False, kernel._buchberger, 300)):
+        kept_objects.clear()
+        rebuilt.clear()
+        for _ in range(count):
+            loop_basis(random_system(rng, fld, square), loop)
+        assert kept_objects and rebuilt
 
 
 def test_signature_loop_matches_buchberger_on_katsura_6():
